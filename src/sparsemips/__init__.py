@@ -20,9 +20,9 @@ from .index import (
     Block,
     BlockedIndex,
     BuildParams,
-    QuantizedSummary,
     build_index,
     cluster_list,
+    dequantize,
     load_index,
     quantize_summary,
     save_index,
@@ -43,10 +43,10 @@ from .vectors import SparseVector, VectorSet, dot, lp_norm, restrict
 
 __all__ = [
     "Block", "BlockedIndex", "BuildParams", "GroundTruth", "KnnGraph",
-    "QuantizedSummary", "ResultList", "SearchParams", "SparseVector",
-    "ThresholdSketch", "VectorSet", "ZeroVectorError", "accuracy_at_k",
-    "alpha_mss", "bench", "build_approx_graph", "build_exact_graph",
-    "build_index", "cluster_list", "dot", "evaluate_block", "exact_topk",
+    "ResultList", "SearchParams", "SparseVector", "ThresholdSketch",
+    "VectorSet", "ZeroVectorError", "accuracy_at_k", "alpha_mss", "bench",
+    "build_approx_graph", "build_exact_graph", "build_index", "cluster_list",
+    "dequantize", "dot", "evaluate_block", "exact_topk",
     "expand_with_graph", "graph_size_bits", "ground_truth", "ip_preservation",
     "l1_threshold_sample", "load_collection", "load_graph", "load_ground_truth",
     "load_index", "lp_norm", "mass_curve", "norm_ratio_cdf", "quantize_summary",

@@ -22,8 +22,7 @@ def _cmd_build(args):
     )
     index = build_index(vset, params)
     save_index(index, args.output)
-    nblocks = sum(len(b) for b in index.lists)
-    print(f"indexed {len(vset)} vectors (dim={vset.dim}) into {nblocks} blocks")
+    print(f"indexed {len(vset)} vectors (dim={vset.dim}) into {index.num_blocks} blocks")
 
 
 def _cmd_knn_graph(args):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .storage import HeaderError, TruncatedPayloadError
+from .storage import HeaderError, _read_exact
 from .vectors import VectorSet
 
 
@@ -30,10 +30,6 @@ class KnnGraph:
     def __len__(self):
         return self.neighbors.shape[0]
 
-    @classmethod
-    def empty(cls, n):
-        return cls(kappa=0, neighbors=np.empty((n, 0), dtype=np.uint32))
-
 
 def graph_size_bits(n, kappa):
     """Bits needed at minimal fixed id width: (floor(log2(N-1))+1) * N * kappa."""
@@ -50,8 +46,8 @@ def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
         raise ValueError("kappa must be nonnegative")
     n = len(vset)
     width = min(kappa, max(n - 1, 0))
-    if kappa == 0 or width == 0:
-        return KnnGraph.empty(n) if kappa == 0 else KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
+    if width == 0:
+        return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
     mat = vset.to_scipy(dtype=np.float64)
     neighbors = np.empty((n, width), dtype=np.uint32)
     ids = np.arange(n)
@@ -81,8 +77,8 @@ def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     forward = index.forward
     n = len(forward)
     width = min(kappa, max(n - 1, 0))
-    if kappa == 0 or width == 0:
-        return KnnGraph.empty(n) if kappa == 0 else KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
+    if width == 0:
+        return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
     params = SearchParams(
         k=min(kappa + 1, n),
         alpha_q=search_params.alpha_q,
@@ -136,11 +132,10 @@ def save_graph(graph: KnnGraph, path):
     byte_width = max(1, ((n - 1).bit_length() + 7) // 8) if n > 1 else 1
     with open(path, "wb") as fh:
         fh.write(_GRAPH_HEADER.pack(n, graph.kappa, byte_width))
-        if graph.neighbors.size:
-            ids = graph.neighbors.astype(np.uint64).ravel()
-            shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
-            packed = ((ids[:, None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-            fh.write(packed.tobytes())
+        ids = graph.neighbors.astype(np.uint64).ravel()
+        shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
+        packed = ((ids[:, None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
+        fh.write(packed.tobytes())
 
 
 def load_graph(path) -> KnnGraph:
@@ -150,12 +145,7 @@ def load_graph(path) -> KnnGraph:
             raise HeaderError("graph file too short for header")
         n, kappa, byte_width = _GRAPH_HEADER.unpack(head)
         width = min(kappa, max(n - 1, 0))
-        nbytes = n * width * byte_width
-        buf = fh.read(nbytes)
-        if len(buf) != nbytes:
-            raise TruncatedPayloadError("truncated graph payload")
-    if width == 0:
-        return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
+        buf = _read_exact(fh, n * width * byte_width, "graph payload")
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, byte_width).astype(np.uint64)
     shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
     ids = (packed << shifts).sum(axis=1, dtype=np.uint64)

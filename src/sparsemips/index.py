@@ -6,21 +6,23 @@ inverted list per dimension from the sketched vectors, partition each list
 into geometrically-cohesive blocks with shallow K-Means, and attach to each
 block a conservative coordinatewise-max summary, truncated by a top-mass
 sketch and optionally quantized to 8 bits.  The forward index keeps the
-original vectors for exact re-scoring.
+original vectors for exact re-scoring.  The blocks live in a few flat
+arrays (see BlockedIndex), saved as whole arrays after an SPMIDX02 header.
 """
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .sketching import alpha_mss, set_alpha_mss
-from .storage import HeaderError, StorageError
+from .storage import ConsistencyError, HeaderError, _check_csr, _read_array, _read_exact
 from .vectors import SparseVector, VectorSet
 
-INDEX_MAGIC = b"SPMIDX01"
+INDEX_MAGIC = b"SPMIDX02"
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,12 @@ class BuildParams:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class QuantizedSummary:
-    """8-bit scalar quantization of a summary vector.
+def quantize_summary(s: SparseVector):
+    """8-bit scalar quantization of a summary vector: (codes, m, delta).
 
     delta = (max - m) / 256; codes index equal sub-intervals above the
     minimum m.  delta == 0 is legal (all values equal, all codes 0).
     """
-
-    dims: np.ndarray      # uint32, sorted
-    codes: np.ndarray     # uint8
-    m: float
-    delta: float
-
-    def reconstruct(self, position) -> float:
-        return float(self.m + float(self.codes[position]) * self.delta)
-
-    def reconstruct_all(self) -> np.ndarray:
-        return self.m + self.codes.astype(np.float64) * self.delta
-
-
-def quantize_summary(s: SparseVector) -> QuantizedSummary:
     if s.dims.size == 0:
         raise ValueError("cannot quantize an empty summary")
     vals = s.values.astype(np.float64)
@@ -76,69 +63,68 @@ def quantize_summary(s: SparseVector) -> QuantizedSummary:
         codes = np.zeros(vals.size, dtype=np.uint8)
     else:
         codes = np.clip(np.floor((vals - m) / delta), 0, 255).astype(np.uint8)
-    return QuantizedSummary(dims=s.dims.copy(), codes=codes, m=m, delta=delta)
+    return codes, m, delta
 
 
-@dataclass(frozen=True)
-class Block:
-    """One atomic unit of evaluation: member ids plus their summary."""
-
-    ids: np.ndarray                      # uint32, sorted, unique, nonempty
-    summary: object                      # SparseVector or QuantizedSummary
-
-    def summary_arrays(self):
-        """(dims, float64 values) of the summary, dequantizing on the fly."""
-        if isinstance(self.summary, QuantizedSummary):
-            return self.summary.dims, self.summary.reconstruct_all()
-        return self.summary.dims, self.summary.values.astype(np.float64)
+def dequantize(values, m, delta):
+    """Float64 summary values m + values * delta, elementwise."""
+    out = np.multiply(values, delta, dtype=np.float64)
+    out += m
+    return out
 
 
-def cluster_list(members, beta, seed):
-    """Partition (id, sketched-vector) members into geometric blocks.
+class Block(NamedTuple):
+    """One atomic unit of evaluation: the sorted member ids of a block."""
 
-    Samples c = max(1, ceil(beta * n)) members (capped at n) uniformly
-    without replacement as centroids and assigns every member to the
-    centroid maximizing the inner product, lowest centroid index on ties.
-    Returns the nonempty clusters as lists of member positions.
+    ids: np.ndarray
+
+
+def cluster_list(rows, beta, seed):
+    """Partition the rows of a CSR matrix (one list's members) into geometric blocks.
+
+    Samples c = max(1, ceil(beta * n)) rows (capped at n) uniformly without
+    replacement as centroids and assigns every row to the centroid
+    maximizing the inner product, lowest centroid index on ties.  Returns
+    the nonempty clusters as ascending lists of row positions.
     """
-    n = len(members)
+    n = rows.shape[0]
     if n == 0:
         raise ValueError("cannot cluster an empty list")
     c = min(max(1, int(np.ceil(beta * n))), n)
     rng = np.random.default_rng(seed)
     centroid_pos = np.sort(rng.choice(n, size=c, replace=False))
-    if c == 1:
-        return [list(range(n))]
-    dim = 1 + max(int(v.dims.max()) if v.dims.size else 0 for _, v in members)
-    mat = VectorSet.from_vectors(dim, [v for _, v in members]).to_scipy(dtype=np.float64)
-    scores = np.asarray((mat @ mat[centroid_pos].T).todense())
+    mat = rows.astype(np.float64, copy=False)
+    scores = (mat @ mat[centroid_pos].T).toarray()
     assign = np.argmax(scores, axis=1)  # argmax takes lowest index on ties
     clusters = [np.flatnonzero(assign == k).tolist() for k in range(c)]
     return [cl for cl in clusters if cl]
 
 
-def summarize(block_members) -> SparseVector:
-    """Coordinatewise maximum over a nonempty list of sparse vectors."""
-    if not block_members:
+def summarize(rows) -> SparseVector:
+    """Coordinatewise maximum over the rows of a nonempty CSR matrix."""
+    if rows.shape[0] == 0:
         raise ValueError("cannot summarize an empty block")
-    dims = np.concatenate([v.dims for v in block_members])
-    values = np.concatenate([v.values for v in block_members])
-    if dims.size == 0:
-        return SparseVector(dims.astype(np.uint32), values.astype(np.float32))
-    order = np.argsort(dims, kind="stable")
-    dims, values = dims[order], values[order]
-    uniq, starts = np.unique(dims, return_index=True)
-    maxima = np.maximum.reduceat(values, starts)
-    return SparseVector(uniq, maxima)
+    dims, position = np.unique(rows.indices, return_inverse=True)
+    maxima = np.zeros(dims.size)
+    np.maximum.at(maxima, position, rows.data)  # values are positive
+    return SparseVector(dims, maxima)
 
 
+@dataclass(eq=False)
 class BlockedIndex:
-    """Per-dimension block lists plus the forward index of original vectors."""
+    """Flat CSR-style blocked lists, blocks numbered list by list, plus the
+    forward index.  The fields after `forward` are the file's arrays, in order."""
 
-    def __init__(self, params: BuildParams, lists, forward: VectorSet):
-        self.params = params
-        self.lists = lists            # list (len == forward.dim) of list[Block]
-        self.forward = forward
+    params: BuildParams
+    forward: VectorSet
+    list_ptr: np.ndarray        # (dim+1,) blocks of dim i: list_ptr[i]:list_ptr[i+1]
+    block_ptr: np.ndarray       # (nblocks+1,) members of b: member_ids[block_ptr[b]:block_ptr[b+1]]
+    member_ids: np.ndarray      # uint32, ascending within each block
+    summary_ptr: np.ndarray     # (nblocks+1,) entries of b's summary, likewise
+    summary_dims: np.ndarray    # uint32, ascending within each summary
+    summary_values: np.ndarray  # uint8 codes when quantized, float32 values otherwise
+    m: np.ndarray               # float32 per block; an entry's value is m + value * delta
+    delta: np.ndarray           # float32 per block; m=0 and delta=1 (exact) when unquantized
 
     def __len__(self):
         return len(self.forward)
@@ -147,105 +133,102 @@ class BlockedIndex:
     def dim(self):
         return self.forward.dim
 
+    @property
+    def num_blocks(self):
+        return self.block_ptr.size - 1
+
+    def block(self, b) -> Block:
+        return Block(self.member_ids[self.block_ptr[b]:self.block_ptr[b + 1]])
+
 
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
         raise ValueError("cannot index an empty collection")
-    sketched = set_alpha_mss(vset, params.alpha)
-    csc = sketched.to_scipy().tocsc()
+    sketched = set_alpha_mss(vset, params.alpha).to_scipy(dtype=np.float64)
+    csc = sketched.tocsc()
     csc.sort_indices()
-    lists = [[] for _ in range(vset.dim)]
+    # the members of list i fill member_ids[csc.indptr[i]:csc.indptr[i + 1]]
+    member_ids = np.empty(csc.nnz, dtype=np.uint32)
+    blocks_per_list = np.zeros(vset.dim, dtype=np.int64)
+    # growable buffers that become the arrays without a copy, so the
+    # summaries are never held twice
+    block_ptr, summary_ptr, m, delta = array("q", [0]), array("q", [0]), array("f"), array("f")
+    summary_dims, summary_values = array("I"), array("B" if params.quantize else "f")
     for i in range(vset.dim):
         s, e = csc.indptr[i], csc.indptr[i + 1]
         if s == e:
             continue
-        member_ids = csc.indices[s:e].astype(np.uint32)  # ascending
-        members = [(int(j), sketched.vector(int(j))) for j in member_ids]
-        clusters = cluster_list(members, params.beta, [params.seed, i])
-        blocks = []
+        ids = csc.indices[s:e]  # ascending
+        rows = sketched[ids]
+        clusters = cluster_list(rows, params.beta, [params.seed, i])
+        blocks_per_list[i] = len(clusters)
+        member_ids[s:e] = ids[np.concatenate(clusters)]
         for cl in clusters:
-            ids = member_ids[cl]
-            summary = summarize([members[p][1] for p in cl])
-            summary = alpha_mss(summary, params.gamma)
+            summary = alpha_mss(summarize(rows[cl]), params.gamma)
             if params.quantize:
-                summary = quantize_summary(summary)
-            blocks.append(Block(ids=np.sort(ids), summary=summary))
-        lists[i] = blocks
-    return BlockedIndex(params, lists, vset)
+                values, block_m, block_delta = quantize_summary(summary)
+            else:
+                values, block_m, block_delta = summary.values, 0.0, 1.0
+            summary_dims.frombytes(summary.dims.tobytes())
+            summary_values.frombytes(values.tobytes())
+            block_ptr.append(block_ptr[-1] + len(cl))
+            summary_ptr.append(len(summary_dims))
+            m.append(block_m)
+            delta.append(block_delta)
+    list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
+    arrays = map(np.asarray, (block_ptr, member_ids, summary_ptr, summary_dims, summary_values, m, delta))
+    return BlockedIndex(params, vset, list_ptr, *arrays)
 
 
 # ---------------------------------------------------------------------------
-# serialization: versioned binary container
+# serialization: magic, build parameters, array lengths, then whole arrays
 
-def _write_arr(fh, arr, dtype):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    fh.write(struct.pack("<Q", arr.size))
-    fh.write(arr.tobytes())
+_PARAMS = struct.Struct("<ddd?xxxq")
+_COUNTS = struct.Struct("<6Q")  # nrows, dim, forward nnz, blocks, members, summary entries
 
 
-def _read_arr(fh, dtype):
-    (n,) = struct.unpack("<Q", fh.read(8))
-    itemsize = np.dtype(dtype).itemsize
-    buf = fh.read(n * itemsize)
-    if len(buf) != n * itemsize:
-        raise StorageError("truncated index payload")
-    return np.frombuffer(buf, dtype=dtype)
+def _layout(quantize, nrows, dim, nnz, nblocks, nmembers, nsummary):
+    """(name, dtype, length) of every array, in file order."""
+    return [
+        ("forward indptr", "<u8", nrows + 1),
+        ("forward indices", "<u4", nnz),
+        ("forward values", "<f4", nnz),
+        ("list_ptr", "<i8", dim + 1),
+        ("block_ptr", "<i8", nblocks + 1),
+        ("member_ids", "<u4", nmembers),
+        ("summary_ptr", "<i8", nblocks + 1),
+        ("summary_dims", "<u4", nsummary),
+        ("summary_values", "u1" if quantize else "<f4", nsummary),
+        ("m", "<f4", nblocks),
+        ("delta", "<f4", nblocks),
+    ]
 
 
 def save_index(index: BlockedIndex, path):
-    p = index.params
+    p, fwd = index.params, index.forward
+    counts = (len(fwd), fwd.dim, fwd.indices.size, index.num_blocks,
+              index.member_ids.size, index.summary_dims.size)
+    arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, f.name) for f in fields(index)[2:]]
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<ddd?xxxq", p.alpha, p.beta, p.gamma, p.quantize, p.seed))
-        fwd = index.forward
-        fh.write(struct.pack("<QQ", len(fwd), fwd.dim))
-        _write_arr(fh, fwd.indptr, "<u8")
-        _write_arr(fh, fwd.indices, "<u4")
-        _write_arr(fh, fwd.values, "<f4")
-        for blocks in index.lists:
-            fh.write(struct.pack("<I", len(blocks)))
-            for b in blocks:
-                _write_arr(fh, b.ids, "<u4")
-                if isinstance(b.summary, QuantizedSummary):
-                    fh.write(b"Q")
-                    _write_arr(fh, b.summary.dims, "<u4")
-                    _write_arr(fh, b.summary.codes, "u1")
-                    fh.write(struct.pack("<ff", b.summary.m, b.summary.delta))
-                else:
-                    fh.write(b"R")
-                    _write_arr(fh, b.summary.dims, "<u4")
-                    _write_arr(fh, b.summary.values, "<f4")
+        fh.write(INDEX_MAGIC + _PARAMS.pack(*astuple(p)))
+        fh.write(_COUNTS.pack(*counts))
+        for arr, (_, dtype, _) in zip(arrays, _layout(p.quantize, *counts)):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_index(path) -> BlockedIndex:
     with open(path, "rb") as fh:
-        magic = fh.read(len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
+        if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise HeaderError("not an index file (bad magic)")
-        alpha, beta, gamma, quantize, seed = struct.unpack("<ddd?xxxq", fh.read(36))
-        params = BuildParams(alpha=alpha, beta=beta, gamma=gamma, quantize=quantize, seed=seed)
-        nrows, dim = struct.unpack("<QQ", fh.read(16))
-        indptr = _read_arr(fh, "<u8")
-        indices = _read_arr(fh, "<u4")
-        values = _read_arr(fh, "<f4")
-        forward = VectorSet(dim, indptr, indices, values)
-        lists = []
-        for _ in range(dim):
-            (nblocks,) = struct.unpack("<I", fh.read(4))
-            blocks = []
-            for _ in range(nblocks):
-                ids = _read_arr(fh, "<u4")
-                kind = fh.read(1)
-                dims = _read_arr(fh, "<u4")
-                if kind == b"Q":
-                    codes = _read_arr(fh, "u1")
-                    m, delta = struct.unpack("<ff", fh.read(8))
-                    summary = QuantizedSummary(dims=dims, codes=codes, m=m, delta=delta)
-                elif kind == b"R":
-                    vals = _read_arr(fh, "<f4")
-                    summary = SparseVector(dims, vals)
-                else:
-                    raise StorageError("unknown summary tag in index file")
-                blocks.append(Block(ids=ids, summary=summary))
-            lists.append(blocks)
-    return BlockedIndex(params, lists, forward)
+        params = BuildParams(*_PARAMS.unpack(_read_exact(fh, _PARAMS.size, "build parameters")))
+        counts = _COUNTS.unpack(_read_exact(fh, _COUNTS.size, "array lengths"))
+        arrays = [_read_array(fh, dtype, n, name) for name, dtype, n in _layout(params.quantize, *counts)]
+        if fh.read(1):
+            raise ConsistencyError("trailing bytes after declared payload")
+    nrows, dim, _, nblocks, _, _ = counts
+    indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_dims, summary_values = arrays[:9]
+    _check_csr(indptr, indices, dim, "forward index", values)
+    _check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")  # list i holds blocks list_ptr[i]:list_ptr[i+1]
+    _check_csr(block_ptr, member_ids, nrows, "block members")
+    _check_csr(summary_ptr, summary_dims, dim, "summaries", None if params.quantize else summary_values)
+    return BlockedIndex(params, VectorSet(dim, *arrays[:3]), *arrays[3:])

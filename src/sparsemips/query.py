@@ -10,10 +10,12 @@ the candidate heap one hop through the neighbor graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
+from .index import dequantize
 from .sketching import ZeroVectorError, alpha_mss
 from .vectors import SparseVector
 
@@ -67,7 +69,7 @@ class SearchStats:
     forward_evaluations: int = 0
     blocks_visited: int = 0
     blocks_skipped: int = 0
-    evaluated_ids: set = field(default_factory=set)
+    docs_visited: int = 0     # distinct docs scored, from the visited bitmap
 
 
 def _heap_offer(heap, k, score, doc):
@@ -79,17 +81,20 @@ def _heap_offer(heap, k, score, doc):
         heapq.heapreplace(heap, entry)
 
 
+def _score_docs(docs, forward, q_dense, heap, k):
+    """Exactly score each doc in `docs` and offer it to the heap."""
+    for doc in docs.tolist():
+        dims, vals = forward.row_slice(doc)
+        _heap_offer(heap, k, float(vals @ q_dense[dims]), doc)
+
+
 def evaluate_block(block, forward, q_dense, heap, visited, k, stats=None):
     """Exactly score every unvisited member of a block and update the heap."""
     ids = block.ids[~visited[block.ids]]
     visited[ids] = True
-    for doc in ids.tolist():
-        dims, vals = forward.row_slice(doc)
-        score = float(vals @ q_dense[dims])
-        _heap_offer(heap, k, score, doc)
+    _score_docs(ids, forward, q_dense, heap, k)
     if stats is not None:
         stats.forward_evaluations += ids.size
-        stats.evaluated_ids.update(ids.tolist())
     return heap
 
 
@@ -97,67 +102,74 @@ def expand_with_graph(heap, graph, forward, q_dense, k, visited, stats=None):
     """One-hop expansion: score unvisited neighbors of heap members."""
     if graph is None or graph.kappa == 0:
         return heap
-    snapshot = [-nid for _, nid in heap]
-    for doc in snapshot:
-        for nb in graph.neighbors[doc].tolist():
-            if visited[nb]:
-                continue
-            visited[nb] = True
-            dims, vals = forward.row_slice(nb)
-            score = float(vals @ q_dense[dims])
-            _heap_offer(heap, k, score, nb)
-            if stats is not None:
-                stats.forward_evaluations += 1
-                stats.evaluated_ids.add(nb)
+    for doc in [-nid for _, nid in heap]:
+        neighbors = graph.neighbors[doc][~visited[graph.neighbors[doc]]]
+        visited[neighbors] = True
+        _score_docs(neighbors, forward, q_dense, heap, k)
+        if stats is not None:
+            stats.forward_evaluations += neighbors.size
     return heap
+
+
+def _summary_scores(index, first, last, q_dense):
+    """Summary scores of blocks first[i]:last[i] for each i, concatenated.
+
+    A list's summaries are contiguous, so one slice per list gathers them;
+    after dequantizing, one sparse mat-vec sums each summary in dim order.
+    """
+    ptr = index.summary_ptr
+    blocks = np.r_[tuple(map(slice, first.tolist(), last.tolist()))]
+    entries = list(map(slice, ptr[first].tolist(), ptr[last].tolist()))
+    lengths = ptr[blocks + 1] - ptr[blocks]
+    m, delta = np.repeat(index.m[blocks], lengths), np.repeat(index.delta[blocks], lengths)
+    values = dequantize(np.concatenate([index.summary_values[s] for s in entries]), m, delta)
+    dims = np.concatenate([index.summary_dims[s] for s in entries])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return sp.csr_matrix((values, dims, indptr), shape=(blocks.size, index.dim)) @ q_dense
 
 
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):
     """Approximate top-k by inner product; exact when no pruning layer is on."""
     if q.dims.size == 0:
         raise ZeroVectorError("query must be nonzero")
+    if int(q.dims[-1]) >= index.dim:
+        raise ValueError(f"query dim {int(q.dims[-1])} is out of range for index dim {index.dim}")
+    if params.use_graph and graph is not None and len(graph) != len(index):
+        raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
     forward = index.forward
     n = len(forward)
     q_dense = q.to_dense(index.dim, dtype=np.float64)
     q_sketch = alpha_mss(q, params.alpha_q)
     # traverse high-value query dimensions first to fill the heap early
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
+    first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
+    r_all = _summary_scores(index, first, last, q_dense)
 
     heap = []
     visited = np.zeros(n, dtype=bool)
     stats = SearchStats()
-    for dim in dim_order.tolist():
-        blocks = index.lists[dim]
-        if not blocks:
-            continue
-        r = np.empty(len(blocks))
-        for j, b in enumerate(blocks):
-            sdims, svals = b.summary_arrays()
-            r[j] = svals @ q_dense[sdims]
-        order = np.lexsort((np.arange(len(blocks)), -r))
-        for pos, j in enumerate(order.tolist()):
+    for lo, r in zip(first.tolist(), np.split(r_all, np.cumsum(last - first)[:-1])):
+        for pos, j in enumerate(np.argsort(-r, kind="stable").tolist()):
             if len(heap) == params.k and r[j] < heap[0][0] / params.heap_factor:
                 # remaining blocks in this list have smaller summary scores
-                stats.blocks_skipped += len(blocks) - pos
+                stats.blocks_skipped += r.size - pos
                 break
             stats.blocks_visited += 1
-            evaluate_block(blocks[j], forward, q_dense, heap, visited, params.k, stats)
+            evaluate_block(index.block(lo + j), forward, q_dense, heap, visited, params.k, stats)
 
     if len(heap) < min(params.k, n):
         # fewer candidates than requested (k near N, or degenerate pruning):
         # fall back to exact evaluation of everything not yet seen
-        for doc in np.flatnonzero(~visited).tolist():
-            visited[doc] = True
-            dims, vals = forward.row_slice(doc)
-            score = float(vals @ q_dense[dims])
-            _heap_offer(heap, params.k, score, doc)
-            stats.forward_evaluations += 1
-            stats.evaluated_ids.add(doc)
+        rest = np.flatnonzero(~visited)
+        visited[rest] = True
+        _score_docs(rest, forward, q_dense, heap, params.k)
+        stats.forward_evaluations += rest.size
 
     if params.use_graph and graph is not None and graph.kappa > 0:
         expand_with_graph(heap, graph, forward, q_dense, params.k, visited, stats)
 
     result = ResultList.from_heap(heap)
     if return_stats:
+        stats.docs_visited = int(np.count_nonzero(visited))
         return result, stats
     return result

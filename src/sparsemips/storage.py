@@ -59,38 +59,42 @@ def _read_exact(fh, nbytes, what):
     return buf
 
 
+def _read_array(fh, dtype, count, what):
+    dtype = np.dtype(dtype)
+    return np.frombuffer(_read_exact(fh, dtype.itemsize * count, what), dtype=dtype)
+
+
+def _check_csr(ptr, indices, bound, what, values=None):
+    """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
+    indices into rows strictly increasing and < bound, and values (if given)
+    are finite and strictly positive."""
+    if ptr[0] != 0 or int(ptr[-1]) != indices.size or np.any(ptr[1:] < ptr[:-1]):
+        raise ConsistencyError(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
+    if indices.size and int(indices.max()) >= bound:
+        raise ConsistencyError(f"{what}: index {int(indices.max())} is out of range for {bound}")
+    # indices may fail to increase only where a row starts
+    not_increasing = indices[1:] <= indices[:-1]
+    starts = ptr[1:-1]
+    not_increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+    if np.any(not_increasing):
+        raise IndexOrderError(f"{what}: indices must be strictly increasing within each row")
+    # min and max propagate NaN, which fails both comparisons
+    if values is not None and values.size and not (values.min() > 0 and values.max() < np.inf):
+        raise NonPositiveValueError(f"{what}: values must be finite and strictly positive")
+
+
 def load_collection(path) -> VectorSet:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise HeaderError("file too short for the 24-byte header")
         nrows, ncols, nnz = _HEADER.unpack(head)
-        indptr = np.frombuffer(_read_exact(fh, 8 * (nrows + 1), "indptr"), dtype="<u8")
-        indices = np.frombuffer(_read_exact(fh, 4 * nnz, "indices"), dtype="<u4")
-        values = np.frombuffer(_read_exact(fh, 4 * nnz, "values"), dtype="<f4")
+        indptr = _read_array(fh, "<u8", nrows + 1, "indptr")
+        indices = _read_array(fh, "<u4", nnz, "indices")
+        values = _read_array(fh, "<f4", nnz, "values")
         if fh.read(1):
             raise ConsistencyError("trailing bytes after declared payload")
-
-    if indptr[0] != 0:
-        raise ConsistencyError("indptr[0] must be 0")
-    if int(indptr[-1]) != nnz:
-        raise ConsistencyError(f"indptr[nrows]={int(indptr[-1])} disagrees with nnz={nnz}")
-    ip = indptr.astype(np.int64)
-    if np.any(np.diff(ip) < 0):
-        raise ConsistencyError("indptr must be nondecreasing")
-    idx = indices.astype(np.int64)
-    if nnz:
-        if int(idx.max()) >= ncols:
-            raise ConsistencyError("column index exceeds declared dimensionality")
-        # within-row monotonicity: differences may reset only at row starts
-        diffs = np.diff(idx)
-        row_starts = np.zeros(nnz, dtype=bool)
-        row_starts[ip[:-1][ip[:-1] < nnz]] = True
-        bad = (diffs <= 0) & ~row_starts[1:]
-        if np.any(bad):
-            raise IndexOrderError("indices must be strictly increasing within each row")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise NonPositiveValueError("values must be finite and strictly positive")
+    _check_csr(indptr, indices, ncols, "collection", values)
     return VectorSet(ncols, indptr, indices, values)
 
 
@@ -115,8 +119,8 @@ def load_ground_truth(path):
         if len(head) != _GT_HEADER.size:
             raise HeaderError("ground-truth file too short for header")
         nq, k = _GT_HEADER.unpack(head)
-        ids = np.frombuffer(_read_exact(fh, 4 * nq * k, "ids"), dtype="<u4").reshape(nq, k)
-        scores = np.frombuffer(_read_exact(fh, 4 * nq * k, "scores"), dtype="<f4").reshape(nq, k)
+        ids = _read_array(fh, "<u4", nq * k, "ids").reshape(nq, k)
+        scores = _read_array(fh, "<f4", nq * k, "scores").reshape(nq, k)
     return ids, scores
 
 

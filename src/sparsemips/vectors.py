@@ -36,7 +36,7 @@ class SparseVector:
             raise SparseVectorError("dims and values must be 1-d arrays of equal length")
         if dims.size and np.any(np.diff(dims.astype(np.int64)) <= 0):
             raise SparseVectorError("dims must be strictly increasing")
-        if values.size and np.any(values <= 0):
+        if not np.all(values > 0):  # also rejects NaN
             raise SparseVectorError("values must be strictly positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", values)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sparsemips import SparseVector, VectorSet
+from sparsemips import SparseVector, VectorSet, dequantize
 from sparsemips.synth import random_collection
 
 # 10x8 reference matrix for the set-level sketch golden test.  Rows are
@@ -50,6 +50,12 @@ def dense_to_vectorset(dense) -> VectorSet:
         dims = np.flatnonzero(row).astype(np.uint32)
         vectors.append(SparseVector(dims, row[dims]))
     return VectorSet.from_vectors(dense.shape[1], vectors)
+
+
+def summary_of(index, b):
+    """(dims, float64 values) of block b's summary in a BlockedIndex."""
+    s, e = index.summary_ptr[b], index.summary_ptr[b + 1]
+    return index.summary_dims[s:e], dequantize(index.summary_values[s:e], index.m[b], index.delta[b])
 
 
 def golden_expected_dense():

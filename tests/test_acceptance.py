@@ -37,6 +37,7 @@ from conftest import (
     GOLDEN_EXCLUDED_COLUMNS,
     GOLDEN_TIE_COLUMNS,
     golden_expected_dense,
+    summary_of,
 )
 
 
@@ -283,28 +284,29 @@ def test_criterion_08_quantization_error_bound(corpus10k, tuned_index):
     worst_entry = 0.0
     rng = np.random.default_rng(31)
     worst_score = 0.0
+    # same seeds, same blocks: the two indexes align block by block
+    assert np.array_equal(tuned_index.list_ptr, raw_index.list_ptr)
+    assert np.array_equal(tuned_index.summary_ptr, raw_index.summary_ptr)
     checked = 0
-    for blocks_q, blocks_r in zip(tuned_index.lists, raw_index.lists):
-        assert len(blocks_q) == len(blocks_r)
-        for bq, br in zip(blocks_q, blocks_r):
-            qs = bq.summary
-            raw = br.summary.values.astype(np.float64)
-            err = np.abs(qs.reconstruct_all() - raw)
-            worst_entry = max(worst_entry, float((err / max(qs.delta, 1e-300)).max()) if qs.delta else float(err.max()))
-            assert np.all(err <= qs.delta + 1e-12)
-            checked += 1
+    for b in range(tuned_index.num_blocks):
+        _, recon = summary_of(tuned_index, b)
+        _, raw = summary_of(raw_index, b)
+        delta = float(tuned_index.delta[b])
+        err = np.abs(recon - raw)
+        worst_entry = max(worst_entry, float((err / max(delta, 1e-300)).max()) if delta else float(err.max()))
+        assert np.all(err <= delta + 1e-12)
+        checked += 1
     # summary-score error against random queries is bounded by delta*||q||_1
     for _ in range(20):
         q = random_vector(rng, vset.dim, 30)
         q_dense = q.to_dense(vset.dim)
-        for blocks_q, blocks_r in zip(tuned_index.lists[:50], raw_index.lists[:50]):
-            for bq, br in zip(blocks_q, blocks_r):
-                dq, vq = bq.summary_arrays()
-                dr, vr = br.summary_arrays()
-                err = abs(float(vq @ q_dense[dq]) - float(vr @ q_dense[dr]))
-                limit = bq.summary.delta * lp_norm(q, 1)
-                worst_score = max(worst_score, err / limit if limit else 0.0)
-                assert err <= limit + 1e-12
+        for b in range(tuned_index.list_ptr[50]):  # the blocks of the first 50 lists
+            dq, vq = summary_of(tuned_index, b)
+            dr, vr = summary_of(raw_index, b)
+            err = abs(float(vq @ q_dense[dq]) - float(vr @ q_dense[dr]))
+            limit = float(tuned_index.delta[b]) * lp_norm(q, 1)
+            worst_score = max(worst_score, err / limit if limit else 0.0)
+            assert err <= limit + 1e-12
     report(8, True, (
         f"{checked} summaries: worst entry error {worst_entry:.3f}*delta, "
         f"worst summary-score error {worst_score:.3f}*delta*||q||1"

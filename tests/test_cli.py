@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsemips import load_graph, load_index, save_collection
+from sparsemips import BuildParams, build_index, load_graph, load_index, save_collection, save_index
 from sparsemips.cli import main
 from sparsemips.storage import read_results_tsv
 from sparsemips.synth import random_collection
@@ -115,3 +115,15 @@ class TestErrorHandling:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_index_is_a_clean_failure(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "idx.bin"
+        save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), bad)
+        bad.write_bytes(bad.read_bytes()[:30])  # inside the build parameters
+        rc = run([
+            "search", "--index", bad, "--queries", workspace / "queries.bin", "--k", "5",
+            "--alpha-q", "0.9", "--heap-factor", "0.9", "--output", tmp_path / "run.tsv",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,17 +3,30 @@ import pytest
 
 from sparsemips import (
     BuildParams,
-    QuantizedSummary,
     SparseVector,
+    VectorSet,
     build_index,
     cluster_list,
+    dequantize,
     dot,
     load_index,
     quantize_summary,
     save_index,
     summarize,
 )
+from sparsemips.storage import ConsistencyError, HeaderError, TruncatedPayloadError
 from sparsemips.synth import random_collection, random_vector
+from conftest import summary_of
+
+
+def csr_rows(dim, vectors):
+    return VectorSet.from_vectors(dim, vectors).to_scipy()
+
+
+def list_members(index, i):
+    """Sorted member ids of every block of dimension i's list."""
+    blocks = index.block_ptr[index.list_ptr[i]:index.list_ptr[i + 1] + 1]
+    return sorted(index.member_ids[blocks[0]:blocks[-1]].tolist())
 
 
 class TestBuildParams:
@@ -30,29 +43,29 @@ class TestBuildParams:
 class TestQuantization:
     def test_known_example(self):
         s = SparseVector(np.array([0, 1]), np.array([0.1, 0.6]))
-        q = quantize_summary(s)
-        delta = q.delta
-        assert q.m == pytest.approx(0.1)
+        codes, m, delta = quantize_summary(s)
+        recon = dequantize(codes, m, delta)
+        assert m == pytest.approx(0.1)
         assert delta == pytest.approx((np.float32(0.6) - np.float32(0.1)) / 256.0, rel=1e-5)
-        assert q.codes.tolist() == [0, 255]
-        assert q.reconstruct(1) == pytest.approx(0.1 + 255 * delta)
+        assert codes.tolist() == [0, 255]
+        assert recon[1] == pytest.approx(0.1 + 255 * delta)
         # the maximum reconstructs within one quantization step
-        assert abs(q.reconstruct(1) - float(np.float32(0.6))) <= delta
+        assert abs(recon[1] - float(np.float32(0.6))) <= delta
 
     def test_constant_summary_has_zero_delta(self):
         s = SparseVector(np.array([2, 9]), np.array([0.4, 0.4]))
-        q = quantize_summary(s)
-        assert q.delta == 0.0
-        assert q.codes.tolist() == [0, 0]
-        assert q.reconstruct(0) == pytest.approx(float(np.float32(0.4)))
+        codes, m, delta = quantize_summary(s)
+        assert delta == 0.0
+        assert codes.tolist() == [0, 0]
+        assert dequantize(codes, m, delta)[0] == pytest.approx(float(np.float32(0.4)))
 
     def test_error_bounded_by_delta(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = random_vector(rng, 300, 40)
-            q = quantize_summary(s)
-            err = np.abs(q.reconstruct_all() - s.values.astype(np.float64))
-            assert np.all(err <= q.delta + 1e-12)
+            codes, m, delta = quantize_summary(s)
+            err = np.abs(dequantize(codes, m, delta) - s.values.astype(np.float64))
+            assert np.all(err <= delta + 1e-12)
 
     def test_empty_summary_rejected(self):
         empty = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
@@ -64,14 +77,14 @@ class TestSummarize:
     def test_coordinatewise_max_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        s = summarize(members)
+        s = summarize(csr_rows(40, members))
         dense_max = np.max([m.to_dense(40) for m in members], axis=0)
         np.testing.assert_array_equal(s.to_dense(40, dtype=np.float32), dense_max.astype(np.float32))
 
     def test_summary_score_dominates_members(self):
         rng = np.random.default_rng(13)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        s = summarize(members)
+        s = summarize(csr_rows(40, members))
         for _ in range(10):
             q = random_vector(rng, 40, 8)
             bound = dot(s, q)
@@ -80,13 +93,13 @@ class TestSummarize:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize(csr_rows(40, []))
 
 
 class TestClustering:
     def _members(self, n, seed):
         rng = np.random.default_rng(seed)
-        return [(j, random_vector(rng, 30, 6)) for j in range(n)]
+        return csr_rows(30, [random_vector(rng, 30, 6) for _ in range(n)])
 
     def test_partition_covers_everything_once(self):
         members = self._members(40, 14)
@@ -106,23 +119,21 @@ class TestClustering:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            cluster_list([], beta=0.2, seed=[0, 0])
+            cluster_list(csr_rows(30, []), beta=0.2, seed=[0, 0])
 
 
 class TestBuildIndex:
     def test_lists_follow_the_set_sketch(self, golden_set):
         index = build_index(golden_set, BuildParams(alpha=0.4, beta=0.3, gamma=1.0, quantize=False))
         # dimension 0 of the golden matrix keeps exactly rows 1 and 4
-        ids = sorted(int(i) for b in index.lists[0] for i in b.ids)
-        assert ids == [1, 4]
+        assert list_members(index, 0) == [1, 4]
 
     def test_full_alpha_lists_cover_all_nonzeros(self, small_set):
         index = build_index(small_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
         csc = small_set.to_scipy().tocsc()
         for i in range(small_set.dim):
             expected = sorted(csc.indices[csc.indptr[i]:csc.indptr[i + 1]].tolist())
-            got = sorted(int(j) for b in index.lists[i] for j in b.ids)
-            assert got == expected
+            assert list_members(index, i) == expected
 
     def test_forward_index_keeps_originals(self, small_set):
         index = build_index(small_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.8))
@@ -132,14 +143,13 @@ class TestBuildIndex:
         # alpha=1 and gamma=1 keep summaries fully conservative: the summary
         # dominates every member coordinatewise
         index = build_index(small_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
-        for blocks in index.lists:
-            for b in blocks:
-                sdims, svals = b.summary_arrays()
-                dense = np.zeros(small_set.dim)
-                dense[sdims] = svals
-                for j in b.ids.tolist():
-                    v = small_set.vector(j)
-                    assert np.all(dense[v.dims] >= v.values.astype(np.float64) - 1e-9)
+        for b in range(index.num_blocks):
+            sdims, svals = summary_of(index, b)
+            dense = np.zeros(small_set.dim)
+            dense[sdims] = svals
+            for j in index.block(b).ids.tolist():
+                v = small_set.vector(j)
+                assert np.all(dense[v.dims] >= v.values.astype(np.float64) - 1e-9)
 
     def test_empty_collection_rejected(self):
         from sparsemips import VectorSet
@@ -159,15 +169,13 @@ class TestIndexSerialization:
         loaded = load_index(path)
         assert loaded.params == params
         assert loaded.forward == small_set
-        assert len(loaded.lists) == len(index.lists)
-        for blocks_a, blocks_b in zip(index.lists, loaded.lists):
-            assert len(blocks_a) == len(blocks_b)
-            for a, b in zip(blocks_a, blocks_b):
-                assert np.array_equal(a.ids, b.ids)
-                da, va = a.summary_arrays()
-                db, vb = b.summary_arrays()
-                assert np.array_equal(da, db)
-                assert np.array_equal(va, vb)
+        for name in ("list_ptr", "block_ptr", "member_ids", "summary_ptr", "summary_dims"):
+            assert np.array_equal(getattr(index, name), getattr(loaded, name))
+        for b in range(index.num_blocks):
+            da, va = summary_of(index, b)
+            db, vb = summary_of(loaded, b)
+            assert np.array_equal(da, db)
+            assert np.array_equal(va, vb)
 
     def test_rebuild_is_byte_identical(self, small_set, tmp_path):
         params = BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=3)
@@ -177,9 +185,70 @@ class TestIndexSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
-        from sparsemips.storage import HeaderError
-
         path = tmp_path / "idx.bin"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 64)
         with pytest.raises(HeaderError):
+            load_index(path)
+
+
+SECTIONS = [
+    "forward indptr", "forward indices", "forward values", "list_ptr", "block_ptr",
+    "member_ids", "summary_ptr", "summary_dims", "summary_values", "m", "delta",
+]
+
+
+class TestIndexFileRobustness:
+    @pytest.fixture
+    def saved(self, small_set, tmp_path):
+        index = build_index(small_set, BuildParams(alpha=0.6, beta=0.25, gamma=0.8, seed=9))
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        return index, path
+
+    @staticmethod
+    def sections(index):
+        """{name: (offset, nbytes)} of each array, from the documented layout."""
+        nrows, nnz, nb = len(index), index.forward.indices.size, index.num_blocks
+        snnz = index.summary_dims.size
+        sizes = [
+            8 * (nrows + 1), 4 * nnz, 4 * nnz, 8 * (index.dim + 1), 8 * (nb + 1),
+            4 * index.member_ids.size, 8 * (nb + 1), 4 * snnz,
+            snnz * (1 if index.params.quantize else 4), 4 * nb, 4 * nb,
+        ]
+        offsets = 8 + 36 + 48 + np.concatenate(([0], np.cumsum(sizes)))
+        return {name: (int(o), n) for name, o, n in zip(SECTIONS, offsets, sizes)}
+
+    def test_layout_matches_file_size(self, saved):
+        index, path = saved
+        offset, nbytes = self.sections(index)["delta"]
+        assert path.stat().st_size == offset + nbytes
+
+    def test_old_format_rejected(self, saved):
+        _, path = saved
+        path.write_bytes(b"SPMIDX01" + path.read_bytes()[8:])
+        with pytest.raises(HeaderError):
+            load_index(path)
+
+    @pytest.mark.parametrize("section", ["header"] + SECTIONS)
+    def test_cut_inside_each_section(self, saved, section):
+        index, path = saved
+        offset, nbytes = (8, 36 + 48) if section == "header" else self.sections(index)[section]
+        path.write_bytes(path.read_bytes()[:offset + nbytes // 2])
+        with pytest.raises(TruncatedPayloadError):
+            load_index(path)
+
+    def test_trailing_bytes_rejected(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConsistencyError):
+            load_index(path)
+
+    @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_dims", lambda ix: ix.dim)])
+    def test_out_of_range_ids_rejected(self, saved, section, bound):
+        index, path = saved
+        offset, _ = self.sections(index)[section]
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = np.uint32(bound(index)).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError):
             load_index(path)

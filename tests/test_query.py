@@ -57,7 +57,7 @@ class TestEvaluateBlock:
         rng = np.random.default_rng(23)
         q = random_vector(rng, small_set.dim, 10)
         q_dense = q.to_dense(small_set.dim)
-        block = index.lists[int(q.dims[0])][0]
+        block = index.block(index.list_ptr[q.dims[0]])
         visited = np.zeros(len(small_set), dtype=bool)
         heap = []
         evaluate_block(block, small_set, q_dense, heap, visited, k=50)
@@ -111,6 +111,19 @@ class TestPruning:
         with pytest.raises(ZeroVectorError):
             search(index, None, empty, EXACT_SEARCH)
 
+    def test_query_dim_out_of_range_rejected(self, small_set):
+        index = exact_build(small_set)
+        q = SparseVector(np.array([3, 60]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="60.*50"):
+            search(index, None, q, EXACT_SEARCH)
+
+    def test_graph_of_another_collection_rejected(self, small_set):
+        index = exact_build(small_set)
+        graph = build_exact_graph(random_collection(150, small_set.dim, 8, seed=5), 4)
+        q = random_vector(np.random.default_rng(33), small_set.dim, 6)
+        with pytest.raises(ValueError, match="150"):
+            search(index, graph, q, SearchParams(k=10, use_graph=True))
+
     def test_deterministic(self, medium_set):
         index = build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=2))
         rng = np.random.default_rng(28)
@@ -124,7 +137,7 @@ class TestPruning:
         rng = np.random.default_rng(29)
         q = random_vector(rng, medium_set.dim, 12)
         _, stats = search(index, None, q, SearchParams(k=10, alpha_q=0.8, heap_factor=0.9), return_stats=True)
-        assert stats.forward_evaluations == len(stats.evaluated_ids)
+        assert stats.forward_evaluations == stats.docs_visited
         assert stats.blocks_visited > 0
 
     def test_smaller_heap_factor_prunes_at_least_as_hard(self, medium_set):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .query import ResultList, SearchParams, search
+from .query import ResultList, SearchParams, search, top_k
 from .sketching import alpha_mss
 from .vectors import SparseVector, VectorSet, dot, lp_norm, restrict
 
@@ -29,8 +29,7 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     if k < 1:
         raise ValueError("k must be positive")
     scores = vset.scipy64() @ q.to_dense(vset.dim)
-    order = np.lexsort((np.arange(len(vset)), -scores))[:k]
-    return ResultList(order, scores[order])
+    return ResultList(*top_k(np.arange(len(vset)), scores, k))
 
 
 def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:

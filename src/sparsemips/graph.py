@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .storage import HeaderError, _read_exact
+from .storage import HeaderError, _check_end, _read_exact
 from .vectors import VectorSet
 
 
@@ -146,6 +146,7 @@ def load_graph(path) -> KnnGraph:
         n, kappa, byte_width = _GRAPH_HEADER.unpack(head)
         width = min(kappa, max(n - 1, 0))
         buf = _read_exact(fh, n * width * byte_width, "graph payload")
+        _check_end(fh)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, byte_width).astype(np.uint64)
     shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
     ids = (packed << shifts).sum(axis=1, dtype=np.uint64)

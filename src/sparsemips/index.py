@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sketching import alpha_mss, set_alpha_mss
-from .storage import ConsistencyError, HeaderError, _check_csr, _read_array, _read_exact
+from .storage import HeaderError, _check_csr, _check_end, _read_array, _read_exact
 from .vectors import SparseVector, VectorSet
 
 INDEX_MAGIC = b"SPMIDX02"
@@ -74,7 +74,8 @@ def dequantize(values, m, delta):
 
 
 class Block(NamedTuple):
-    """One atomic unit of evaluation: the sorted member ids of a block."""
+    """One unit of evaluation: the sorted member ids of a block, or the
+    distinct members of a batch of blocks."""
 
     ids: np.ndarray
 
@@ -223,8 +224,7 @@ def load_index(path) -> BlockedIndex:
         params = BuildParams(*_PARAMS.unpack(_read_exact(fh, _PARAMS.size, "build parameters")))
         counts = _COUNTS.unpack(_read_exact(fh, _COUNTS.size, "array lengths"))
         arrays = [_read_array(fh, dtype, n, name) for name, dtype, n in _layout(params.quantize, *counts)]
-        if fh.read(1):
-            raise ConsistencyError("trailing bytes after declared payload")
+        _check_end(fh)
     nrows, dim, _, nblocks, _, _ = counts
     indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_dims, summary_values = arrays[:9]
     _check_csr(indptr, indices, dim, "forward index", values)

@@ -1,21 +1,32 @@
 """Top-k query processing over a blocked inverted index.
 
-Traversal: sketch the query, walk the inverted lists of its surviving
-dimensions, rank blocks by summary score against the full query, skip a
-block (and, under descending order, the rest of its list) once the heap is
-full and the summary score drops below heap.min()/heap_factor, fully
-evaluate visited blocks against the forward index, and optionally expand
-the candidate heap one hop through the neighbor graph.
+Traversal: sketch the query, score the summary of every block in the
+inverted lists of its surviving dimensions, and order those blocks list by
+list (lists in query-sketch order, blocks by summary score descending).
+Then score documents exactly against the forward index in two batches:
+
+- fill: the shortest prefix of that order holding k distinct docs; the
+  k-th best of their scores is the threshold t, fixed from here on;
+- main: every later block, in any sketched list, whose summary score is at
+  least t / heap_factor; the union of its unvisited members is scored at
+  once.
+
+A walk that tests one block at a time starts from the same threshold t and
+only raises it, so every block it visits clears t / heap_factor too: the
+batches score a superset of its docs and never find a worse top k.  The
+result is the top k of every scored doc by (score desc, id asc); a query
+whose lists hold fewer than k docs falls back to scoring everything, and
+graph expansion optionally scores the unvisited neighbors of the top k in
+one more batch.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .index import dequantize
+from .index import Block, dequantize
 from .sketching import ZeroVectorError, alpha_mss
 from .vectors import SparseVector
 
@@ -43,11 +54,6 @@ class ResultList:
         self.ids = np.ascontiguousarray(ids, dtype=np.uint32)
         self.scores = np.ascontiguousarray(scores, dtype=np.float32)
 
-    @classmethod
-    def from_heap(cls, heap):
-        ordered = sorted(heap, reverse=True)  # (score, -id): desc score, asc id
-        return cls([-nid for _, nid in ordered], [s for s, _ in ordered])
-
     def __len__(self):
         return self.ids.size
 
@@ -72,60 +78,77 @@ class SearchStats:
     docs_visited: int = 0     # distinct docs scored, from the visited bitmap
 
 
-def _heap_offer(heap, k, score, doc):
-    """Keep the best k entries; ties at the boundary favor the smaller id."""
-    entry = (score, -doc)
-    if len(heap) < k:
-        heapq.heappush(heap, entry)
-    elif entry > heap[0]:
-        heapq.heapreplace(heap, entry)
+def top_k(ids, scores, k):
+    """The k best (ids, scores) by score descending, ties by ascending id.
+
+    A partition keeps the candidates at or above the k-th best score, ties
+    included, so the lexsort orders only those.
+    """
+    if scores.size > k:
+        keep = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
+        ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
-def _score_docs(docs, forward, q_dense, heap, k):
-    """Exactly score each doc in `docs` and offer it to the heap."""
-    for doc in docs.tolist():
-        dims, vals = forward.row_slice(doc)
-        _heap_offer(heap, k, float(vals @ q_dense[dims]), doc)
+def _ranges(starts, stops):
+    """Concatenation of arange(starts[i], stops[i]) over i, without a loop."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    return np.repeat(stops - ends, lengths) + np.arange(lengths.sum())
 
 
-def evaluate_block(block, forward, q_dense, heap, visited, k, stats=None):
-    """Exactly score every unvisited member of a block and update the heap."""
-    ids = block.ids[~visited[block.ids]]
+def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
+    """Score the distinct `ids` not yet visited; return the best k of them and `top`."""
+    ids = ids[~visited[ids]]
+    if ids.size == 0:
+        return top
     visited[ids] = True
-    _score_docs(ids, forward, q_dense, heap, k)
     if stats is not None:
         stats.forward_evaluations += ids.size
-    return heap
+    # one row gather and one mat-vec over the float64 CSR that exact_topk
+    # scores, so each score is bit-identical to the oracle's
+    scores = forward.scipy64()[ids] @ q_dense
+    return top_k(np.concatenate((top[0], ids)), np.concatenate((top[1], scores)), k)
 
 
-def expand_with_graph(heap, graph, forward, q_dense, k, visited, stats=None):
-    """One-hop expansion: score unvisited neighbors of heap members."""
+def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
+    """Exactly score the unvisited members of a block, or of a batch of blocks.
+
+    `block.ids` are distinct; `top` is the running best k as an (ids, float64
+    scores) pair, sorted.  Returns the best k of `top` and the new scores.
+    """
+    return _score_unvisited(block.ids, forward, q_dense, top, visited, k, stats)
+
+
+def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
+    """One-hop expansion: score the unvisited neighbors of the docs in `top`."""
     if graph is None or graph.kappa == 0:
-        return heap
-    for doc in [-nid for _, nid in heap]:
-        neighbors = graph.neighbors[doc][~visited[graph.neighbors[doc]]]
-        visited[neighbors] = True
-        _score_docs(neighbors, forward, q_dense, heap, k)
-        if stats is not None:
-            stats.forward_evaluations += neighbors.size
-    return heap
+        return top
+    neighbors = np.unique(graph.neighbors[top[0]])
+    return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
 
 
 def _summary_scores(index, first, last, q_dense):
-    """Summary scores of blocks first[i]:last[i] for each i, concatenated.
+    """Blocks first[i]:last[i] for each i, concatenated, and their summary scores.
 
     A list's summaries are contiguous, so one slice per list gathers them;
     after dequantizing, one sparse mat-vec sums each summary in dim order.
     """
     ptr = index.summary_ptr
-    blocks = np.r_[tuple(map(slice, first.tolist(), last.tolist()))]
+    blocks = _ranges(first, last)
     entries = list(map(slice, ptr[first].tolist(), ptr[last].tolist()))
     lengths = ptr[blocks + 1] - ptr[blocks]
     m, delta = np.repeat(index.m[blocks], lengths), np.repeat(index.delta[blocks], lengths)
     values = dequantize(np.concatenate([index.summary_values[s] for s in entries]), m, delta)
     dims = np.concatenate([index.summary_dims[s] for s in entries])
     indptr = np.concatenate(([0], np.cumsum(lengths)))
-    return sp.csr_matrix((values, dims, indptr), shape=(blocks.size, index.dim)) @ q_dense
+    return blocks, sp.csr_matrix((values, dims, indptr), shape=(blocks.size, index.dim)) @ q_dense
+
+
+def _members(index, blocks):
+    """Distinct member ids of `blocks`, ascending."""
+    return np.unique(index.member_ids[_ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])])
 
 
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):
@@ -136,39 +159,50 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         raise ValueError(f"query dim {int(q.dims[-1])} is out of range for index dim {index.dim}")
     if params.use_graph and graph is not None and len(graph) != len(index):
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
-    forward = index.forward
-    n = len(forward)
+    forward, k = index.forward, params.k
     q_dense = q.to_dense(index.dim, dtype=np.float64)
     q_sketch = alpha_mss(q, params.alpha_q)
-    # traverse high-value query dimensions first to fill the heap early
+    # traverse high-value query dimensions first to fill the top k early
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    r_all = _summary_scores(index, first, last, q_dense)
+    blocks, r = _summary_scores(index, first, last, q_dense)
+    # lists in sketch order, blocks by summary score descending; lexsort is stable
+    order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
+    blocks, r = blocks[order], r[order]
 
-    heap = []
-    visited = np.zeros(n, dtype=bool)
+    # fill: the fewest leading blocks with k members, extended while their
+    # distinct docs fall short of k (a doc can sit in several lists)
+    members_upto = np.cumsum(index.block_ptr[blocks + 1] - index.block_ptr[blocks])
+    nfill = min(int(np.searchsorted(members_upto, k)) + 1, blocks.size)
+    fill = _members(index, blocks[:nfill])
+    while fill.size < k and nfill < blocks.size:
+        # each further block adds at most its size in new docs
+        needed = members_upto[nfill - 1] + k - fill.size
+        nfill = min(int(np.searchsorted(members_upto, needed)) + 1, blocks.size)
+        fill = _members(index, blocks[:nfill])
+
+    top = (np.empty(0, dtype=np.int64), np.empty(0))
+    visited = np.zeros(len(forward), dtype=bool)
     stats = SearchStats()
-    for lo, r in zip(first.tolist(), np.split(r_all, np.cumsum(last - first)[:-1])):
-        for pos, j in enumerate(np.argsort(-r, kind="stable").tolist()):
-            if len(heap) == params.k and r[j] < heap[0][0] / params.heap_factor:
-                # remaining blocks in this list have smaller summary scores
-                stats.blocks_skipped += r.size - pos
-                break
-            stats.blocks_visited += 1
-            evaluate_block(index.block(lo + j), forward, q_dense, heap, visited, params.k, stats)
+    top = evaluate_block(Block(fill), forward, q_dense, top, visited, k, stats)
+    # main: every later block that clears the threshold the fill fixed
+    main = blocks[nfill:]
+    if main.size:
+        main = main[r[nfill:] >= top[1][-1] / params.heap_factor]
+    if main.size:
+        top = evaluate_block(Block(_members(index, main)), forward, q_dense, top, visited, k, stats)
+    stats.blocks_visited = nfill + main.size
+    stats.blocks_skipped = blocks.size - stats.blocks_visited
 
-    if len(heap) < min(params.k, n):
+    if top[0].size < min(k, len(forward)):
         # fewer candidates than requested (k near N, or degenerate pruning):
         # fall back to exact evaluation of everything not yet seen
-        rest = np.flatnonzero(~visited)
-        visited[rest] = True
-        _score_docs(rest, forward, q_dense, heap, params.k)
-        stats.forward_evaluations += rest.size
+        top = _score_unvisited(np.flatnonzero(~visited), forward, q_dense, top, visited, k, stats)
 
     if params.use_graph and graph is not None and graph.kappa > 0:
-        expand_with_graph(heap, graph, forward, q_dense, params.k, visited, stats)
+        top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)
 
-    result = ResultList.from_heap(heap)
+    result = ResultList(*top)
     if return_stats:
         stats.docs_visited = int(np.count_nonzero(visited))
         return result, stats

@@ -10,6 +10,8 @@ Ground-truth format: nq u32, k u32, nq*k ids u32 (row-major), nq*k scores f32.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -53,10 +55,20 @@ def save_collection(vset: VectorSet, path):
 
 
 def _read_exact(fh, nbytes, what):
+    # a corrupt length field must fail here, not make read() allocate it;
+    # only a regular file knows its size (a pipe cannot even tell())
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and nbytes > st.st_size - fh.tell():
+        raise TruncatedPayloadError(f"truncated payload while reading {what}")
     buf = fh.read(nbytes)
     if len(buf) != nbytes:
         raise TruncatedPayloadError(f"truncated payload while reading {what}")
     return buf
+
+
+def _check_end(fh):
+    if fh.read(1):
+        raise ConsistencyError("trailing bytes after declared payload")
 
 
 def _read_array(fh, dtype, count, what):
@@ -92,8 +104,7 @@ def load_collection(path) -> VectorSet:
         indptr = _read_array(fh, "<u8", nrows + 1, "indptr")
         indices = _read_array(fh, "<u4", nnz, "indices")
         values = _read_array(fh, "<f4", nnz, "values")
-        if fh.read(1):
-            raise ConsistencyError("trailing bytes after declared payload")
+        _check_end(fh)
     _check_csr(indptr, indices, ncols, "collection", values)
     return VectorSet(ncols, indptr, indices, values)
 
@@ -121,6 +132,7 @@ def load_ground_truth(path):
         nq, k = _GT_HEADER.unpack(head)
         ids = _read_array(fh, "<u4", nq * k, "ids").reshape(nq, k)
         scores = _read_array(fh, "<f4", nq * k, "scores").reshape(nq, k)
+        _check_end(fh)
     return ids, scores
 
 

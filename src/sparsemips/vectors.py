@@ -127,8 +127,6 @@ class VectorSet:
             raise SparseVectorError("indptr/indices/values are inconsistent")
         if self.indices.size and int(self.indices.max()) >= self.dim:
             raise SparseVectorError("index exceeds ambient dimensionality")
-        # cached float64 values for exact scoring
-        self._values64 = _as_readonly(self.values.astype(np.float64))
 
     @classmethod
     def from_vectors(cls, dim, vectors):
@@ -173,11 +171,6 @@ class VectorSet:
     def __iter__(self):
         for j in range(len(self)):
             yield self.vector(j)
-
-    def row_slice(self, j):
-        """(dims, values64) views of row j for hot scoring paths."""
-        s, e = int(self.indptr[j]), int(self.indptr[j + 1])
-        return self.indices[s:e], self._values64[s:e]
 
     def nnz_per_row(self):
         return np.diff(self.indptr.astype(np.int64))

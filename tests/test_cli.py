@@ -127,3 +127,17 @@ class TestErrorHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_length_field_is_a_clean_failure(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "idx.bin"
+        save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), bad)
+        data = bytearray(bad.read_bytes())
+        data[8 + 36 + 40:8 + 36 + 48] = np.uint64(2**60).tobytes()  # summary entries
+        bad.write_bytes(bytes(data))
+        rc = run([
+            "search", "--index", bad, "--queries", workspace / "queries.bin", "--k", "5",
+            "--alpha-q", "0.9", "--heap-factor", "0.9", "--output", tmp_path / "run.tsv",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

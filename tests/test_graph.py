@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -123,4 +125,22 @@ class TestGraphSerialization:
             load_graph(path)
         path.write_bytes(blob[:-1])
         with pytest.raises(TruncatedPayloadError):
+            load_graph(path)
+
+    def test_huge_node_count_rejected(self, small_set, tmp_path):
+        from sparsemips.storage import TruncatedPayloadError
+
+        path = tmp_path / "g.bin"
+        save_graph(build_exact_graph(small_set, 3), path)
+        path.write_bytes(struct.pack("<Q", 2**60) + path.read_bytes()[8:])
+        with pytest.raises(TruncatedPayloadError):
+            load_graph(path)
+
+    def test_trailing_bytes_rejected(self, small_set, tmp_path):
+        from sparsemips.storage import ConsistencyError
+
+        path = tmp_path / "g.bin"
+        save_graph(build_exact_graph(small_set, 3), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConsistencyError):
             load_graph(path)

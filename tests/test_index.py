@@ -243,6 +243,14 @@ class TestIndexFileRobustness:
         with pytest.raises(ConsistencyError):
             load_index(path)
 
+    def test_huge_length_field_rejected(self, saved):
+        _, path = saved
+        data = bytearray(path.read_bytes())
+        data[8 + 36 + 40:8 + 36 + 48] = np.uint64(2**60).tobytes()  # summary entries
+        path.write_bytes(bytes(data))
+        with pytest.raises(TruncatedPayloadError):
+            load_index(path)
+
     @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_dims", lambda ix: ix.dim)])
     def test_out_of_range_ids_rejected(self, saved, section, bound):
         index, path = saved

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from sparsemips import (
     exact_topk,
     search,
 )
-from sparsemips.query import _heap_offer, evaluate_block
+from sparsemips.query import evaluate_block, top_k
+from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
+
+from conftest import summary_of
 
 
 def exact_build(vset):
@@ -34,21 +39,20 @@ class TestSearchParams:
             SearchParams(k=5, heap_factor=1.5)
 
 
-class TestResultList:
-    def test_heap_ordering_with_ties(self):
-        heap = []
-        for score, doc in [(0.5, 3), (0.5, 1), (0.9, 7), (0.2, 0)]:
-            _heap_offer(heap, 4, score, doc)
-        res = ResultList.from_heap(heap)
+class TestTopK:
+    def test_ordering_with_ties(self):
+        ids, scores = top_k(np.array([3, 1, 7, 0]), np.array([0.5, 0.5, 0.9, 0.2]), 4)
+        res = ResultList(ids, scores)
         assert res.ids.tolist() == [7, 1, 3, 0]
         assert res.scores.tolist() == pytest.approx([0.9, 0.5, 0.5, 0.2])
 
-    def test_heap_eviction_prefers_smaller_id_on_boundary_tie(self):
-        heap = []
-        for doc in (5, 2, 9):
-            _heap_offer(heap, 2, 0.5, doc)
-        res = ResultList.from_heap(heap)
-        assert res.ids.tolist() == [2, 5]
+    def test_boundary_tie_prefers_smaller_id(self):
+        ids, scores = top_k(np.array([5, 2, 9]), np.array([0.5, 0.5, 0.5]), 2)
+        assert ResultList(ids, scores).ids.tolist() == [2, 5]
+
+
+def empty_top():
+    return np.empty(0, dtype=np.int64), np.empty(0)
 
 
 class TestEvaluateBlock:
@@ -59,17 +63,16 @@ class TestEvaluateBlock:
         q_dense = q.to_dense(small_set.dim)
         block = index.block(index.list_ptr[q.dims[0]])
         visited = np.zeros(len(small_set), dtype=bool)
-        heap = []
-        evaluate_block(block, small_set, q_dense, heap, visited, k=50)
+        top = evaluate_block(block, small_set, q_dense, empty_top(), visited, k=50)
         assert np.all(visited[block.ids])
-        scores = {-nid: s for s, nid in heap}
+        scores = dict(zip(top[0].tolist(), top[1].tolist()))
         for j in block.ids.tolist():
-            dims, vals = small_set.row_slice(j)
-            assert scores[j] == pytest.approx(float(vals @ q_dense[dims]))
+            v = small_set.vector(j)
+            assert scores[j] == pytest.approx(float(v.values.astype(np.float64) @ q_dense[v.dims]))
         # a second pass adds nothing: members are already visited
-        before = len(heap)
-        evaluate_block(block, small_set, q_dense, heap, visited, k=50)
-        assert len(heap) == before
+        before = len(top[0])
+        top = evaluate_block(block, small_set, q_dense, top, visited, k=50)
+        assert len(top[0]) == before
 
 
 class TestExactModeEquivalence:
@@ -150,6 +153,48 @@ class TestPruning:
                 _, stats = search(index, None, q, SearchParams(k=10, alpha_q=1.0, heap_factor=hf), return_stats=True)
                 evals.append(stats.forward_evaluations)
             assert evals[0] <= evals[1]
+
+
+def per_block_reference(index, q, params):
+    """The per-block walk with a dynamic threshold: lists in query-sketch order,
+    blocks by summary score descending, each visited doc offered to a heap;
+    the rest of a list is skipped once a block's summary score falls below the
+    heap's minimum / heap_factor.  Returns (sorted top-k scores, docs scored)."""
+    q_dense = q.to_dense(index.dim)
+    q_sketch = alpha_mss(q, params.alpha_q)
+    heap, visited = [], np.zeros(len(index), dtype=bool)
+    for d in q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")].tolist():
+        lo, hi = int(index.list_ptr[d]), int(index.list_ptr[d + 1])
+        r = [float(vals @ q_dense[dims]) for dims, vals in (summary_of(index, b) for b in range(lo, hi))]
+        for j in np.argsort(-np.asarray(r), kind="stable").tolist():
+            if len(heap) == params.k and r[j] < heap[0][0] / params.heap_factor:
+                break
+            for doc in index.block(lo + j).ids.tolist():
+                if not visited[doc]:
+                    visited[doc] = True
+                    v = index.forward.vector(doc)
+                    entry = (float(v.values.astype(np.float64) @ q_dense[v.dims]), -doc)
+                    if len(heap) < params.k:
+                        heapq.heappush(heap, entry)
+                    elif entry > heap[0]:
+                        heapq.heapreplace(heap, entry)
+    return sorted((s for s, _ in heap), reverse=True), int(np.count_nonzero(visited))
+
+
+def test_traversal_dominates_per_block_rule(medium_set):
+    """The fill/main batches score a superset of the per-block walk's docs,
+    so they score at least as many docs and find a top k at least as good."""
+    index = build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=2))
+    params = SearchParams(k=10, alpha_q=0.8, heap_factor=0.9)
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        q = random_vector(rng, medium_set.dim, 12)
+        got, stats = search(index, None, q, params, return_stats=True)
+        ref_scores, ref_scored = per_block_reference(index, q, params)
+        assert stats.forward_evaluations >= ref_scored
+        assert len(got) == len(ref_scores) == params.k
+        # results hold float32 scores; rounding to float32 keeps the order
+        assert np.all(got.scores >= np.asarray(ref_scores, dtype=np.float32))
 
 
 class TestGraphExpansion:

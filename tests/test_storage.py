@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +100,29 @@ class TestCollectionFormat:
         with pytest.raises(NonPositiveValueError):
             load_collection(path)
 
+    def test_reads_from_a_pipe(self, small_set, tmp_path):
+        # a pipe has no size to check lengths against, and cannot tell()
+        path, fifo = tmp_path / "c.bin", tmp_path / "fifo"
+        save_collection(small_set, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            assert load_collection(fifo) == small_set
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("field", [0, 2])  # nrows, nnz
+    def test_huge_length_field_rejected(self, small_set, tmp_path, field):
+        path = tmp_path / "c.bin"
+        save_collection(small_set, path)
+        blob = bytearray(path.read_bytes())
+        blob[8 * field:8 * field + 8] = struct.pack("<Q", 2**60)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedPayloadError):
+            load_collection(path)
+
 
 class TestGroundTruthFormat:
     def test_round_trip(self, tmp_path):
@@ -113,6 +138,13 @@ class TestGroundTruthFormat:
         path = tmp_path / "gt.bin"
         path.write_bytes(b"\x00\x00")
         with pytest.raises(HeaderError):
+            load_ground_truth(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "gt.bin"
+        save_ground_truth(np.zeros((2, 3)), np.ones((2, 3)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConsistencyError):
             load_ground_truth(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):

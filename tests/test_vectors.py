@@ -94,13 +94,6 @@ class TestVectorSet:
         rebuilt = VectorSet.from_vectors(small_set.dim, list(small_set))
         assert rebuilt == small_set
 
-    def test_row_slice_matches_vector(self, small_set):
-        for j in (0, 7, len(small_set) - 1):
-            dims, vals = small_set.row_slice(j)
-            v = small_set.vector(j)
-            assert np.array_equal(dims, v.dims)
-            np.testing.assert_allclose(vals, v.values.astype(np.float64))
-
     def test_scipy_round_trip(self, small_set):
         assert VectorSet.from_scipy(small_set.to_scipy()) == small_set
 

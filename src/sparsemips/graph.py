@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .query import SearchParams, search, top_k
 from .storage import HeaderError, _check_end, _read_exact
 from .vectors import VectorSet
 
@@ -54,12 +55,10 @@ def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
     chunk = max(1, 2**23 // max(n, 1))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        scores = np.asarray((mat[start:stop] @ mat.T).todense())
-        for r in range(stop - start):
-            row = scores[r].copy()
-            row[start + r] = -np.inf  # no self-loop
-            order = np.lexsort((ids, -row))
-            neighbors[start + r] = order[:width]
+        scores = (mat[start:stop] @ mat.T).toarray()
+        scores[np.arange(stop - start), ids[start:stop]] = -np.inf  # no self-loop
+        for r, row in enumerate(scores):
+            neighbors[start + r] = top_k(ids, row, width)[0]
     return KnnGraph(kappa=kappa, neighbors=neighbors)
 
 
@@ -67,11 +66,10 @@ def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     """Neighbors found by querying the index with each data point.
 
     Each point runs a top-(kappa+1) search (graph disabled), drops itself,
-    and keeps kappa ids.  Short result lists (degenerate points) are padded
-    with the best-scoring unseen points from a seeded 1k random sample.
+    and keeps kappa ids; search returns min(kappa+1, N) results, so none
+    comes up short.  An empty point scores 0 with everything and gets the
+    exact graph's row: the lowest ids other than its own.
     """
-    from .query import SearchParams, search  # local import to avoid a cycle
-
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     forward = index.forward
@@ -80,7 +78,7 @@ def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     if width == 0:
         return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
     params = SearchParams(
-        k=min(kappa + 1, n),
+        k=width + 1,
         alpha_q=search_params.alpha_q,
         heap_factor=search_params.heap_factor,
         use_graph=False,
@@ -88,40 +86,9 @@ def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     neighbors = np.empty((n, width), dtype=np.uint32)
     for j in range(n):
         q = forward.vector(j)
-        if q.dims.size:
-            res = search(index, None, q, params)
-            chosen = [doc for doc, _ in res if doc != j][:width]
-        else:
-            chosen = []
-        if len(chosen) < width:
-            chosen = _pad_neighbors(forward, j, chosen, width, index.params.seed)
-        neighbors[j] = np.asarray(chosen, dtype=np.uint32)
+        found = search(index, None, q, params).ids if q.dims.size else np.arange(width + 1)
+        neighbors[j] = found[found != j][:width]
     return KnnGraph(kappa=kappa, neighbors=neighbors)
-
-
-def _pad_neighbors(forward, source, chosen, width, seed):
-    from .vectors import dot
-
-    n = len(forward)
-    rng = np.random.default_rng([seed, source])
-    sample = rng.choice(n, size=min(1000, n), replace=False)
-    taken = set(chosen) | {source}
-    q = forward.vector(source)
-    scored = sorted(
-        ((-dot(q, forward.vector(int(c))), int(c)) for c in sample if int(c) not in taken),
-    )
-    out = list(chosen)
-    for _, c in scored:
-        if len(out) == width:
-            break
-        out.append(c)
-    # extremely sparse corner: fill from the full id range in ascending order
-    i = 0
-    while len(out) < width:
-        if i != source and i not in set(out):
-            out.append(i)
-        i += 1
-    return out
 
 
 _GRAPH_HEADER = struct.Struct("<QIB")

@@ -8,6 +8,8 @@ block a conservative coordinatewise-max summary, truncated by a top-mass
 sketch and optionally quantized to 8 bits.  The forward index keeps the
 original vectors for exact re-scoring.  The blocks live in a few flat
 arrays (see BlockedIndex), saved as whole arrays after an SPMIDX02 header.
+Summaries are only ever CSR segments: one array call each summarizes,
+truncates and quantizes all the blocks of a list.
 """
 from __future__ import annotations
 
@@ -18,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sketching import alpha_mss, set_alpha_mss
+# perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
+from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import HeaderError, _check_csr, _check_end, _read_array, _read_exact
-from .vectors import SparseVector, VectorSet
+from .vectors import VectorSet
 
 INDEX_MAGIC = b"SPMIDX02"
 
@@ -42,27 +45,28 @@ class BuildParams:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-def quantize_summary(s: SparseVector):
-    """8-bit scalar quantization of a summary vector: (codes, m, delta).
+def quantize_summary(indptr, values):
+    """8-bit scalar quantization of each summary values[indptr[b]:indptr[b+1]].
 
-    delta = (max - m) / 256; codes index equal sub-intervals above the
+    Returns (codes, m, delta), with float32 m and delta per summary:
+    delta = (max - m) / 256, and codes index equal sub-intervals above the
     minimum m.  delta == 0 is legal (all values equal, all codes 0).
     """
-    if s.dims.size == 0:
+    indptr = np.asarray(indptr, dtype=np.int64)
+    sizes = np.diff(indptr)
+    if np.any(sizes == 0):
         raise ValueError("cannot quantize an empty summary")
-    vals = s.values.astype(np.float64)
+    vals = np.asarray(values, dtype=np.float64)
     # m and delta are float32 on disk; compute codes from the rounded values
     # so in-memory and reloaded summaries reconstruct identically
-    m = float(np.float32(vals.min()))
-    delta64 = (vals.max() - m) / 256.0
-    delta = np.float32(delta64)
-    if float(delta) < delta64:  # round up so 256*delta covers the range
-        delta = np.nextafter(delta, np.float32(np.inf), dtype=np.float32)
-    delta = float(delta)
-    if delta == 0.0:
-        codes = np.zeros(vals.size, dtype=np.uint8)
-    else:
-        codes = np.clip(np.floor((vals - m) / delta), 0, 255).astype(np.uint8)
+    m = np.minimum.reduceat(vals, indptr[:-1]).astype(np.float32)
+    delta64 = (np.maximum.reduceat(vals, indptr[:-1]) - m) / 256.0
+    delta = delta64.astype(np.float32)
+    short = delta < delta64  # round up so 256*delta covers the range
+    delta[short] = np.nextafter(delta[short], np.float32(np.inf))
+    # a zero delta means equal values, whose codes are 0 with any divisor
+    step = np.repeat(np.where(delta == 0, np.float32(1), delta), sizes).astype(np.float64)
+    codes = np.clip(np.floor((vals - np.repeat(m, sizes)) / step), 0, 255).astype(np.uint8)
     return codes, m, delta
 
 
@@ -101,14 +105,26 @@ def cluster_list(rows, beta, seed):
     return [cl for cl in clusters if cl]
 
 
-def summarize(rows) -> SparseVector:
-    """Coordinatewise maximum over the rows of a nonempty CSR matrix."""
-    if rows.shape[0] == 0:
+def summarize(rows, ptr):
+    """Coordinatewise maximum of each group rows[ptr[g]:ptr[g+1]] of a CSR matrix.
+
+    Returns the summaries as a CSR: (indptr, dims, float32 values), dims
+    ascending within each summary.  Every group must be nonempty.
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    sizes = np.diff(ptr)
+    if np.any(sizes == 0):
         raise ValueError("cannot summarize an empty block")
-    dims, position = np.unique(rows.indices, return_inverse=True)
-    maxima = np.zeros(dims.size)
-    np.maximum.at(maxima, position, rows.data)  # values are positive
-    return SparseVector(dims, maxima)
+    dim = rows.shape[1]
+    group = np.repeat(np.arange(sizes.size), sizes)
+    key = np.repeat(group * dim, np.diff(rows.indptr)) + rows.indices
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # first entry of each (group, dim)
+    values = np.maximum.reduceat(rows.data[order], first).astype(np.float32)
+    key = key[first]
+    indptr = np.searchsorted(key, np.arange(sizes.size + 1) * dim)
+    return indptr, (key % dim).astype(np.uint32), values
 
 
 @dataclass(eq=False)
@@ -163,19 +179,22 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         rows = sketched[ids]
         clusters = cluster_list(rows, params.beta, [params.seed, i])
         blocks_per_list[i] = len(clusters)
-        member_ids[s:e] = ids[np.concatenate(clusters)]
-        for cl in clusters:
-            summary = alpha_mss(summarize(rows[cl]), params.gamma)
-            if params.quantize:
-                values, block_m, block_delta = quantize_summary(summary)
-            else:
-                values, block_m, block_delta = summary.values, 0.0, 1.0
-            summary_dims.frombytes(summary.dims.tobytes())
-            summary_values.frombytes(values.tobytes())
-            block_ptr.append(block_ptr[-1] + len(cl))
-            summary_ptr.append(len(summary_dims))
-            m.append(block_m)
-            delta.append(block_delta)
+        order = np.concatenate(clusters)
+        member_ids[s:e] = ids[order]
+        # all the list's blocks at once: summaries as a CSR, truncated, quantized
+        members_ptr = np.cumsum([0] + [len(cl) for cl in clusters])
+        indptr, dims, values = summarize(rows[order], members_ptr)
+        keep = top_mass(indptr, values, params.gamma)
+        indptr, dims, values = np.concatenate(([0], keep.cumsum()))[indptr], dims[keep], values[keep]
+        block_m, block_delta = np.zeros(len(clusters), np.float32), np.ones(len(clusters), np.float32)
+        if params.quantize:
+            values, block_m, block_delta = quantize_summary(indptr, values)
+        block_ptr.frombytes((block_ptr[-1] + members_ptr[1:]).tobytes())
+        summary_ptr.frombytes((len(summary_dims) + indptr[1:]).tobytes())
+        summary_dims.frombytes(dims.tobytes())
+        summary_values.frombytes(values.tobytes())
+        m.frombytes(block_m.tobytes())
+        delta.frombytes(block_delta.tobytes())
     list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
     arrays = map(np.asarray, (block_ptr, member_ids, summary_ptr, summary_dims, summary_values, m, delta))
     return BlockedIndex(params, vset, list_ptr, *arrays)

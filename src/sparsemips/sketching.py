@@ -2,8 +2,9 @@
 
 Three procedures live here:
   * seeded l1 threshold sampling with its unbiased inner-product estimator,
-  * the per-vector top-mass subvector (keep the fewest largest entries that
-    reach a target fraction of the l1 mass),
+  * the top-mass rule (keep the fewest largest entries that reach a target
+    fraction of the l1 mass), on every segment of a CSR at once; the
+    per-vector sketch is its one-segment call,
   * the collection-level variant that keeps, per dimension, the largest
     column values.
 """
@@ -128,22 +129,44 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     return out
 
 
+def top_mass(indptr, values, alpha):
+    """The top-mass rule on every segment values[indptr[s]:indptr[s+1]] of a CSR.
+
+    Each segment keeps its fewest largest entries whose sum reaches a
+    fraction alpha of its l1 mass; ties sort by (value descending, position
+    ascending), which is dim ascending in a CSR row.  Returns a mask of the
+    kept entries.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    indptr = np.asarray(indptr, dtype=np.int64)
+    sizes = indptr[1:] - indptr[:-1]
+    if not sizes.all():  # values are positive, so only an empty segment has no mass
+        raise ZeroVectorError("cannot sketch a zero vector")
+    order = np.lexsort((-values, np.arange(sizes.size).repeat(sizes)))  # ties: positions ascending
+    # one zero-padded row per segment, largest value first, after a leading
+    # 0: csum[s, p] is the mass of segment s's p largest entries, summed in
+    # the same order, so rounded alike, as a cumsum of the segment alone
+    width = sizes.max(initial=0)
+    filled = np.arange(width) < sizes[:, None]
+    csum = np.zeros((sizes.size, width + 1))
+    csum[:, 1:][filled] = values[order]
+    csum.cumsum(axis=1, out=csum)
+    # an entry is kept if the larger ones fall short of the target, the
+    # largest always; the boundary comparison tolerates float32 value rounding
+    below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
+    below[:, 0] = True
+    keep = np.empty(values.size, dtype=bool)
+    keep[order] = below[filled]
+    return keep
+
+
 def alpha_mss(u: SparseVector, alpha: float) -> SparseVector:
     """Smallest top-value subvector reaching a fraction alpha of the l1 mass.
 
     Ties sort by (value descending, dim ascending).
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    l1 = lp_norm(u, 1)
-    if l1 == 0.0:
-        raise ZeroVectorError("cannot sketch a zero vector")
-    order = np.argsort(-u.values, kind="stable")  # dims already ascending
-    csum = np.cumsum(u.values[order].astype(np.float64))
-    # boundary comparison tolerates float32 value rounding
-    threshold = (alpha - 1e-6) * csum[-1]
-    j = int(np.searchsorted(csum, threshold, side="left"))
-    keep = np.sort(order[: j + 1])
+    keep = top_mass([0, u.dims.size], u.values, alpha)
     return SparseVector(u.dims[keep], u.values[keep])
 
 
@@ -175,14 +198,4 @@ def set_alpha_mss(vset: VectorSet, alpha: float) -> VectorSet:
     ).tocsr()
     pruned.eliminate_zeros()
     pruned.sort_indices()
-    # preserve the row count even if trailing rows became empty
-    return VectorSet(vset.dim, _pad_indptr(pruned.indptr, len(vset)), pruned.indices, pruned.data)
-
-
-def _pad_indptr(indptr, nrows):
-    if indptr.size == nrows + 1:
-        return indptr
-    out = np.empty(nrows + 1, dtype=np.uint64)
-    out[: indptr.size] = indptr
-    out[indptr.size:] = indptr[-1]
-    return out
+    return VectorSet(vset.dim, pruned.indptr, pruned.indices, pruned.data)

@@ -17,6 +17,7 @@ from sparsemips import (
     save_graph,
 )
 from sparsemips.synth import random_collection
+from sparsemips.vectors import EMPTY
 
 
 def naive_graph(vset, kappa):
@@ -73,6 +74,16 @@ class TestApproxGraph:
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
         approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
         exact = build_exact_graph(vset, 5)
+        assert np.array_equal(approx.neighbors, exact.neighbors)
+
+    def test_empty_point_gets_the_exact_row(self):
+        vectors = list(random_collection(3000, 60, 6, seed=40))
+        vectors[700] = EMPTY
+        vset = VectorSet.from_vectors(60, vectors)
+        index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
+        approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
+        exact = build_exact_graph(vset, 5)
+        assert exact.neighbors[700].tolist() == [0, 1, 2, 3, 4]
         assert np.array_equal(approx.neighbors, exact.neighbors)
 
     def test_kappa_zero(self):

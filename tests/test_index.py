@@ -12,6 +12,7 @@ from sparsemips import (
     load_index,
     quantize_summary,
     save_index,
+    set_alpha_mss,
     summarize,
 )
 from sparsemips.storage import ConsistencyError, HeaderError, TruncatedPayloadError
@@ -40,10 +41,16 @@ class TestBuildParams:
             BuildParams(alpha=0.5, beta=0.2, gamma=1.2)
 
 
+def one(values):
+    """CSR pointers of a single segment over `values`."""
+    return np.array([0, len(values)])
+
+
 class TestQuantization:
     def test_known_example(self):
         s = SparseVector(np.array([0, 1]), np.array([0.1, 0.6]))
-        codes, m, delta = quantize_summary(s)
+        codes, m, delta = quantize_summary(one(s.values), s.values)
+        m, delta = m[0], delta[0]
         recon = dequantize(codes, m, delta)
         assert m == pytest.approx(0.1)
         assert delta == pytest.approx((np.float32(0.6) - np.float32(0.1)) / 256.0, rel=1e-5)
@@ -54,37 +61,54 @@ class TestQuantization:
 
     def test_constant_summary_has_zero_delta(self):
         s = SparseVector(np.array([2, 9]), np.array([0.4, 0.4]))
-        codes, m, delta = quantize_summary(s)
-        assert delta == 0.0
+        codes, m, delta = quantize_summary(one(s.values), s.values)
+        assert delta[0] == 0.0
         assert codes.tolist() == [0, 0]
-        assert dequantize(codes, m, delta)[0] == pytest.approx(float(np.float32(0.4)))
+        assert dequantize(codes, m[0], delta[0])[0] == pytest.approx(float(np.float32(0.4)))
 
     def test_error_bounded_by_delta(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = random_vector(rng, 300, 40)
-            codes, m, delta = quantize_summary(s)
-            err = np.abs(dequantize(codes, m, delta) - s.values.astype(np.float64))
-            assert np.all(err <= delta + 1e-12)
+            codes, m, delta = quantize_summary(one(s.values), s.values)
+            err = np.abs(dequantize(codes, m[0], delta[0]) - s.values.astype(np.float64))
+            assert np.all(err <= delta[0] + 1e-12)
 
     def test_empty_summary_rejected(self):
         empty = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
         with pytest.raises(ValueError):
-            quantize_summary(empty)
+            quantize_summary(one(empty.values), empty.values)
+
+    def test_two_segments_equal_each_alone(self):
+        rng = np.random.default_rng(12)
+        a, b = random_vector(rng, 300, 40), random_vector(rng, 300, 7)
+        b = SparseVector(b.dims, np.full(b.nnz, 0.3))  # one constant segment
+        codes, m, delta = quantize_summary([0, a.nnz, a.nnz + b.nnz], np.concatenate((a.values, b.values)))
+        alone = [quantize_summary(one(s.values), s.values) for s in (a, b)]
+        assert np.array_equal(codes, np.concatenate([c for c, _, _ in alone]))
+        assert np.array_equal(m, np.concatenate([m_i for _, m_i, _ in alone]))
+        assert np.array_equal(delta, np.concatenate([d_i for _, _, d_i in alone]))
+        assert delta[1] == 0 and m.dtype == delta.dtype == np.float32 and codes.dtype == np.uint8
+
+
+def summary_vectors(rows, ptr):
+    """summarize's CSR output as one SparseVector per group."""
+    indptr, dims, values = summarize(rows, ptr)
+    return [SparseVector(dims[s:e], values[s:e]) for s, e in zip(indptr[:-1], indptr[1:])]
 
 
 class TestSummarize:
     def test_coordinatewise_max_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        s = summarize(csr_rows(40, members))
+        [s] = summary_vectors(csr_rows(40, members), one(members))
         dense_max = np.max([m.to_dense(40) for m in members], axis=0)
         np.testing.assert_array_equal(s.to_dense(40, dtype=np.float32), dense_max.astype(np.float32))
 
     def test_summary_score_dominates_members(self):
         rng = np.random.default_rng(13)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        s = summarize(csr_rows(40, members))
+        [s] = summary_vectors(csr_rows(40, members), one(members))
         for _ in range(10):
             q = random_vector(rng, 40, 8)
             bound = dot(s, q)
@@ -93,7 +117,14 @@ class TestSummarize:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            summarize(csr_rows(40, []))
+            summarize(csr_rows(40, []), one([]))
+
+    def test_two_segments_equal_each_alone(self):
+        rng = np.random.default_rng(14)
+        members = [random_vector(rng, 40, 10) for _ in range(7)]
+        both = summary_vectors(csr_rows(40, members), [0, 4, 7])
+        alone = [summary_vectors(csr_rows(40, group), one(group)) for group in (members[:4], members[4:])]
+        assert both == [s for [s] in alone]
 
 
 class TestClustering:
@@ -157,6 +188,73 @@ class TestBuildIndex:
         empty = VectorSet.from_vectors(4, [])
         with pytest.raises(ValueError):
             build_index(empty, BuildParams(alpha=0.5, beta=0.2, gamma=0.8))
+
+    @pytest.mark.parametrize("alpha, gamma, quantize", [(0.5, 0.7, True), (0.5, 0.7, False), (1.0, 1.0, False)])
+    def test_build_matches_per_block_reference(self, medium_set, alpha, gamma, quantize):
+        params = BuildParams(alpha=alpha, beta=0.2, gamma=gamma, quantize=quantize, seed=2)
+        index = build_index(medium_set, params)
+        expected = per_block_build(medium_set, params)
+        for name, want in expected.items():
+            got = getattr(index, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_builds_no_sparse_vector(self, medium_set, monkeypatch):
+        built = []
+        original = SparseVector.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(SparseVector, "__post_init__", counted)
+        build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7))
+        assert built == []
+
+
+def per_block_build(vset, params):
+    """The index arrays built one summary SparseVector per block: max, top mass, 8 bits."""
+    sketched = set_alpha_mss(vset, params.alpha).to_scipy(dtype=np.float64)
+    csc = sketched.tocsc()
+    csc.sort_indices()
+    blocks_per_list, members, summaries, quantized = [], [], [], []
+    for i in range(vset.dim):
+        ids = csc.indices[csc.indptr[i]:csc.indptr[i + 1]]
+        clusters = cluster_list(sketched[ids], params.beta, [params.seed, i]) if ids.size else []
+        blocks_per_list.append(len(clusters))
+        for cl in clusters:
+            rows = sketched[ids[cl]]
+            dims, position = np.unique(rows.indices, return_inverse=True)
+            maxima = np.zeros(dims.size)
+            np.maximum.at(maxima, position, rows.data)
+            s = SparseVector(dims, maxima)
+            order = np.argsort(-s.values, kind="stable")
+            csum = np.cumsum(s.values[order].astype(np.float64))
+            keep = np.sort(order[: int(np.searchsorted(csum, (params.gamma - 1e-6) * csum[-1])) + 1])
+            s = SparseVector(s.dims[keep], s.values[keep])
+            vals, m, delta = s.values.astype(np.float64), 0.0, 1.0
+            if params.quantize:
+                m = float(np.float32(vals.min()))
+                delta64 = (vals.max() - m) / 256.0
+                delta = np.float32(delta64)
+                if float(delta) < delta64:
+                    delta = np.nextafter(delta, np.float32(np.inf), dtype=np.float32)
+                delta = float(delta)
+                codes = np.floor((vals - m) / delta) if delta else np.zeros(vals.size)
+                vals = np.clip(codes, 0, 255).astype(np.uint8)
+            members.append(ids[cl])
+            summaries.append(s)
+            quantized.append((vals if params.quantize else s.values, m, delta))
+    return {
+        "list_ptr": np.cumsum([0] + blocks_per_list),
+        "block_ptr": np.cumsum([0] + [ids.size for ids in members]),
+        "member_ids": np.concatenate(members).astype(np.uint32),
+        "summary_ptr": np.cumsum([0] + [s.nnz for s in summaries]),
+        "summary_dims": np.concatenate([s.dims for s in summaries]),
+        "summary_values": np.concatenate([values for values, _, _ in quantized]),
+        "m": np.array([m for _, m, _ in quantized], dtype=np.float32),
+        "delta": np.array([delta for _, _, delta in quantized], dtype=np.float32),
+    }
 
 
 class TestIndexSerialization:

@@ -13,7 +13,7 @@ from sparsemips import (
     ts_estimate,
     ts_estimate_trials,
 )
-from sparsemips.sketching import hash_unit
+from sparsemips.sketching import hash_unit, top_mass
 from sparsemips.synth import bernoulli_collection, random_vector
 from conftest import dense_to_vectorset
 
@@ -167,6 +167,13 @@ class TestTopMassSubvector:
             reduced = kept_mass - float(kept.values.min())
             assert reduced < alpha * total + 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(u=sparse_vectors(), v=sparse_vectors(), alpha=st.floats(0.05, 1.0))
+    def test_segments_equal_each_vector_alone(self, u, v, alpha):
+        keep = top_mass([0, u.nnz, u.nnz + v.nnz], np.concatenate((u.values, v.values)), alpha)
+        assert np.array_equal(keep[:u.nnz], np.isin(u.dims, alpha_mss(u, alpha).dims))
+        assert np.array_equal(keep[u.nnz:], np.isin(v.dims, alpha_mss(v, alpha).dims))
+
 
 class TestSetLevelSketch:
     def test_column_cardinality_law(self, golden_set):
@@ -206,6 +213,17 @@ class TestSetLevelSketch:
             pos = np.searchsorted(orig.dims, kept.dims)
             assert np.array_equal(orig.dims[pos], kept.dims)
             assert np.array_equal(orig.values[pos], kept.values)
+
+    def test_trailing_empty_rows_are_kept(self):
+        dense = np.zeros((4, 3), dtype=np.float32)
+        dense[0] = [0.5, 0.2, 0.0]
+        dense[1] = [0.1, 0.0, 0.3]
+        vset = dense_to_vectorset(dense)
+        for alpha in (0.1, 0.5, 1.0):
+            pruned = set_alpha_mss(vset, alpha)
+            assert len(pruned) == 4
+            assert pruned.nnz_per_row()[2:].tolist() == [0, 0]
+            assert pruned.to_scipy().shape == (4, 3)
 
     def test_kept_count_fraction_tracks_alpha(self):
         # on i.i.d. data the *count* of kept entries per vector averages to

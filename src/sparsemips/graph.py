@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .query import SearchParams, search, top_k
-from .storage import HeaderError, _check_end, _read_exact
+from .storage import ConsistencyError, HeaderError, read_record, write_record
 from .vectors import VectorSet
 
 
@@ -52,10 +52,12 @@ def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
     mat = vset.to_scipy(dtype=np.float64)
     neighbors = np.empty((n, width), dtype=np.uint32)
     ids = np.arange(n)
-    chunk = max(1, 2**23 // max(n, 1))
+    # dense blocks of at most 2**20 entries: each doc's scores are a strided column
+    chunk = max(1, 2**20 // max(n, vset.dim))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        scores = (mat[start:stop] @ mat.T).toarray()
+        # a dense right operand gives the same sums, in the same order, as a sparse one
+        scores = (mat @ mat[start:stop].T.toarray()).T
         scores[np.arange(stop - start), ids[start:stop]] = -np.inf  # no self-loop
         for r, row in enumerate(scores):
             neighbors[start + r] = top_k(ids, row, width)[0]
@@ -91,30 +93,27 @@ def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     return KnnGraph(kappa=kappa, neighbors=neighbors)
 
 
-_GRAPH_HEADER = struct.Struct("<QIB")
+_HEADER = struct.Struct("<QIB")  # nodes, kappa, bytes per id
+
+
+def _layout(n, kappa, byte_width):
+    if not 1 <= byte_width <= 4:
+        raise HeaderError(f"graph ids are {byte_width} bytes wide, not 1 to 4")
+    return [("neighbors", "u1", n * min(kappa, max(n - 1, 0)) * byte_width)]
 
 
 def save_graph(graph: KnnGraph, path):
-    n = len(graph)
-    byte_width = max(1, ((n - 1).bit_length() + 7) // 8) if n > 1 else 1
-    with open(path, "wb") as fh:
-        fh.write(_GRAPH_HEADER.pack(n, graph.kappa, byte_width))
-        ids = graph.neighbors.astype(np.uint64).ravel()
-        shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
-        packed = ((ids[:, None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-        fh.write(packed.tobytes())
+    n, byte_width = len(graph), max(1, ((len(graph) - 1).bit_length() + 7) // 8)
+    # each id as the low byte_width bytes of its little-endian u4
+    packed = graph.neighbors.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :byte_width]
+    head = (n, graph.kappa, byte_width)
+    write_record(path, _HEADER.pack(*head), zip([packed], _layout(*head)))
 
 
 def load_graph(path) -> KnnGraph:
-    with open(path, "rb") as fh:
-        head = fh.read(_GRAPH_HEADER.size)
-        if len(head) != _GRAPH_HEADER.size:
-            raise HeaderError("graph file too short for header")
-        n, kappa, byte_width = _GRAPH_HEADER.unpack(head)
-        width = min(kappa, max(n - 1, 0))
-        buf = _read_exact(fh, n * width * byte_width, "graph payload")
-        _check_end(fh)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(-1, byte_width).astype(np.uint64)
-    shifts = np.arange(byte_width, dtype=np.uint64) * np.uint64(8)
-    ids = (packed << shifts).sum(axis=1, dtype=np.uint64)
-    return KnnGraph(kappa=kappa, neighbors=ids.astype(np.uint32).reshape(n, width))
+    (n, kappa, byte_width), [packed] = read_record(path, _HEADER, _layout)
+    ids = np.pad(packed.reshape(-1, byte_width), [(0, 0), (0, 4 - byte_width)]).view("<u4")
+    neighbors = ids.reshape(n, min(kappa, max(n - 1, 0)))
+    if neighbors.size and int(neighbors.max()) >= n:
+        raise ConsistencyError(f"graph: neighbor id {int(neighbors.max())} is out of range for {n} nodes")
+    return KnnGraph(kappa=kappa, neighbors=neighbors)

@@ -7,7 +7,7 @@ into geometrically-cohesive blocks with shallow K-Means, and attach to each
 block a conservative coordinatewise-max summary, truncated by a top-mass
 sketch and optionally quantized to 8 bits.  The forward index keeps the
 original vectors for exact re-scoring.  The blocks live in a few flat
-arrays (see BlockedIndex), saved as whole arrays after an SPMIDX02 header.
+arrays (see BlockedIndex), saved as one record after an SPMIDX02 magic.
 Summaries are only ever CSR segments: one array call each summarizes,
 truncates and quantizes all the blocks of a list.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
-from .storage import HeaderError, _check_csr, _check_end, _read_array, _read_exact
+from .storage import ConsistencyError, HeaderError, _check_csr, collection_layout, read_record, write_record
 from .vectors import VectorSet
 
 INDEX_MAGIC = b"SPMIDX02"
@@ -90,7 +90,8 @@ def cluster_list(rows, beta, seed):
     Samples c = max(1, ceil(beta * n)) rows (capped at n) uniformly without
     replacement as centroids and assigns every row to the centroid
     maximizing the inner product, lowest centroid index on ties.  Returns
-    the nonempty clusters as ascending lists of row positions.
+    (order, ptr): the row positions grouped by centroid, ascending within a
+    group, and the bounds of the nonempty groups, order[ptr[g]:ptr[g+1]].
     """
     n = rows.shape[0]
     if n == 0:
@@ -99,10 +100,10 @@ def cluster_list(rows, beta, seed):
     rng = np.random.default_rng(seed)
     centroid_pos = np.sort(rng.choice(n, size=c, replace=False))
     mat = rows.astype(np.float64, copy=False)
-    scores = (mat @ mat[centroid_pos].T).toarray()
-    assign = np.argmax(scores, axis=1)  # argmax takes lowest index on ties
-    clusters = [np.flatnonzero(assign == k).tolist() for k in range(c)]
-    return [cl for cl in clusters if cl]
+    # a dense right operand gives the same sums, in the same order, as a sparse one
+    assign = np.argmax(mat @ mat[centroid_pos].T.toarray(), axis=1)  # lowest index on ties
+    sizes = np.bincount(assign, minlength=c)
+    return np.argsort(assign, kind="stable"), np.concatenate(([0], np.cumsum(sizes[sizes > 0])))
 
 
 def summarize(rows, ptr):
@@ -177,16 +178,14 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
             continue
         ids = csc.indices[s:e]  # ascending
         rows = sketched[ids]
-        clusters = cluster_list(rows, params.beta, [params.seed, i])
-        blocks_per_list[i] = len(clusters)
-        order = np.concatenate(clusters)
+        order, members_ptr = cluster_list(rows, params.beta, [params.seed, i])
+        nblocks = blocks_per_list[i] = members_ptr.size - 1
         member_ids[s:e] = ids[order]
         # all the list's blocks at once: summaries as a CSR, truncated, quantized
-        members_ptr = np.cumsum([0] + [len(cl) for cl in clusters])
         indptr, dims, values = summarize(rows[order], members_ptr)
         keep = top_mass(indptr, values, params.gamma)
         indptr, dims, values = np.concatenate(([0], keep.cumsum()))[indptr], dims[keep], values[keep]
-        block_m, block_delta = np.zeros(len(clusters), np.float32), np.ones(len(clusters), np.float32)
+        block_m, block_delta = np.zeros(nblocks, np.float32), np.ones(nblocks, np.float32)
         if params.quantize:
             values, block_m, block_delta = quantize_summary(indptr, values)
         block_ptr.frombytes((block_ptr[-1] + members_ptr[1:]).tobytes())
@@ -203,16 +202,12 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
 # ---------------------------------------------------------------------------
 # serialization: magic, build parameters, array lengths, then whole arrays
 
-_PARAMS = struct.Struct("<ddd?xxxq")
-_COUNTS = struct.Struct("<6Q")  # nrows, dim, forward nnz, blocks, members, summary entries
+_HEADER = struct.Struct("<ddd?xxxq6Q")  # BuildParams; nrows, dim, forward nnz, blocks, members, summary entries
 
 
-def _layout(quantize, nrows, dim, nnz, nblocks, nmembers, nsummary):
-    """(name, dtype, length) of every array, in file order."""
-    return [
-        ("forward indptr", "<u8", nrows + 1),
-        ("forward indices", "<u4", nnz),
-        ("forward values", "<f4", nnz),
+def _layout(alpha, beta, gamma, quantize, seed, nrows, dim, nnz, nblocks, nmembers, nsummary):
+    """(name, dtype, count) of every array in file order: forward index, then the rest."""
+    return collection_layout(nrows, dim, nnz) + [
         ("list_ptr", "<i8", dim + 1),
         ("block_ptr", "<i8", nblocks + 1),
         ("member_ids", "<u4", nmembers),
@@ -225,29 +220,25 @@ def _layout(quantize, nrows, dim, nnz, nblocks, nmembers, nsummary):
 
 
 def save_index(index: BlockedIndex, path):
-    p, fwd = index.params, index.forward
-    counts = (len(fwd), fwd.dim, fwd.indices.size, index.num_blocks,
-              index.member_ids.size, index.summary_dims.size)
+    fwd = index.forward
+    head = astuple(index.params) + (len(fwd), fwd.dim, fwd.indices.size, index.num_blocks,
+                                    index.member_ids.size, index.summary_dims.size)
     arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, f.name) for f in fields(index)[2:]]
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC + _PARAMS.pack(*astuple(p)))
-        fh.write(_COUNTS.pack(*counts))
-        for arr, (_, dtype, _) in zip(arrays, _layout(p.quantize, *counts)):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype))
+    write_record(path, INDEX_MAGIC + _HEADER.pack(*head), zip(arrays, _layout(*head)))
 
 
 def load_index(path) -> BlockedIndex:
-    with open(path, "rb") as fh:
-        if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
-            raise HeaderError("not an index file (bad magic)")
-        params = BuildParams(*_PARAMS.unpack(_read_exact(fh, _PARAMS.size, "build parameters")))
-        counts = _COUNTS.unpack(_read_exact(fh, _COUNTS.size, "array lengths"))
-        arrays = [_read_array(fh, dtype, n, name) for name, dtype, n in _layout(params.quantize, *counts)]
-        _check_end(fh)
-    nrows, dim, _, nblocks, _, _ = counts
+    head, arrays = read_record(path, _HEADER, _layout, INDEX_MAGIC)
+    try:
+        params = BuildParams(*head[:5])
+    except ValueError as exc:
+        raise HeaderError(f"build parameters: {exc}") from None
+    nrows, dim, _, nblocks, _, _ = head[5:]
     indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_dims, summary_values = arrays[:9]
     _check_csr(indptr, indices, dim, "forward index", values)
     _check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")  # list i holds blocks list_ptr[i]:list_ptr[i+1]
     _check_csr(block_ptr, member_ids, nrows, "block members")
     _check_csr(summary_ptr, summary_dims, dim, "summaries", None if params.quantize else summary_values)
+    if not np.isfinite(np.concatenate(arrays[9:])).all():
+        raise ConsistencyError("summaries: m and delta must be finite")
     return BlockedIndex(params, VectorSet(dim, *arrays[:3]), *arrays[3:])

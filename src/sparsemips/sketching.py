@@ -135,7 +135,7 @@ def top_mass(indptr, values, alpha):
     Each segment keeps its fewest largest entries whose sum reaches a
     fraction alpha of its l1 mass; ties sort by (value descending, position
     ascending), which is dim ascending in a CSR row.  Returns a mask of the
-    kept entries.
+    kept entries; alpha == 1 keeps every entry.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -143,6 +143,8 @@ def top_mass(indptr, values, alpha):
     sizes = indptr[1:] - indptr[:-1]
     if not sizes.all():  # values are positive, so only an empty segment has no mass
         raise ZeroVectorError("cannot sketch a zero vector")
+    if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
+        return np.ones(values.size, dtype=bool)
     order = np.lexsort((-values, np.arange(sizes.size).repeat(sizes)))  # ties: positions ascending
     # one zero-padded row per segment, largest value first, after a leading
     # 0: csum[s, p] is the mass of segment s's p largest entries, summed in

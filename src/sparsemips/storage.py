@@ -1,12 +1,12 @@
-"""Binary I/O: CSR collections, ground-truth files, and result TSVs.
+"""Binary I/O: one record reader/writer for every binary format, and result TSVs.
 
-Collection format (little-endian):
+Collection record (little-endian):
     header:  nrows u64, ncols u64, nnz u64
     indptr:  (nrows+1) u64, cumulative, indptr[0]=0, indptr[nrows]=nnz
     indices: nnz u32, strictly increasing within each row
     values:  nnz f32, all > 0
 
-Ground-truth format: nq u32, k u32, nq*k ids u32 (row-major), nq*k scores f32.
+Ground-truth record: nq u32, k u32, nq*k ids u32 (row-major), nq*k scores f32.
 """
 from __future__ import annotations
 
@@ -31,6 +31,10 @@ class TruncatedPayloadError(StorageError):
     pass
 
 
+class TruncatedHeaderError(HeaderError, TruncatedPayloadError):
+    pass
+
+
 class ConsistencyError(StorageError):
     pass
 
@@ -43,37 +47,41 @@ class NonPositiveValueError(StorageError):
     pass
 
 
-_HEADER = struct.Struct("<QQQ")
-
-
-def save_collection(vset: VectorSet, path):
+def write_record(path, head, arrays):
+    """Write `head` (magic and packed header), then each (array, (name, dtype,
+    count)) of `arrays` as a whole array of that dtype."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(len(vset), vset.dim, vset.indices.size))
-        fh.write(vset.indptr.astype("<u8").tobytes())
-        fh.write(vset.indices.astype("<u4").tobytes())
-        fh.write(vset.values.astype("<f4").tobytes())
+        fh.write(head)
+        for arr, (_, dtype, _) in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
-def _read_exact(fh, nbytes, what):
-    # a corrupt length field must fail here, not make read() allocate it;
-    # only a regular file knows its size (a pipe cannot even tell())
-    st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode) and nbytes > st.st_size - fh.tell():
-        raise TruncatedPayloadError(f"truncated payload while reading {what}")
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise TruncatedPayloadError(f"truncated payload while reading {what}")
-    return buf
-
-
-def _check_end(fh):
-    if fh.read(1):
-        raise ConsistencyError("trailing bytes after declared payload")
-
-
-def _read_array(fh, dtype, count, what):
-    dtype = np.dtype(dtype)
-    return np.frombuffer(_read_exact(fh, dtype.itemsize * count, what), dtype=dtype)
+def read_record(path, header, layout, magic=b""):
+    """Read `magic`, the `header` struct, then the arrays layout(*fields)
+    declares as (name, dtype, count), and not a byte more: (fields, arrays).
+    `layout` raises HeaderError for a field it cannot accept."""
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise HeaderError(f"bad magic: not a {magic.decode()} file")
+        head = fh.read(header.size)
+        if len(head) != header.size:
+            raise TruncatedHeaderError(f"file too short for the {header.size}-byte header")
+        fields = header.unpack(head)
+        # only a regular file knows its size (a pipe cannot even tell())
+        st = os.fstat(fh.fileno())
+        arrays = []
+        for name, dtype, count in layout(*fields):
+            nbytes = np.dtype(dtype).itemsize * count
+            # a corrupt length field must fail here, not make read() allocate it
+            if stat.S_ISREG(st.st_mode) and nbytes > st.st_size - fh.tell():
+                raise TruncatedPayloadError(f"truncated payload while reading {name}")
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
+                raise TruncatedPayloadError(f"truncated payload while reading {name}")
+            arrays.append(np.frombuffer(buf, dtype=dtype))
+        if fh.read(1):
+            raise ConsistencyError("trailing bytes after declared payload")
+    return fields, arrays
 
 
 def _check_csr(ptr, indices, bound, what, values=None):
@@ -95,45 +103,44 @@ def _check_csr(ptr, indices, bound, what, values=None):
         raise NonPositiveValueError(f"{what}: values must be finite and strictly positive")
 
 
+_COLLECTION = struct.Struct("<QQQ")
+
+
+def collection_layout(nrows, ncols, nnz):
+    """(name, dtype, count) of a collection's arrays, in file order."""
+    return [("indptr", "<u8", nrows + 1), ("indices", "<u4", nnz), ("values", "<f4", nnz)]
+
+
+def save_collection(vset: VectorSet, path):
+    head = (len(vset), vset.dim, vset.indices.size)
+    arrays = (vset.indptr, vset.indices, vset.values)
+    write_record(path, _COLLECTION.pack(*head), zip(arrays, collection_layout(*head)))
+
+
 def load_collection(path) -> VectorSet:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise HeaderError("file too short for the 24-byte header")
-        nrows, ncols, nnz = _HEADER.unpack(head)
-        indptr = _read_array(fh, "<u8", nrows + 1, "indptr")
-        indices = _read_array(fh, "<u4", nnz, "indices")
-        values = _read_array(fh, "<f4", nnz, "values")
-        _check_end(fh)
+    (_, ncols, _), (indptr, indices, values) = read_record(path, _COLLECTION, collection_layout)
     _check_csr(indptr, indices, ncols, "collection", values)
     return VectorSet(ncols, indptr, indices, values)
 
 
-_GT_HEADER = struct.Struct("<II")
+_GROUND_TRUTH = struct.Struct("<II")
+
+
+def _ground_truth_layout(nq, k):
+    return [("ids", "<u4", nq * k), ("scores", "<f4", nq * k)]
 
 
 def save_ground_truth(ids, scores, path):
     """ids/scores: (nq, k) arrays, rows sorted by (score desc, id asc)."""
-    ids = np.ascontiguousarray(ids, dtype="<u4")
-    scores = np.ascontiguousarray(scores, dtype="<f4")
+    ids, scores = np.asarray(ids), np.asarray(scores)
     if ids.shape != scores.shape or ids.ndim != 2:
         raise ValueError("ids and scores must be matching 2-d arrays")
-    with open(path, "wb") as fh:
-        fh.write(_GT_HEADER.pack(ids.shape[0], ids.shape[1]))
-        fh.write(ids.tobytes())
-        fh.write(scores.tobytes())
+    write_record(path, _GROUND_TRUTH.pack(*ids.shape), zip((ids, scores), _ground_truth_layout(*ids.shape)))
 
 
 def load_ground_truth(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_GT_HEADER.size)
-        if len(head) != _GT_HEADER.size:
-            raise HeaderError("ground-truth file too short for header")
-        nq, k = _GT_HEADER.unpack(head)
-        ids = _read_array(fh, "<u4", nq * k, "ids").reshape(nq, k)
-        scores = _read_array(fh, "<f4", nq * k, "scores").reshape(nq, k)
-        _check_end(fh)
-    return ids, scores
+    (nq, k), arrays = read_record(path, _GROUND_TRUTH, _ground_truth_layout)
+    return tuple(a.reshape(nq, k) for a in arrays)
 
 
 def write_results_tsv(results, path):

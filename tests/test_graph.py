@@ -155,3 +155,26 @@ class TestGraphSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ConsistencyError):
             load_graph(path)
+
+    def test_out_of_range_neighbor_rejected(self, tmp_path):
+        from sparsemips.storage import ConsistencyError
+
+        path = tmp_path / "g.bin"
+        save_graph(build_exact_graph(random_collection(100, 30, 5, seed=23), 3), path)
+        data = bytearray(path.read_bytes())
+        data[13 + 7] = 200  # one 1-byte id of a 100-node graph
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("kappa, byte_width", [(0, 0), (3, 0), (3, 5), (3, 255)])
+    def test_id_width_outside_one_to_four_rejected(self, small_set, tmp_path, kappa, byte_width):
+        from sparsemips.storage import HeaderError
+
+        path = tmp_path / "g.bin"
+        save_graph(build_exact_graph(small_set, kappa), path)
+        data = bytearray(path.read_bytes())
+        data[12] = byte_width
+        path.write_bytes(bytes(data))
+        with pytest.raises(HeaderError):
+            load_graph(path)

@@ -15,13 +15,19 @@ from sparsemips import (
     set_alpha_mss,
     summarize,
 )
-from sparsemips.storage import ConsistencyError, HeaderError, TruncatedPayloadError
+from sparsemips.storage import ConsistencyError, HeaderError, StorageError, TruncatedPayloadError
 from sparsemips.synth import random_collection, random_vector
 from conftest import summary_of
 
 
 def csr_rows(dim, vectors):
     return VectorSet.from_vectors(dim, vectors).to_scipy()
+
+
+def clusters_of(rows, beta, seed):
+    """cluster_list's groups as lists of row positions."""
+    order, ptr = cluster_list(rows, beta, seed)
+    return [cl.tolist() for cl in np.split(order, ptr[1:-1])]
 
 
 def list_members(index, i):
@@ -134,18 +140,18 @@ class TestClustering:
 
     def test_partition_covers_everything_once(self):
         members = self._members(40, 14)
-        clusters = cluster_list(members, beta=0.2, seed=[0, 0])
+        clusters = clusters_of(members, beta=0.2, seed=[0, 0])
         flat = sorted(p for cl in clusters for p in cl)
         assert flat == list(range(40))
 
     def test_single_centroid(self):
         members = self._members(5, 15)
-        assert cluster_list(members, beta=0.05, seed=[0, 0]) == [list(range(5))]
+        assert clusters_of(members, beta=0.05, seed=[0, 0]) == [list(range(5))]
 
     def test_deterministic(self):
         members = self._members(40, 16)
-        a = cluster_list(members, beta=0.3, seed=[7, 3])
-        b = cluster_list(members, beta=0.3, seed=[7, 3])
+        a = clusters_of(members, beta=0.3, seed=[7, 3])
+        b = clusters_of(members, beta=0.3, seed=[7, 3])
         assert a == b
 
     def test_empty_list_rejected(self):
@@ -220,7 +226,7 @@ def per_block_build(vset, params):
     blocks_per_list, members, summaries, quantized = [], [], [], []
     for i in range(vset.dim):
         ids = csc.indices[csc.indptr[i]:csc.indptr[i + 1]]
-        clusters = cluster_list(sketched[ids], params.beta, [params.seed, i]) if ids.size else []
+        clusters = clusters_of(sketched[ids], params.beta, [params.seed, i]) if ids.size else []
         blocks_per_list.append(len(clusters))
         for cl in clusters:
             rows = sketched[ids[cl]]
@@ -230,7 +236,8 @@ def per_block_build(vset, params):
             s = SparseVector(dims, maxima)
             order = np.argsort(-s.values, kind="stable")
             csum = np.cumsum(s.values[order].astype(np.float64))
-            keep = np.sort(order[: int(np.searchsorted(csum, (params.gamma - 1e-6) * csum[-1])) + 1])
+            target = (params.gamma - 1e-6) * csum[-1] if params.gamma < 1 else np.inf  # gamma=1 keeps all
+            keep = np.sort(order[: int(np.searchsorted(csum, target)) + 1])
             s = SparseVector(s.dims[keep], s.values[keep])
             vals, m, delta = s.values.astype(np.float64), 0.0, 1.0
             if params.quantize:
@@ -347,6 +354,27 @@ class TestIndexFileRobustness:
         data[8 + 36 + 40:8 + 36 + 48] = np.uint64(2**60).tobytes()  # summary entries
         path.write_bytes(bytes(data))
         with pytest.raises(TruncatedPayloadError):
+            load_index(path)
+
+    @pytest.mark.parametrize("section", ["m", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_quantization_rejected(self, saved, section, value):
+        index, path = saved
+        offset, _ = self.sections(index)[section]
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError):
+            load_index(path)
+
+    @pytest.mark.parametrize("field", [0, 1, 2])  # alpha, beta, gamma
+    @pytest.mark.parametrize("value", [2.0, np.nan])
+    def test_out_of_range_build_parameters_rejected(self, saved, field, value):
+        _, path = saved
+        data = bytearray(path.read_bytes())
+        data[8 + 8 * field:16 + 8 * field] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError):
             load_index(path)
 
     @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_dims", lambda ix: ix.dim)])

@@ -97,6 +97,21 @@ class TestExactModeEquivalence:
             q = random_vector(rng, 20, 5)
             assert search(index, None, q, EXACT_SEARCH) == exact_topk(vset, q, 10)
 
+    def test_matches_oracle_below_the_mass_tolerance(self):
+        # gamma=1 and alpha_q=1 keep every entry, even one under 1e-6 of a
+        # summary's l1 mass, so each summary still bounds its members
+        def vector(entries):
+            return SparseVector(np.array(list(entries)), np.array(list(entries.values())))
+
+        tiny = [vector({1: 1e-6, 5: 1.0}), vector({1: 1e-9, 6: 10.0}), vector({1: 5e-7})]
+        q = vector({1: 1.0})
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            vset = VectorSet.from_vectors(10, tiny + [random_vector(rng, 10, 3) for _ in range(3)])
+            index = build_index(vset, BuildParams(alpha=1.0, beta=0.5, gamma=1.0, quantize=False, seed=seed))
+            params = SearchParams(k=1, alpha_q=1.0, heap_factor=1.0)
+            assert search(index, None, q, params) == exact_topk(vset, q, 1), seed
+
     def test_k_at_least_collection_size_returns_everything(self):
         vset = random_collection(12, 15, 4, seed=26)
         index = exact_build(vset)

@@ -136,6 +136,8 @@ class TestTopMassSubvector:
         kept = alpha_mss(u, 0.8)
         assert kept.dims.tolist() == [0, 1]
         assert alpha_mss(u, 1.0) == u
+        tiny = SparseVector(np.array([0, 1]), np.array([1.0, 1e-9]))
+        assert alpha_mss(tiny, 1.0) == tiny
 
     def test_tie_prefers_smaller_dims(self):
         u = SparseVector(np.arange(4), np.full(4, 0.25, dtype=np.float32))

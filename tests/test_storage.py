@@ -4,17 +4,37 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsemips import load_collection, load_ground_truth, save_collection, save_ground_truth
+from sparsemips import (
+    BuildParams,
+    GroundTruth,
+    SearchParams,
+    build_exact_graph,
+    build_index,
+    ground_truth,
+    load_collection,
+    load_graph,
+    load_ground_truth,
+    load_index,
+    save_collection,
+    save_graph,
+    save_ground_truth,
+    save_index,
+    search,
+)
+from sparsemips.evaluation import mean_accuracy
 from sparsemips.storage import (
     ConsistencyError,
     HeaderError,
     IndexOrderError,
     NonPositiveValueError,
+    StorageError,
     TruncatedPayloadError,
     read_results_tsv,
     write_results_tsv,
 )
+from sparsemips.synth import random_collection
 
 
 def _raw_collection(nrows, ncols, indptr, indices, values):
@@ -170,3 +190,63 @@ class TestResultsTsv:
         path = tmp_path / "run.tsv"
         write_results_tsv([[(1, 0.123456789)]], path)
         assert path.read_text() == "0\t0\t1\t0.123457\n"
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Each format saved once, with a check that uses what its loader returns.
+
+    300 docs make the graph's ids 2 bytes wide, so a flipped bit can push an
+    id past N; the graph check asks for all N docs, so every row is expanded.
+    """
+    tmp = tmp_path_factory.mktemp("formats")
+    docs, queries = random_collection(300, 40, 6, seed=50), random_collection(4, 40, 5, seed=51)
+    exact = build_index(docs, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
+    tuned = build_index(docs, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=1))
+    truth = ground_truth(docs, queries, 5)
+    runs = [search(exact, None, q, SearchParams(k=5)).pairs() for q in queries]
+
+    def search_all(index, graph=None, qs=queries, params=SearchParams(k=5, alpha_q=0.8, heap_factor=0.9)):
+        for q in qs:
+            search(index, graph, q, params)
+
+    formats = {
+        "collection": (save_collection, (queries,), load_collection,
+                       lambda got: search_all(exact, None, [q for q in got if q.nnz])),
+        "exact index": (save_index, (exact,), load_index, search_all),
+        "tuned index": (save_index, (tuned,), load_index, search_all),
+        "graph": (save_graph, (build_exact_graph(docs, 4),), load_graph,
+                  lambda got: search_all(exact, got, params=SearchParams(k=len(docs), use_graph=True))),
+        "ground truth": (save_ground_truth, (truth.ids, truth.scores), load_ground_truth,
+                         lambda got: mean_accuracy(GroundTruth(got[0].shape[1], *got), runs, got[0].shape[1])),
+    }
+    out = {}
+    for name, (save, args, load, use) in formats.items():
+        path = tmp / name.replace(" ", "_")
+        save(*args, path)
+        out[name] = path.read_bytes(), load, use
+    return tmp / "mutant", out
+
+
+class TestCorruptFiles:
+    """A truncated or bit-flipped file yields a StorageError, or an object
+    that search (or evaluation, for ground truth) takes without raising."""
+
+    @pytest.mark.parametrize("fmt", ["collection", "exact index", "tuned index", "graph", "ground truth"])
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    # half the draws hit the first 1024 bits or bytes, where the headers are
+    @given(cut=st.booleans(), where=st.one_of(st.integers(0, 1023), st.integers(0, 2**32)))
+    def test_mutant_is_rejected_or_usable(self, saved_files, fmt, cut, where):
+        path, formats = saved_files
+        blob, load, use = formats[fmt]
+        data = bytearray(blob)
+        if cut:
+            del data[where % len(data):]
+        else:
+            data[where // 8 % len(data)] ^= 1 << where % 8
+        path.write_bytes(bytes(data))
+        try:
+            got = load(path)
+        except StorageError:
+            return
+        use(got)

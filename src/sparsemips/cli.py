@@ -187,7 +187,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (StorageError, ZeroVectorError, ValueError, OSError) as exc:
+    except (StorageError, ZeroVectorError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -5,8 +5,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .query import ResultList, SearchParams, search, top_k
+from .query import ResultList, SearchParams, check_query_dims, search, top_k
 from .sketching import alpha_mss
 from .vectors import SparseVector, VectorSet, dot, lp_norm, restrict
 
@@ -28,19 +29,30 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
         raise ValueError("cannot search an empty collection")
     if k < 1:
         raise ValueError("k must be positive")
+    check_query_dims(q.dims, vset.dim)
     scores = vset.scipy64() @ q.to_dense(vset.dim)
     return ResultList(*top_k(np.arange(len(vset)), scores, k))
 
 
 def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
-    if k > len(vset):
-        raise ValueError(f"k={k} exceeds collection size {len(vset)}")
+    """exact_topk of every query, bit for bit, scored a dense block of queries at a time.
+
+    A dense right operand sums each score in the order of exact_topk's mat-vec.
+    """
+    if not 1 <= k <= len(vset):
+        raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
+    check_query_dims(queries.indices, vset.dim)
+    mat, q64, all_ids = vset.scipy64(), queries.scipy64(), np.arange(len(vset))
+    # the queries' cached arrays, shaped to the collection's dim
+    qmat = sp.csr_matrix((q64.data, q64.indices, q64.indptr), shape=(len(queries), vset.dim))
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
-    for qi, q in enumerate(queries):
-        res = exact_topk(vset, q, k)
-        ids[qi] = res.ids
-        scores[qi] = res.scores
+    # dense blocks of at most 2**20 entries: each query's scores are a strided column
+    chunk = max(1, 2**20 // max(len(vset), vset.dim))
+    for start in range(0, len(queries), chunk):
+        block = (mat @ qmat[start:start + chunk].T.toarray()).T
+        for r, row in enumerate(block, start):
+            ids[r], scores[r] = top_k(all_ids, row, k)
     return GroundTruth(k=k, ids=ids, scores=scores)
 
 
@@ -56,6 +68,8 @@ def accuracy_at_k(truth_ids, run_ids, k) -> float:
 
 def mean_accuracy(gt: GroundTruth, runs, k) -> float:
     """runs: per query, a sequence of (id, score) pairs."""
+    if len(runs) > gt.num_queries:
+        raise ValueError(f"run holds query {len(runs) - 1}, but the ground truth has {gt.num_queries} queries")
     accs = [
         accuracy_at_k(gt.ids[qi], [doc for doc, _ in run[:k]], k)
         for qi, run in enumerate(runs)
@@ -67,21 +81,19 @@ def mass_curve(vset: VectorSet, max_keep: int):
     """Mean fraction of l1 mass kept by the top-j entries, for j = 1..max_keep."""
     if len(vset) == 0:
         raise ValueError("empty collection")
-    fractions = np.zeros(max_keep, dtype=np.float64)
-    counted = 0
-    for v in vset:
-        if v.dims.size == 0:
-            continue
-        vals = np.sort(v.values.astype(np.float64))[::-1]
-        csum = np.cumsum(vals) / vals.sum()
-        row = np.ones(max_keep)
-        upto = min(max_keep, vals.size)
-        row[:upto] = csum[:upto]
-        fractions += row
-        counted += 1
+    lengths = vset.nnz_per_row()
+    counted = np.count_nonzero(lengths)
     if counted == 0:
         raise ValueError("collection holds only empty vectors")
-    return [(j + 1, fractions[j] / counted) for j in range(max_keep)]
+    rows = np.repeat(np.arange(len(vset)), lengths)
+    values = vset.values.astype(np.float64)
+    # within each row, values descending; rows stay in order
+    values = values[np.lexsort((-values, rows))]
+    shares = values / np.bincount(rows, weights=values)[rows]
+    rank = np.arange(values.size) - np.repeat(vset.indptr[:-1].astype(np.int64), lengths)
+    # a row shorter than j already counts all of its mass at j
+    fractions = np.cumsum(np.bincount(rank, weights=shares, minlength=max_keep)[:max_keep]) / counted
+    return [(j + 1, fractions[j]) for j in range(max_keep)]
 
 
 def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
@@ -113,16 +125,16 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
 
 def norm_ratio_cdf(vset, queries, k_far):
     """CDF of ||v_I||1 / ||u_I||1: u nearest, v the k_far-th nearest, I = query support."""
+    check_query_dims(queries.indices, vset.dim)
+    if k_far > len(vset):
+        return []
+    gt = ground_truth(vset, queries, k_far)
     ratios = []
-    for q in queries:
+    for q, (near, far) in zip(queries, gt.ids[:, [0, -1]].tolist()):
         if q.dims.size == 0:
             continue
-        res = exact_topk(vset, q, k_far)
-        if len(res) < k_far:
-            continue
-        support = q.dims
-        u = restrict(vset.vector(int(res.ids[0])), support)
-        v = restrict(vset.vector(int(res.ids[k_far - 1])), support)
+        u = restrict(vset.vector(near), q.dims)
+        v = restrict(vset.vector(far), q.dims)
         nu = lp_norm(u, 1)
         if nu == 0:
             continue
@@ -151,6 +163,8 @@ class BenchReport:
 
 def bench(index, graph, queries, params: SearchParams, repetitions=3) -> BenchReport:
     """Single-worker wall time around the search call, best of `repetitions`."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     times = []
     for q in queries:
         if q.dims.size == 0:

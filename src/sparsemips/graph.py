@@ -7,11 +7,12 @@ used at query time for one-hop candidate expansion.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .query import SearchParams, search, top_k
+from .evaluation import ground_truth
+from .query import search
 from .storage import ConsistencyError, HeaderError, read_record, write_record
 from .vectors import VectorSet
 
@@ -41,56 +42,46 @@ def graph_size_bits(n, kappa):
     return (n - 1).bit_length() * n * kappa  # bit_length == floor(log2)+1
 
 
-def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
-    """Brute-force top-kappa neighbors per point, ties by ascending id."""
+def _neighbor_graph(n, kappa, best):
+    """The graph of each point's min(kappa, N-1) best neighbors: best(width + 1)
+    gives each point's best width + 1 ids as an (N, width + 1) array, and each
+    row drops the point's own id, or its last id when the point is not in it."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    n = len(vset)
     width = min(kappa, max(n - 1, 0))
     if width == 0:
         return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
-    mat = vset.to_scipy(dtype=np.float64)
-    neighbors = np.empty((n, width), dtype=np.uint32)
-    ids = np.arange(n)
-    # dense blocks of at most 2**20 entries: each doc's scores are a strided column
-    chunk = max(1, 2**20 // max(n, vset.dim))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        # a dense right operand gives the same sums, in the same order, as a sparse one
-        scores = (mat @ mat[start:stop].T.toarray()).T
-        scores[np.arange(stop - start), ids[start:stop]] = -np.inf  # no self-loop
-        for r, row in enumerate(scores):
-            neighbors[start + r] = top_k(ids, row, width)[0]
-    return KnnGraph(kappa=kappa, neighbors=neighbors)
+    found = best(width + 1)
+    is_self = found == np.arange(n)[:, None]
+    is_self[~is_self.any(axis=1), -1] = True
+    return KnnGraph(kappa=kappa, neighbors=found[~is_self].reshape(n, width))
+
+
+def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
+    """Brute-force top-kappa neighbors per point, ties by ascending id: the
+    collection's ground truth against itself, without self."""
+    return _neighbor_graph(len(vset), kappa, lambda k: ground_truth(vset, vset, k).ids)
 
 
 def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
     """Neighbors found by querying the index with each data point.
 
-    Each point runs a top-(kappa+1) search (graph disabled), drops itself,
-    and keeps kappa ids; search returns min(kappa+1, N) results, so none
-    comes up short.  An empty point scores 0 with everything and gets the
-    exact graph's row: the lowest ids other than its own.
+    Each point runs a top-(kappa+1) search (graph disabled); search returns
+    min(kappa+1, N) results, so none comes up short.  An empty point scores
+    0 with everything and gets the exact graph's row: the lowest ids other
+    than its own.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
     forward = index.forward
-    n = len(forward)
-    width = min(kappa, max(n - 1, 0))
-    if width == 0:
-        return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
-    params = SearchParams(
-        k=width + 1,
-        alpha_q=search_params.alpha_q,
-        heap_factor=search_params.heap_factor,
-        use_graph=False,
-    )
-    neighbors = np.empty((n, width), dtype=np.uint32)
-    for j in range(n):
-        q = forward.vector(j)
-        found = search(index, None, q, params).ids if q.dims.size else np.arange(width + 1)
-        neighbors[j] = found[found != j][:width]
-    return KnnGraph(kappa=kappa, neighbors=neighbors)
+
+    def best(k):
+        params = replace(search_params, k=k, use_graph=False)
+        found = np.empty((len(forward), k), dtype=np.uint32)
+        for j in range(len(forward)):
+            q = forward.vector(j)
+            found[j] = search(index, None, q, params).ids if q.dims.size else np.arange(k)
+        return found
+
+    return _neighbor_graph(len(forward), kappa, best)
 
 
 _HEADER = struct.Struct("<QIB")  # nodes, kappa, bytes per id

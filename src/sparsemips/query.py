@@ -75,7 +75,12 @@ class SearchStats:
     forward_evaluations: int = 0
     blocks_visited: int = 0
     blocks_skipped: int = 0
-    docs_visited: int = 0     # distinct docs scored, from the visited bitmap
+
+
+def check_query_dims(dims, dim):
+    """Raise ValueError unless every query dim lies below the collection's `dim`."""
+    if dims.size and int(dims.max()) >= dim:
+        raise ValueError(f"query dim {int(dims.max())} is out of range for dim {dim}")
 
 
 def top_k(ids, scores, k):
@@ -155,8 +160,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     """Approximate top-k by inner product; exact when no pruning layer is on."""
     if q.dims.size == 0:
         raise ZeroVectorError("query must be nonzero")
-    if int(q.dims[-1]) >= index.dim:
-        raise ValueError(f"query dim {int(q.dims[-1])} is out of range for index dim {index.dim}")
+    check_query_dims(q.dims, index.dim)
     if params.use_graph and graph is not None and len(graph) != len(index):
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
     forward, k = index.forward, params.k
@@ -203,7 +207,4 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)
 
     result = ResultList(*top)
-    if return_stats:
-        stats.docs_visited = int(np.count_nonzero(visited))
-        return result, stats
-    return result
+    return (result, stats) if return_stats else result

@@ -1,7 +1,7 @@
 """Binary I/O: one record reader/writer for every binary format, and result TSVs.
 
 Collection record (little-endian):
-    header:  nrows u64, ncols u64, nnz u64
+    header:  nrows u64, ncols u64 (at most 2**32: dims are u32), nnz u64
     indptr:  (nrows+1) u64, cumulative, indptr[0]=0, indptr[nrows]=nnz
     indices: nnz u32, strictly increasing within each row
     values:  nnz f32, all > 0
@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .vectors import VectorSet
+from .vectors import VectorSet, check_csr
 
 
 class StorageError(Exception):
@@ -85,22 +85,8 @@ def read_record(path, header, layout, magic=b""):
 
 
 def _check_csr(ptr, indices, bound, what, values=None):
-    """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
-    indices into rows strictly increasing and < bound, and values (if given)
-    are finite and strictly positive."""
-    if ptr[0] != 0 or int(ptr[-1]) != indices.size or np.any(ptr[1:] < ptr[:-1]):
-        raise ConsistencyError(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
-    if indices.size and int(indices.max()) >= bound:
-        raise ConsistencyError(f"{what}: index {int(indices.max())} is out of range for {bound}")
-    # indices may fail to increase only where a row starts
-    not_increasing = indices[1:] <= indices[:-1]
-    starts = ptr[1:-1]
-    not_increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = False
-    if np.any(not_increasing):
-        raise IndexOrderError(f"{what}: indices must be strictly increasing within each row")
-    # min and max propagate NaN, which fails both comparisons
-    if values is not None and values.size and not (values.min() > 0 and values.max() < np.inf):
-        raise NonPositiveValueError(f"{what}: values must be finite and strictly positive")
+    """vectors.check_csr, raising this module's error types."""
+    check_csr(ptr, indices, bound, what, values, (ConsistencyError, IndexOrderError, NonPositiveValueError))
 
 
 _COLLECTION = struct.Struct("<QQQ")
@@ -108,6 +94,8 @@ _COLLECTION = struct.Struct("<QQQ")
 
 def collection_layout(nrows, ncols, nnz):
     """(name, dtype, count) of a collection's arrays, in file order."""
+    if ncols > 2**32:
+        raise HeaderError(f"ncols {ncols} exceeds 2**32, the number of u32 dims")
     return [("indptr", "<u8", nrows + 1), ("indices", "<u4", nnz), ("values", "<f4", nnz)]
 
 
@@ -159,6 +147,8 @@ def read_results_tsv(path):
             if not line:
                 continue
             qi, rank, doc_id, score = line.split("\t")
+            if int(qi) < 0:
+                raise ValueError(f"{path}: negative query index {qi}")
             results.setdefault(int(qi), []).append((int(rank), int(doc_id), float(score)))
     out = []
     for qi in range(max(results) + 1 if results else 0):

@@ -109,6 +109,27 @@ def restrict(u: SparseVector, dims) -> SparseVector:
     return SparseVector(u.dims[mask], u.values[mask])
 
 
+def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,) * 3):
+    """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
+    indices into rows strictly increasing and < bound, and values (if given)
+    are finite and strictly positive.  `errors` are the exception types for
+    a bad layout or range, bad row order, and bad values."""
+    layout, order, value = errors
+    if ptr[0] != 0 or int(ptr[-1]) != indices.size or np.any(ptr[1:] < ptr[:-1]):
+        raise layout(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
+    if indices.size and int(indices.max()) >= bound:
+        raise layout(f"{what}: index {int(indices.max())} is out of range for {bound}")
+    # indices may fail to increase only where a row starts
+    not_increasing = indices[1:] <= indices[:-1]
+    starts = ptr[1:-1]
+    not_increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+    if np.any(not_increasing):
+        raise order(f"{what}: indices must be strictly increasing within each row")
+    # min and max propagate NaN, which fails both comparisons
+    if values is not None and values.size and not (values.min() > 0 and values.max() < np.inf):
+        raise value(f"{what}: values must be finite and strictly positive")
+
+
 class VectorSet:
     """Ordered collection of SparseVectors sharing an ambient dimensionality.
 
@@ -121,12 +142,9 @@ class VectorSet:
         self.indptr = _as_readonly(np.ascontiguousarray(indptr, dtype=np.uint64))
         self.indices = _as_readonly(np.ascontiguousarray(indices, dtype=np.uint32))
         self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))
-        if self.indptr.size == 0 or self.indptr[0] != 0:
-            raise SparseVectorError("indptr must start at 0")
-        if int(self.indptr[-1]) != self.indices.size or self.indices.size != self.values.size:
+        if self.indptr.size == 0 or self.indices.size != self.values.size:
             raise SparseVectorError("indptr/indices/values are inconsistent")
-        if self.indices.size and int(self.indices.max()) >= self.dim:
-            raise SparseVectorError("index exceeds ambient dimensionality")
+        check_csr(self.indptr, self.indices, self.dim, "vector set", self.values)
 
     @classmethod
     def from_vectors(cls, dim, vectors):

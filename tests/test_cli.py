@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsemips import BuildParams, build_index, load_graph, load_index, save_collection, save_index
+import sparsemips.cli
+from sparsemips import (
+    BuildParams, build_index, load_graph, load_index, save_collection, save_ground_truth, save_index,
+)
 from sparsemips.cli import main
 from sparsemips.storage import read_results_tsv
 from sparsemips.synth import random_collection
@@ -141,3 +144,49 @@ class TestErrorHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_query_dims_past_the_collection_are_a_clean_failure(self, tmp_path, capsys):
+        save_collection(random_collection(40, 20, 5, seed=43), tmp_path / "docs.bin")
+        wide = random_collection(6, 30, 5, seed=44)  # ncols 30 against dim 20
+        assert int(wide.indices.max()) >= 20
+        save_collection(wide, tmp_path / "wide.bin")
+        for argv in (
+            ["ground-truth", "--k", "5", "--output", tmp_path / "gt.bin"],
+            ["stats", "--mode", "norm-ratio", "--k-far", "5"],
+        ):
+            rc = run(argv + ["--input", tmp_path / "docs.bin", "--queries", tmp_path / "wide.bin"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("query", [5, -1])
+    def test_run_query_outside_the_ground_truth_is_a_clean_failure(self, tmp_path, capsys, query):
+        ids = np.tile(np.arange(3, dtype=np.uint32), (5, 1))
+        save_ground_truth(ids, np.ones((5, 3), dtype=np.float32), tmp_path / "gt.bin")
+        (tmp_path / "run.tsv").write_text(f"0\t0\t1\t1.000000\n{query}\t0\t2\t1.000000\n")
+        rc = run(["evaluate", "--run", tmp_path / "run.tsv", "--gt", tmp_path / "gt.bin", "--k", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bench_without_repetitions_is_a_clean_failure(self, workspace, tmp_path, capsys):
+        save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), tmp_path / "idx.bin")
+        rc = run([
+            "bench", "--index", tmp_path / "idx.bin", "--queries", workspace / "queries.bin",
+            "--k", "5", "--alpha-q", "0.9", "--heap-factor", "0.9", "--reps", "0",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_memory_error_is_a_clean_failure(self, workspace, tmp_path, capsys, monkeypatch):
+        def exhausted(vset, params):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(sparsemips.cli, "build_index", exhausted)
+        rc = run([
+            "build", "--input", workspace / "docs.bin", "--output", tmp_path / "idx.bin",
+            "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.8", "--seed", "0",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 8.00 TiB for an array\n"

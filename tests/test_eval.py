@@ -19,6 +19,7 @@ from sparsemips import (
 )
 from sparsemips.evaluation import mean_accuracy
 from sparsemips.synth import random_collection, random_vector
+from sparsemips.vectors import EMPTY
 from conftest import dense_to_vectorset
 
 
@@ -52,12 +53,38 @@ class TestExactTopk:
         assert res.ids.tolist() == [0, 1, 2, 3, 4]
         assert res.scores.tolist() == [0.0] * 5
 
+    def test_query_dim_past_the_collection_rejected(self, small_set):
+        wide = VectorSet.from_vectors(60, [SparseVector(np.array([3, 55]), np.array([0.5, 0.5]))])
+        with pytest.raises(ValueError, match="55.*50"):
+            exact_topk(small_set, wide.vector(0), 5)
+        with pytest.raises(ValueError, match="55.*50"):
+            ground_truth(small_set, wide, 5)
+        with pytest.raises(ValueError, match="55.*50"):
+            norm_ratio_cdf(small_set, wide, 5)
+
     def test_invalid_arguments(self, small_set):
         q = small_set.vector(0)
         with pytest.raises(ValueError):
             exact_topk(small_set, q, 0)
         with pytest.raises(ValueError):
             exact_topk(VectorSet.from_vectors(4, []), q, 3)
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("query_dim", [30, 300_000, 400_000])
+    def test_rows_equal_exact_topk(self, query_dim):
+        base = list(random_collection(40, 30, 6, seed=50))
+        # rows 40-49 copy rows 0-9, so their scores tie; dim 300_000 makes
+        # dense blocks of 2**20 // 300_000 = 3 queries, 4 blocks for 11
+        docs = VectorSet.from_vectors(300_000, base + base[:10])
+        vectors = list(random_collection(11, 30, 5, seed=51))
+        vectors[4] = EMPTY
+        queries = VectorSet.from_vectors(query_dim, vectors)
+        gt = ground_truth(docs, queries, 12)
+        for qi, q in enumerate(queries):
+            res = exact_topk(docs, q, 12)
+            assert gt.ids[qi].tolist() == res.ids.tolist()
+            assert gt.scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
 
 
 class TestAccuracy:
@@ -75,6 +102,12 @@ class TestAccuracy:
         runs = [exact_topk(small_set, q, 5).pairs() for q in small_set]
         assert mean_accuracy(gt, runs, 5) == 1.0
 
+    def test_run_past_the_ground_truth_rejected(self, small_set):
+        gt = ground_truth(small_set, small_set, 5)
+        runs = [exact_topk(small_set, q, 5).pairs() for q in small_set]
+        with pytest.raises(ValueError, match="200"):
+            mean_accuracy(gt, runs + [[]], 5)
+
     def test_ground_truth_k_capped(self, small_set):
         with pytest.raises(ValueError):
             ground_truth(small_set, small_set, len(small_set) + 1)
@@ -89,6 +122,22 @@ class TestMassCurve:
         assert curve[2] == pytest.approx(0.8, abs=1e-6)
         assert curve[3] == pytest.approx(1.0, abs=1e-6)
         assert curve[4] == pytest.approx(1.0)  # beyond nnz the fraction saturates
+
+    def test_matches_per_row_loop(self, medium_set):
+        # rows of 1 to 15 entries, and one empty row, which is not counted
+        vectors = [SparseVector(v.dims[:1 + j % 15], v.values[:1 + j % 15]) for j, v in enumerate(medium_set)]
+        vectors[3] = EMPTY
+        vset = VectorSet.from_vectors(medium_set.dim, vectors)
+        expected = np.zeros(40)
+        for v in vectors[:3] + vectors[4:]:
+            vals = np.sort(v.values.astype(np.float64))[::-1]
+            csum = np.ones(40)
+            csum[:vals.size] = np.cumsum(vals)[:40] / vals.sum()
+            expected += csum
+        expected /= len(vectors) - 1
+        got = [f for _, f in mass_curve(vset, 40)]
+        # sums of at most 40 float64 shares: 1e-12 is far above their rounding
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_monotone_in_j(self, small_set):
         curve = mass_curve(small_set, 10)
@@ -130,6 +179,12 @@ class TestNormRatioCdf:
 
 
 class TestBench:
+    def test_repetitions_below_one_rejected(self, small_set):
+        index = build_index(small_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8))
+        queries = random_collection(2, small_set.dim, 8, seed=37)
+        with pytest.raises(ValueError):
+            bench(index, None, queries, SearchParams(k=5), repetitions=0)
+
     def test_smoke(self, small_set):
         index = build_index(small_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8))
         queries = random_collection(5, small_set.dim, 8, seed=37)

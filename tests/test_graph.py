@@ -39,6 +39,20 @@ class TestExactGraph:
         g = build_exact_graph(vset, 5)
         assert np.array_equal(g.neighbors, naive_graph(vset, 5))
 
+    def test_points_missing_from_their_own_rows(self):
+        vectors = list(random_collection(60, 25, 6, seed=24))
+        # an empty point ties at 0 with everything, so the lowest ids outrank it;
+        # a shrunken point scores itself below the points it overlaps
+        vectors[40] = EMPTY
+        vectors[30] = SparseVector(vectors[30].dims, vectors[30].values * 1e-3)
+        vset = VectorSet.from_vectors(25, vectors)
+        index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
+        exact = build_exact_graph(vset, 5)
+        approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
+        assert np.array_equal(exact.neighbors, naive_graph(vset, 5))
+        assert np.array_equal(approx.neighbors, exact.neighbors)
+        assert exact.neighbors[40].tolist() == [0, 1, 2, 3, 4]
+
     def test_kappa_zero_is_empty(self, small_set):
         g = build_exact_graph(small_set, 0)
         assert g.width == 0 and len(g) == len(small_set)

@@ -155,7 +155,6 @@ class TestPruning:
         rng = np.random.default_rng(29)
         q = random_vector(rng, medium_set.dim, 12)
         _, stats = search(index, None, q, SearchParams(k=10, alpha_q=0.8, heap_factor=0.9), return_stats=True)
-        assert stats.forward_evaluations == stats.docs_visited
         assert stats.blocks_visited > 0
 
     def test_smaller_heap_factor_prunes_at_least_as_hard(self, medium_set):

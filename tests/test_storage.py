@@ -133,6 +133,15 @@ class TestCollectionFormat:
             writer.join(timeout=10)
         assert not writer.is_alive()
 
+    def test_ncols_past_the_u32_dims_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        # dims are u32, so 2**32 columns is the most a collection can use
+        path.write_bytes(_raw_collection(1, 2**32, [0, 1], [2**32 - 1], [1.0]))
+        assert load_collection(path).dim == 2**32
+        path.write_bytes(_raw_collection(1, 2**40, [0, 1], [0], [1.0]))
+        with pytest.raises(HeaderError):
+            load_collection(path)
+
     @pytest.mark.parametrize("field", [0, 2])  # nrows, nnz
     def test_huge_length_field_rejected(self, small_set, tmp_path, field):
         path = tmp_path / "c.bin"
@@ -173,6 +182,12 @@ class TestGroundTruthFormat:
 
 
 class TestResultsTsv:
+    def test_negative_query_index_rejected(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("0\t0\t5\t1.000000\n-1\t0\t7\t0.500000\n")
+        with pytest.raises(ValueError, match="-1"):
+            read_results_tsv(path)
+
     def test_round_trip(self, tmp_path):
         results = [
             [(5, 0.75), (2, 0.5)],

@@ -114,6 +114,23 @@ class TestVectorSet:
         with pytest.raises(SparseVectorError):
             VectorSet(1, np.array([0, 1]), np.array([5]), np.array([1.0]))
 
+    @pytest.mark.parametrize("indptr, indices, values", [
+        ([0, 2], [0, 1], [1.0, np.nan]),
+        ([0, 2], [0, 1], [1.0, np.inf]),
+        ([0, 2], [0, 1], [1.0, 0.0]),
+        ([0, 2], [0, 1], [1.0, -2.0]),
+        ([0, 2], [1, 1], [1.0, 1.0]),
+        ([0, 2], [2, 1], [1.0, 1.0]),
+        ([0, 2, 1, 2], [0, 1], [1.0, 1.0]),  # decreasing indptr
+    ])
+    def test_rejects_what_sparse_vector_rejects(self, indptr, indices, values):
+        with pytest.raises(SparseVectorError):
+            VectorSet(4, np.array(indptr), np.array(indices), np.array(values))
+
+    def test_from_scipy_rejects_negative_and_nan_values(self):
+        with pytest.raises(SparseVectorError):
+            VectorSet.from_scipy(np.array([[1, -2, 0], [0, np.nan, 3], [0.5, 0, 1]]))
+
     def test_nnz_per_row(self):
         vs = random_collection(10, 30, 6, seed=9)
         assert vs.nnz_per_row().tolist() == [v.nnz for v in vs]

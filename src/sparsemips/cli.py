@@ -81,7 +81,7 @@ def _cmd_stats(args):
             print(f"{j}\t{frac:.6f}")
         return
     if not args.queries:
-        raise SystemExit("stats --mode ip|norm-ratio requires --queries")
+        raise ValueError("stats --mode ip|norm-ratio requires --queries")
     queries = storage.load_collection(args.queries)
     if args.mode == "ip":
         mean, half, used = evaluation.ip_preservation(

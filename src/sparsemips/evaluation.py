@@ -8,8 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .query import ResultList, SearchParams, check_query_dims, search, top_k
-from .sketching import alpha_mss
-from .vectors import SparseVector, VectorSet, dot, lp_norm, restrict
+from .sketching import top_mass
+from .vectors import SparseVector, VectorSet
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,16 @@ class GroundTruth:
     @property
     def num_queries(self):
         return self.ids.shape[0]
+
+
+def _csr64(vset: VectorSet, width: int):
+    """vset's cached float64 CSR arrays, shared, viewed at `width` columns."""
+    mat = vset.scipy64()
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(len(vset), width))
+
+
+def _row_sums(mat):
+    return np.asarray(mat.sum(axis=1)).ravel()
 
 
 def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
@@ -42,9 +52,7 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
     if not 1 <= k <= len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
-    mat, q64, all_ids = vset.scipy64(), queries.scipy64(), np.arange(len(vset))
-    # the queries' cached arrays, shaped to the collection's dim
-    qmat = sp.csr_matrix((q64.data, q64.indices, q64.indptr), shape=(len(queries), vset.dim))
+    mat, qmat, all_ids = vset.scipy64(), _csr64(queries, vset.dim), np.arange(len(vset))
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
     # dense blocks of at most 2**20 entries: each query's scores are a strided column
@@ -100,24 +108,24 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
     """Mean fraction of inner product kept by top-mass sketching both sides.
 
     Samples (query, doc) pairs, keeps those with a positive true product, and
-    reports mean of sketched/true with a 95% normal-approximation CI.
+    reports mean of sketched/true with a 95% normal-approximation CI.  Each
+    side is sketched with one top_mass call, which holds a float64 array of
+    (kept pairs x longest kept row) entries.
     """
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, len(queries), size=sample)
     ds = rng.integers(0, len(vset), size=sample)
-    fractions = []
-    for qi, di in zip(qs.tolist(), ds.tolist()):
-        q, u = queries.vector(qi), vset.vector(di)
-        if q.dims.size == 0 or u.dims.size == 0:
-            continue
-        true = dot(q, u)
-        if true <= 0:
-            continue
-        est = dot(alpha_mss(q, alpha_query), alpha_mss(u, alpha_doc))
-        fractions.append(est / true)
-    if not fractions:
+    width = max(vset.dim, queries.dim)
+    q_rows, d_rows = _csr64(queries, width)[qs], _csr64(vset, width)[ds]
+    true = _row_sums(q_rows.multiply(d_rows))
+    kept = true > 0  # an empty row has no positive product
+    if not kept.any():
         raise ValueError("no sampled pair has a positive inner product")
-    arr = np.asarray(fractions)
+    # row gathers are copies: zeroing the dropped entries leaves the sets alone
+    q_rows, d_rows, true = q_rows[kept], d_rows[kept], true[kept]
+    q_rows.data[~top_mass(q_rows.indptr, q_rows.data, alpha_query)] = 0
+    d_rows.data[~top_mass(d_rows.indptr, d_rows.data, alpha_doc)] = 0
+    arr = _row_sums(q_rows.multiply(d_rows)) / true
     mean = float(arr.mean())
     half = float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, half, arr.size
@@ -129,17 +137,11 @@ def norm_ratio_cdf(vset, queries, k_far):
     if k_far > len(vset):
         return []
     gt = ground_truth(vset, queries, k_far)
-    ratios = []
-    for q, (near, far) in zip(queries, gt.ids[:, [0, -1]].tolist()):
-        if q.dims.size == 0:
-            continue
-        u = restrict(vset.vector(near), q.dims)
-        v = restrict(vset.vector(far), q.dims)
-        nu = lp_norm(u, 1)
-        if nu == 0:
-            continue
-        ratios.append(lp_norm(v, 1) / nu)
-    ratios = np.sort(np.asarray(ratios))
+    support = _csr64(queries, vset.dim).astype(bool)
+    mat = vset.scipy64()
+    near = _row_sums(mat[gt.ids[:, 0]].multiply(support))
+    far = _row_sums(mat[gt.ids[:, -1]].multiply(support))
+    ratios = np.sort(far[near > 0] / near[near > 0])  # an empty query has no near mass
     return [(float(r), (i + 1) / ratios.size) for i, r in enumerate(ratios)]
 
 

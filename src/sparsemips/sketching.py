@@ -116,16 +116,11 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     vv = v.values[iv].astype(np.float64)
     p = np.minimum(1.0, np.minimum(uv * (d_target / l1u), vv * (d_target / l1v)))
     contrib = uv * vv / p
-    with np.errstate(over="ignore"):
-        dim_term = (common.astype(np.uint64) + np.uint64(1)) * _GOLDEN
     out = np.empty(seeds.size, dtype=np.float64)
     chunk = max(1, 4_000_000 // common.size)
     for start in range(0, seeds.size, chunk):
         batch = seeds[start:start + chunk]
-        with np.errstate(over="ignore"):
-            x = dim_term[None, :] + _seed_term(batch)[:, None]
-        h = _mix64(x).astype(np.float64) / _U64_SCALE
-        out[start:start + batch.size] = (h <= p) @ contrib
+        out[start:start + batch.size] = (hash_unit(common, batch[:, None]) <= p) @ contrib
     return out
 
 

@@ -24,7 +24,7 @@ def _as_readonly(a):
 
 @dataclass(frozen=True)
 class SparseVector:
-    """A nonnegative sparse vector: sorted (dim, value) pairs, values > 0."""
+    """A nonnegative sparse vector: sorted (dim, value) pairs, values finite and > 0."""
 
     dims: np.ndarray
     values: np.ndarray
@@ -36,8 +36,9 @@ class SparseVector:
             raise SparseVectorError("dims and values must be 1-d arrays of equal length")
         if dims.size and np.any(np.diff(dims.astype(np.int64)) <= 0):
             raise SparseVectorError("dims must be strictly increasing")
-        if not np.all(values > 0):  # also rejects NaN
-            raise SparseVectorError("values must be strictly positive")
+        # min and max propagate NaN, which fails both comparisons
+        if values.size and not (values.min() > 0 and values.max() < np.inf):
+            raise SparseVectorError("values must be finite and strictly positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", values)
 

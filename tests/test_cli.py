@@ -159,6 +159,13 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["ip", "norm-ratio"])
+    def test_stats_without_queries_is_a_clean_failure(self, workspace, capsys, mode):
+        rc = run(["stats", "--input", workspace / "docs.bin", "--mode", mode])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: stats --mode ip|norm-ratio requires --queries\n"
+
     @pytest.mark.parametrize("query", [5, -1])
     def test_run_query_outside_the_ground_truth_is_a_clean_failure(self, tmp_path, capsys, query):
         ids = np.tile(np.arange(3, dtype=np.uint32), (5, 1))

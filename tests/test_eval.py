@@ -14,10 +14,13 @@ from sparsemips import (
     exact_topk,
     ground_truth,
     ip_preservation,
+    lp_norm,
     mass_curve,
     norm_ratio_cdf,
+    restrict,
 )
 from sparsemips.evaluation import mean_accuracy
+from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 from sparsemips.vectors import EMPTY
 from conftest import dense_to_vectorset
@@ -27,6 +30,46 @@ def naive_topk(vset, q, k):
     """Independent reference scorer: python loop over sparse dots."""
     scored = sorted(((-dot(q, vset.vector(j)), j) for j in range(len(vset))))
     return [(j, -s) for s, j in scored[:k]]
+
+
+def per_pair_ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
+    """Reference: two vectors, two alpha_mss sketches and three dots per sampled pair."""
+    rng = np.random.default_rng(seed)
+    qs = rng.integers(0, len(queries), size=sample)
+    ds = rng.integers(0, len(vset), size=sample)
+    fractions = []
+    for qi, di in zip(qs.tolist(), ds.tolist()):
+        q, u = queries.vector(qi), vset.vector(di)
+        if q.dims.size == 0 or u.dims.size == 0:
+            continue
+        true = dot(q, u)
+        if true <= 0:
+            continue
+        fractions.append(dot(alpha_mss(q, alpha_query), alpha_mss(u, alpha_doc)) / true)
+    arr = np.asarray(fractions)
+    return float(arr.mean()), float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size)), arr.size
+
+
+def per_query_norm_ratio_cdf(vset, queries, k_far):
+    """Reference: each query's nearest and k_far-th rows restricted to its support, one at a time."""
+    ratios = []
+    for q in queries:
+        if q.dims.size == 0:
+            continue
+        found = exact_topk(vset, q, k_far).ids
+        nu = lp_norm(restrict(vset.vector(found[0]), q.dims), 1)
+        if nu == 0:
+            continue
+        ratios.append(lp_norm(restrict(vset.vector(found[-1]), q.dims), 1) / nu)
+    ratios = np.sort(np.asarray(ratios))
+    return [(float(r), (i + 1) / ratios.size) for i, r in enumerate(ratios)]
+
+
+def with_empty_rows(vset, rows):
+    vectors = list(vset)
+    for j in rows:
+        vectors[j] = EMPTY
+    return VectorSet.from_vectors(vset.dim, vectors)
 
 
 class TestExactTopk:
@@ -163,8 +206,45 @@ class TestIpPreservation:
         with pytest.raises(ValueError):
             ip_preservation(a, b, 1.0, 1.0, sample=50)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.6])
+    @pytest.mark.parametrize("query_dim", [30, 50, 70])
+    def test_matches_per_pair_loop(self, small_set, query_dim, alpha):
+        # queries narrower than, as wide as and wider than the collection's dim 50
+        docs = with_empty_rows(small_set, [0, 7, 150])
+        queries = with_empty_rows(random_collection(40, query_dim, 10, seed=38), [2, 19])
+        got = ip_preservation(docs, queries, alpha, alpha, sample=3000, seed=5)
+        want = per_pair_ip_preservation(docs, queries, alpha, alpha, sample=3000, seed=5)
+        # products of 8 or more terms are summed in another order: 1e-12 is
+        # far above float64 rounding of sums this short
+        assert got[2] == want[2]
+        np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0)
+
+    def test_builds_no_sparse_vector(self, small_set, monkeypatch):
+        queries = random_collection(20, small_set.dim, 8, seed=39)
+        built = []
+        original = SparseVector.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(SparseVector, "__post_init__", counted)
+        ip_preservation(small_set, queries, 0.6, 0.5, sample=500)
+        norm_ratio_cdf(small_set, queries, 5)
+        assert built == []
+
 
 class TestNormRatioCdf:
+    @pytest.mark.parametrize("k_far", [1, 7, 200])
+    def test_matches_per_query_loop(self, small_set, k_far):
+        # k_far=200 is the collection size; empty docs, an empty query, and
+        # one on dims no doc holds, whose nearest row has no mass there
+        docs = VectorSet.from_vectors(60, list(with_empty_rows(small_set, [0, 7, 150])))
+        vectors = list(random_collection(30, small_set.dim, 3, seed=40))
+        vectors[4], vectors[9] = EMPTY, SparseVector(np.array([52, 57]), np.array([0.5, 0.25]))
+        queries = VectorSet.from_vectors(60, vectors)
+        assert norm_ratio_cdf(docs, queries, k_far) == per_query_norm_ratio_cdf(docs, queries, k_far)
+
     def test_k_far_one_gives_unit_ratios(self, small_set):
         queries = random_collection(10, small_set.dim, 8, seed=35)
         cdf = norm_ratio_cdf(small_set, queries, 1)

@@ -28,6 +28,8 @@ class TestSparseVector:
             SparseVector(np.array([1]), np.array([-0.5]))
         with pytest.raises(SparseVectorError):
             SparseVector(np.array([1]), np.array([np.nan]))
+        with pytest.raises(SparseVectorError):
+            SparseVector(np.array([1, 2]), np.array([1.0, np.inf]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(SparseVectorError):

@@ -10,7 +10,6 @@ from . import evaluation, storage
 from .graph import KnnGraph, build_approx_graph, build_exact_graph, load_graph, save_graph
 from .index import BuildParams, build_index, load_index, save_index
 from .query import SearchParams, search
-from .sketching import ZeroVectorError
 from .storage import StorageError
 
 
@@ -36,7 +35,8 @@ def _cmd_knn_graph(args):
     print(f"graph: {len(graph)} nodes, kappa={graph.kappa}, width={graph.width}")
 
 
-def _cmd_search(args):
+def _search_setup(args):
+    """The index, graph (or None), queries and SearchParams of `search` and `bench`."""
     index = load_index(args.index)
     graph = load_graph(args.graph) if args.graph else None
     queries = storage.load_collection(args.queries)
@@ -44,6 +44,11 @@ def _cmd_search(args):
         k=args.k, alpha_q=args.alpha_q, heap_factor=args.heap_factor,
         use_graph=graph is not None,
     )
+    return index, graph, queries, params
+
+
+def _cmd_search(args):
+    index, graph, queries, params = _search_setup(args)
     results = []
     for q in queries:
         if q.dims.size == 0:
@@ -97,19 +102,23 @@ def _cmd_stats(args):
 
 
 def _cmd_bench(args):
-    index = load_index(args.index)
-    graph = load_graph(args.graph) if args.graph else None
-    queries = storage.load_collection(args.queries)
-    params = SearchParams(
-        k=args.k, alpha_q=args.alpha_q, heap_factor=args.heap_factor,
-        use_graph=graph is not None,
-    )
+    index, graph, queries, params = _search_setup(args)
     report = evaluation.bench(index, graph, queries, params, repetitions=args.reps)
     if report.per_query_us.size == 0:
         print("no queries")
         return
     print(f"queries: {report.per_query_us.size}  reps: {report.repetitions} (best-of)")
     print(f"mean_us: {report.mean_us:.1f}  median_us: {report.median_us:.1f}  p95_us: {report.p95_us:.1f}")
+
+
+def _add_search_flags(p):
+    """The flags `_search_setup` reads."""
+    p.add_argument("--index", required=True)
+    p.add_argument("--graph")
+    p.add_argument("--queries", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--alpha-q", type=float, required=True)
+    p.add_argument("--heap-factor", type=float, required=True)
 
 
 def build_parser():
@@ -136,12 +145,7 @@ def build_parser():
     p.set_defaults(func=_cmd_knn_graph)
 
     p = sub.add_parser("search", help="run top-k queries against an index")
-    p.add_argument("--index", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha-q", type=float, required=True)
-    p.add_argument("--heap-factor", type=float, required=True)
+    _add_search_flags(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_search)
 
@@ -170,12 +174,7 @@ def build_parser():
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("bench", help="per-query latency statistics")
-    p.add_argument("--index", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha-q", type=float, required=True)
-    p.add_argument("--heap-factor", type=float, required=True)
+    _add_search_flags(p)
     p.add_argument("--reps", type=int, required=True)
     p.set_defaults(func=_cmd_bench)
 
@@ -187,7 +186,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (StorageError, ZeroVectorError, ValueError, OSError, MemoryError) as exc:
+    except (StorageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -66,6 +66,8 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
 
 def accuracy_at_k(truth_ids, run_ids, k) -> float:
     """|true top-k  intersect  returned top-k| / k by id sets."""
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     truth_ids = np.asarray(truth_ids)
     if truth_ids.size < k:
         raise ValueError(f"ground truth depth {truth_ids.size} is less than k={k}")
@@ -76,6 +78,8 @@ def accuracy_at_k(truth_ids, run_ids, k) -> float:
 
 def mean_accuracy(gt: GroundTruth, runs, k) -> float:
     """runs: per query, a sequence of (id, score) pairs."""
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if len(runs) > gt.num_queries:
         raise ValueError(f"run holds query {len(runs) - 1}, but the ground truth has {gt.num_queries} queries")
     accs = [
@@ -89,6 +93,8 @@ def mass_curve(vset: VectorSet, max_keep: int):
     """Mean fraction of l1 mass kept by the top-j entries, for j = 1..max_keep."""
     if len(vset) == 0:
         raise ValueError("empty collection")
+    if max_keep < 0:
+        raise ValueError(f"max_keep={max_keep} must be at least 0")
     lengths = vset.nnz_per_row()
     counted = np.count_nonzero(lengths)
     if counted == 0:
@@ -112,6 +118,12 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
     side is sketched with one top_mass call, which holds a float64 array of
     (kept pairs x longest kept row) entries.
     """
+    if len(queries) == 0:
+        raise ValueError("cannot sample pairs from an empty query set")
+    if len(vset) == 0:
+        raise ValueError("cannot sample pairs from an empty collection")
+    if sample < 1:
+        raise ValueError(f"sample={sample} must be at least 1")
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, len(queries), size=sample)
     ds = rng.integers(0, len(vset), size=sample)

@@ -37,6 +37,19 @@ def bernoulli_collection(n, dim, p, seed=0) -> VectorSet:
     return VectorSet.from_vectors(dim, vectors)
 
 
+def _zipfian_row(rng, perm, base_popularity, p, dim, nnz, scale):
+    """One row of a cluster whose dims are `perm`: a Poisson(nnz) count of
+    Zipfian-popular ranks, with larger values on the cluster's core dims."""
+    k = max(1, int(rng.poisson(nnz)))
+    picked = rng.choice(dim, size=min(k, dim), replace=False, p=p)
+    raw_dims = perm[picked].astype(np.uint32)
+    popularity = base_popularity[picked]
+    weight = popularity / popularity.max()
+    values = (scale * (0.2 + 0.8 * weight) * rng.uniform(0.5, 1.0, size=raw_dims.size)).astype(np.float32)
+    order = np.argsort(raw_dims)
+    return SparseVector(raw_dims[order], values[order])
+
+
 def zipfian_clustered_collection(n, dim, nnz, n_clusters=50, seed=0, zipf_s=1.0):
     """Clustered Zipfian-sparse data: collection, cluster assignment per row.
 
@@ -47,43 +60,27 @@ def zipfian_clustered_collection(n, dim, nnz, n_clusters=50, seed=0, zipf_s=1.0)
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, dim + 1, dtype=np.float64)
     base_popularity = 1.0 / ranks**zipf_s
+    p = base_popularity / base_popularity.sum()
     cluster_dims = []
     cluster_scale = []
     for _ in range(n_clusters):
-        perm = rng.permutation(dim)
-        popularity = base_popularity / base_popularity.sum()
-        cluster_dims.append(perm)
+        cluster_dims.append(rng.permutation(dim))
         cluster_scale.append(rng.uniform(0.8, 1.2))
-    vectors = []
     assignment = rng.integers(0, n_clusters, size=n)
-    for j in range(n):
-        c = int(assignment[j])
-        perm = cluster_dims[c]
-        k = max(1, int(rng.poisson(nnz)))
-        picked = rng.choice(dim, size=min(k, dim), replace=False, p=base_popularity / base_popularity.sum())
-        raw_dims = perm[picked].astype(np.uint32)
-        # core (popular-within-cluster) dims get larger values
-        weight = base_popularity[picked] / base_popularity[picked].max()
-        values = (cluster_scale[c] * (0.2 + 0.8 * weight) * rng.uniform(0.5, 1.0, size=raw_dims.size)).astype(np.float32)
-        order = np.argsort(raw_dims)
-        vectors.append(SparseVector(raw_dims[order], values[order]))
+    vectors = [
+        _zipfian_row(rng, cluster_dims[c], base_popularity, p, dim, nnz, cluster_scale[c])
+        for c in assignment.tolist()
+    ]
     return VectorSet.from_vectors(dim, vectors), assignment, (cluster_dims, base_popularity, cluster_scale)
 
 
 def zipfian_queries(collection_info, n_queries, dim, nnz, seed=1):
-    """Queries drawn from the same cluster structure as the collection."""
-    cluster_dims, base_popularity, cluster_scale = collection_info
+    """Queries drawn from the same cluster structure as the collection, unscaled."""
+    cluster_dims, base_popularity, _ = collection_info
     rng = np.random.default_rng(seed)
     p = base_popularity / base_popularity.sum()
     vectors = []
     for _ in range(n_queries):
-        c = int(rng.integers(0, len(cluster_dims)))
-        perm = cluster_dims[c]
-        k = max(1, int(rng.poisson(nnz)))
-        picked = rng.choice(dim, size=min(k, dim), replace=False, p=p)
-        raw_dims = perm[picked].astype(np.uint32)
-        weight = base_popularity[picked] / base_popularity[picked].max()
-        values = ((0.2 + 0.8 * weight) * rng.uniform(0.5, 1.0, size=raw_dims.size)).astype(np.float32)
-        order = np.argsort(raw_dims)
-        vectors.append(SparseVector(raw_dims[order], values[order]))
+        perm = cluster_dims[int(rng.integers(0, len(cluster_dims)))]
+        vectors.append(_zipfian_row(rng, perm, base_popularity, p, dim, nnz, 1.0))  # x * 1.0 == x
     return VectorSet.from_vectors(dim, vectors)

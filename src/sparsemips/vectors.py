@@ -34,11 +34,7 @@ class SparseVector:
         values = _as_readonly(np.ascontiguousarray(self.values, dtype=np.float32))
         if dims.shape != values.shape or dims.ndim != 1:
             raise SparseVectorError("dims and values must be 1-d arrays of equal length")
-        if dims.size and np.any(np.diff(dims.astype(np.int64)) <= 0):
-            raise SparseVectorError("dims must be strictly increasing")
-        # min and max propagate NaN, which fails both comparisons
-        if values.size and not (values.min() > 0 and values.max() < np.inf):
-            raise SparseVectorError("values must be finite and strictly positive")
+        check_csr(np.array([0, dims.size]), dims, 2**32, "sparse vector", values)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", values)
 
@@ -74,9 +70,6 @@ class SparseVector:
 
     def __hash__(self):
         return hash((self.dims.tobytes(), self.values.tobytes()))
-
-
-EMPTY = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
 
 
 def dot(u: SparseVector, v: SparseVector) -> float:
@@ -116,7 +109,7 @@ def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,
     are finite and strictly positive.  `errors` are the exception types for
     a bad layout or range, bad row order, and bad values."""
     layout, order, value = errors
-    if ptr[0] != 0 or int(ptr[-1]) != indices.size or np.any(ptr[1:] < ptr[:-1]):
+    if ptr[0] != 0 or int(ptr[-1]) != indices.size or (ptr[1:] < ptr[:-1]).any():
         raise layout(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
     if indices.size and int(indices.max()) >= bound:
         raise layout(f"{what}: index {int(indices.max())} is out of range for {bound}")
@@ -124,11 +117,14 @@ def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,
     not_increasing = indices[1:] <= indices[:-1]
     starts = ptr[1:-1]
     not_increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = False
-    if np.any(not_increasing):
+    if not_increasing.any():
         raise order(f"{what}: indices must be strictly increasing within each row")
     # min and max propagate NaN, which fails both comparisons
     if values is not None and values.size and not (values.min() > 0 and values.max() < np.inf):
         raise value(f"{what}: values must be finite and strictly positive")
+
+
+EMPTY = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
 
 
 class VectorSet:

@@ -3,7 +3,7 @@ import pytest
 
 import sparsemips.cli
 from sparsemips import (
-    BuildParams, build_index, load_graph, load_index, save_collection, save_ground_truth, save_index,
+    BuildParams, VectorSet, build_index, load_graph, load_index, save_collection, save_ground_truth, save_index,
 )
 from sparsemips.cli import main
 from sparsemips.storage import read_results_tsv
@@ -175,6 +175,38 @@ class TestErrorHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_evaluate_k_below_one_is_a_clean_failure(self, tmp_path, capsys, k):
+        ids = np.tile(np.arange(3, dtype=np.uint32), (2, 1))
+        save_ground_truth(ids, np.ones((2, 3), dtype=np.float32), tmp_path / "gt.bin")
+        (tmp_path / "run.tsv").write_text("0\t0\t1\t1.000000\n1\t0\t2\t1.000000\n")
+        rc = run(["evaluate", "--run", tmp_path / "run.tsv", "--gt", tmp_path / "gt.bin", "--k", k])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: k={k} must be at least 1\n"
+
+    def test_stats_mass_negative_max_keep_is_a_clean_failure(self, workspace, capsys):
+        rc = run(["stats", "--input", workspace / "docs.bin", "--mode", "mass", "--max-keep", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: max_keep=-1 must be at least 0\n"
+
+    @pytest.mark.parametrize("which, argv, message", [
+        ("queries", ["--sample", "100"], "cannot sample pairs from an empty query set"),
+        ("docs", ["--sample", "100"], "cannot sample pairs from an empty collection"),
+        (None, ["--sample", "0"], "sample=0 must be at least 1"),
+        (None, ["--sample", "-1"], "sample=-1 must be at least 1"),
+    ], ids=["empty-queries", "empty-docs", "sample-0", "sample-negative"])
+    def test_stats_ip_bad_input_is_named(self, workspace, tmp_path, capsys, which, argv, message):
+        paths = {"docs": workspace / "docs.bin", "queries": workspace / "queries.bin"}
+        if which:
+            paths[which] = tmp_path / "empty.bin"
+            save_collection(VectorSet.from_vectors(80, []), paths[which])
+        rc = run(["stats", "--input", paths["docs"], "--queries", paths["queries"], "--mode", "ip"] + argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_bench_without_repetitions_is_a_clean_failure(self, workspace, tmp_path, capsys):
         save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), tmp_path / "idx.bin")

@@ -155,6 +155,15 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             ground_truth(small_set, small_set, len(small_set) + 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, small_set, k):
+        with pytest.raises(ValueError, match=f"k={k} must be at least 1"):
+            accuracy_at_k(np.arange(5), [0, 1, 2], k)
+        gt = ground_truth(small_set, small_set, 5)
+        for runs in ([exact_topk(small_set, q, 5).pairs() for q in small_set], []):
+            with pytest.raises(ValueError, match=f"k={k} must be at least 1"):
+                mean_accuracy(gt, runs, k)
+
 
 class TestMassCurve:
     def test_single_vector_example(self):
@@ -188,6 +197,11 @@ class TestMassCurve:
         assert all(0.0 < f <= 1.0 + 1e-12 for f in fracs)
         assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
 
+    def test_negative_max_keep_rejected(self, small_set):
+        assert mass_curve(small_set, 0) == []
+        with pytest.raises(ValueError, match="max_keep=-1 must be at least 0"):
+            mass_curve(small_set, -1)
+
 
 class TestIpPreservation:
     def test_full_sketches_preserve_everything(self, small_set):
@@ -205,6 +219,18 @@ class TestIpPreservation:
         b = dense_to_vectorset(np.array([[0.0, 1.0]], dtype=np.float32))
         with pytest.raises(ValueError):
             ip_preservation(a, b, 1.0, 1.0, sample=50)
+
+    def test_empty_side_named(self, small_set):
+        empty = VectorSet.from_vectors(small_set.dim, [])
+        with pytest.raises(ValueError, match="empty query set"):
+            ip_preservation(small_set, empty, 1.0, 1.0, sample=50)
+        with pytest.raises(ValueError, match="empty collection"):
+            ip_preservation(empty, small_set, 1.0, 1.0, sample=50)
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_one_rejected(self, small_set, sample):
+        with pytest.raises(ValueError, match=f"sample={sample} must be at least 1"):
+            ip_preservation(small_set, small_set, 1.0, 1.0, sample=sample)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.6])
     @pytest.mark.parametrize("query_dim", [30, 50, 70])

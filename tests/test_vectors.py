@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparsemips import SparseVector, VectorSet, dot, lp_norm, restrict
 from sparsemips.vectors import SparseVectorError
@@ -136,3 +137,48 @@ class TestVectorSet:
     def test_nnz_per_row(self):
         vs = random_collection(10, 30, 6, seed=9)
         assert vs.nnz_per_row().tolist() == [v.nnz for v in vs]
+
+
+_VALUE = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]),
+    st.floats(width=32),
+)
+
+
+@st.composite
+def _row(draw):
+    """(dims, values) lists: sorted or not, with or without duplicates, lengths equal or not."""
+    dims = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)), max_size=6))
+    if draw(st.booleans()):
+        dims = sorted(set(dims))
+    length = max(0, len(dims) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    values = draw(st.lists(_VALUE, min_size=length, max_size=length))
+    return dims, values
+
+
+def _raises_sparse_vector_error(make):
+    try:
+        make()
+    except SparseVectorError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row())
+@example(([], []))
+@example(([3, 1], [1.0, 1.0]))          # unsorted
+@example(([2, 2], [1.0, 1.0]))          # duplicate
+@example(([2**32 - 1], [1.0]))          # largest uint32 dim
+@example(([1, 2], [1.0, 0.0]))          # zero
+@example(([1], [-0.5]))                 # negative
+@example(([1], [np.nan]))               # NaN
+@example(([1, 2], [1.0, np.inf]))       # inf
+@example(([1, 2], [1.0]))               # mismatched lengths
+@example(([1], [1.0, 2.0]))
+def test_sparse_vector_rejects_exactly_what_a_one_row_vector_set_rejects(row):
+    dims, values = row
+    as_vector = _raises_sparse_vector_error(lambda: SparseVector(dims, values))
+    as_set = _raises_sparse_vector_error(lambda: VectorSet(2**32, [0, len(dims)], dims, values))
+    assert as_vector == as_set

@@ -124,6 +124,9 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
         raise ValueError("cannot sample pairs from an empty collection")
     if sample < 1:
         raise ValueError(f"sample={sample} must be at least 1")
+    for name, alpha in (("alpha_doc", alpha_doc), ("alpha_query", alpha_query)):
+        if not 0 < alpha <= 1:
+            raise ValueError(f"{name}={alpha} must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, len(queries), size=sample)
     ds = rng.integers(0, len(vset), size=sample)
@@ -146,6 +149,8 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
 def norm_ratio_cdf(vset, queries, k_far):
     """CDF of ||v_I||1 / ||u_I||1: u nearest, v the k_far-th nearest, I = query support."""
     check_query_dims(queries.indices, vset.dim)
+    if k_far < 1:
+        raise ValueError(f"k_far={k_far} must be at least 1")
     if k_far > len(vset):
         return []
     gt = ground_truth(vset, queries, k_far)

@@ -7,9 +7,10 @@ into geometrically-cohesive blocks with shallow K-Means, and attach to each
 block a conservative coordinatewise-max summary, truncated by a top-mass
 sketch and optionally quantized to 8 bits.  The forward index keeps the
 original vectors for exact re-scoring.  The blocks live in a few flat
-arrays (see BlockedIndex), saved as one record after an SPMIDX02 magic.
-Summaries are only ever CSR segments: one array call each summarizes,
-truncates and quantizes all the blocks of a list.
+arrays (see BlockedIndex), saved as one record after an SPMIDX03 magic.
+One array call each summarizes, truncates and quantizes all the blocks of a
+list, as CSR segments; once every list is done, one transpose stores the
+summaries dim-major, so a query reads only the columns of its own dims.
 """
 from __future__ import annotations
 
@@ -19,13 +20,14 @@ from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import ConsistencyError, HeaderError, _check_csr, collection_layout, read_record, write_record
 from .vectors import VectorSet
 
-INDEX_MAGIC = b"SPMIDX02"
+INDEX_MAGIC = b"SPMIDX03"
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,19 @@ def summarize(rows, ptr):
 @dataclass(eq=False)
 class BlockedIndex:
     """Flat CSR-style blocked lists, blocks numbered list by list, plus the
-    forward index.  The fields after `forward` are the file's arrays, in order."""
+    forward index.  The fields after `forward` are the file's arrays, in order.
+
+    The summaries are one CSC by dimension: the entries of dim d are
+    summary_ptr[d]:summary_ptr[d+1], with their blocks ascending, so the
+    blocks of one list form a contiguous run of every column."""
 
     params: BuildParams
     forward: VectorSet
     list_ptr: np.ndarray        # (dim+1,) blocks of dim i: list_ptr[i]:list_ptr[i+1]
     block_ptr: np.ndarray       # (nblocks+1,) members of b: member_ids[block_ptr[b]:block_ptr[b+1]]
     member_ids: np.ndarray      # uint32, ascending within each block
-    summary_ptr: np.ndarray     # (nblocks+1,) entries of b's summary, likewise
-    summary_dims: np.ndarray    # uint32, ascending within each summary
+    summary_ptr: np.ndarray     # (dim+1,) summary entries on dim d: summary_ptr[d]:summary_ptr[d+1]
+    summary_blocks: np.ndarray  # uint32 block of each entry, ascending within each dim
     summary_values: np.ndarray  # uint8 codes when quantized, float32 values otherwise
     m: np.ndarray               # float32 per block; an entry's value is m + value * delta
     delta: np.ndarray           # float32 per block; m=0 and delta=1 (exact) when unquantized
@@ -168,8 +174,8 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     # the members of list i fill member_ids[csc.indptr[i]:csc.indptr[i + 1]]
     member_ids = np.empty(csc.nnz, dtype=np.uint32)
     blocks_per_list = np.zeros(vset.dim, dtype=np.int64)
-    # growable buffers that become the arrays without a copy, so the
-    # summaries are never held twice
+    # growable buffers that become arrays without a copy, so the summaries
+    # are held twice only while the final transpose runs
     block_ptr, summary_ptr, m, delta = array("q", [0]), array("q", [0]), array("f"), array("f")
     summary_dims, summary_values = array("I"), array("B" if params.quantize else "f")
     for i in range(vset.dim):
@@ -195,8 +201,15 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         m.frombytes(block_m.tobytes())
         delta.frombytes(block_delta.tobytes())
     list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
-    arrays = map(np.asarray, (block_ptr, member_ids, summary_ptr, summary_dims, summary_values, m, delta))
-    return BlockedIndex(params, vset, list_ptr, *arrays)
+    by_block = sp.csr_matrix((np.asarray(summary_values), np.asarray(summary_dims), np.asarray(summary_ptr)),
+                             shape=(list_ptr[-1], vset.dim))
+    del summary_dims  # the matrix holds its dims as a signed copy
+    # scipy's transpose is a counting sort, so each dim's blocks stay ascending
+    by_dim = by_block.tocsc()
+    del by_block, summary_values
+    summary = (by_dim.indptr.astype(np.int64), by_dim.indices.astype(np.uint32), by_dim.data)
+    return BlockedIndex(params, vset, list_ptr, np.asarray(block_ptr), member_ids, *summary,
+                        np.asarray(m), np.asarray(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +224,8 @@ def _layout(alpha, beta, gamma, quantize, seed, nrows, dim, nnz, nblocks, nmembe
         ("list_ptr", "<i8", dim + 1),
         ("block_ptr", "<i8", nblocks + 1),
         ("member_ids", "<u4", nmembers),
-        ("summary_ptr", "<i8", nblocks + 1),
-        ("summary_dims", "<u4", nsummary),
+        ("summary_ptr", "<i8", dim + 1),
+        ("summary_blocks", "<u4", nsummary),
         ("summary_values", "u1" if quantize else "<f4", nsummary),
         ("m", "<f4", nblocks),
         ("delta", "<f4", nblocks),
@@ -222,7 +235,7 @@ def _layout(alpha, beta, gamma, quantize, seed, nrows, dim, nnz, nblocks, nmembe
 def save_index(index: BlockedIndex, path):
     fwd = index.forward
     head = astuple(index.params) + (len(fwd), fwd.dim, fwd.indices.size, index.num_blocks,
-                                    index.member_ids.size, index.summary_dims.size)
+                                    index.member_ids.size, index.summary_blocks.size)
     arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, f.name) for f in fields(index)[2:]]
     write_record(path, INDEX_MAGIC + _HEADER.pack(*head), zip(arrays, _layout(*head)))
 
@@ -234,11 +247,11 @@ def load_index(path) -> BlockedIndex:
     except ValueError as exc:
         raise HeaderError(f"build parameters: {exc}") from None
     nrows, dim, _, nblocks, _, _ = head[5:]
-    indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_dims, summary_values = arrays[:9]
+    indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_blocks, summary_values = arrays[:9]
     _check_csr(indptr, indices, dim, "forward index", values)
     _check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")  # list i holds blocks list_ptr[i]:list_ptr[i+1]
     _check_csr(block_ptr, member_ids, nrows, "block members")
-    _check_csr(summary_ptr, summary_dims, dim, "summaries", None if params.quantize else summary_values)
+    _check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values)
     if not np.isfinite(np.concatenate(arrays[9:])).all():
         raise ConsistencyError("summaries: m and delta must be finite")
     return BlockedIndex(params, VectorSet(dim, *arrays[:3]), *arrays[3:])

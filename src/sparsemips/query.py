@@ -3,7 +3,9 @@
 Traversal: sketch the query, score the summary of every block in the
 inverted lists of its surviving dimensions, and order those blocks list by
 list (lists in query-sketch order, blocks by summary score descending).
-Then score documents exactly against the forward index in two batches:
+The summaries are stored dim-major, so scoring reads only the entries on
+the query's dims.  Then score documents exactly against the forward index
+in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
   k-th best of their scores is the threshold t, fixed from here on;
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .index import Block, dequantize
 from .sketching import ZeroVectorError, alpha_mss
@@ -75,6 +76,7 @@ class SearchStats:
     forward_evaluations: int = 0
     blocks_visited: int = 0
     blocks_skipped: int = 0
+    summary_entries: int = 0  # summary entries read to score the blocks
 
 
 def check_query_dims(dims, dim):
@@ -134,21 +136,34 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
 
 
-def _summary_scores(index, first, last, q_dense):
-    """Blocks first[i]:last[i] for each i, concatenated, and their summary scores.
+def _summary_scores(index, first, last, q):
+    """Blocks first[i]:last[i] for each i, concatenated, their summary scores
+    against the query q, and the number of summary entries read.
 
-    A list's summaries are contiguous, so one slice per list gathers them;
-    after dequantizing, one sparse mat-vec sums each summary in dim order.
+    The blocks of a list are a contiguous run of each dim's column, so one
+    binary search per query dim finds every entry that can score.  Entries
+    arrive dim by dim in ascending order and bincount sums each block's in
+    that order from 0.0, which is what a CSR mat-vec over the whole summary
+    computes: the products it adds beyond these are +0.0.
     """
-    ptr = index.summary_ptr
-    blocks = _ranges(first, last)
-    entries = list(map(slice, ptr[first].tolist(), ptr[last].tolist()))
-    lengths = ptr[blocks + 1] - ptr[blocks]
-    m, delta = np.repeat(index.m[blocks], lengths), np.repeat(index.delta[blocks], lengths)
-    values = dequantize(np.concatenate([index.summary_values[s] for s in entries]), m, delta)
-    dims = np.concatenate([index.summary_dims[s] for s in entries])
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    return blocks, sp.csr_matrix((values, dims, indptr), shape=(blocks.size, index.dim)) @ q_dense
+    ptr, column = index.summary_ptr, index.summary_blocks
+    # uint32 needles: int64 ones make searchsorted copy the column on each call
+    bounds = np.concatenate((first, last)).astype(np.uint32)
+    starts = ptr[q.dims]
+    cuts = np.concatenate([
+        np.searchsorted(column[s:e], bounds) for s, e in zip(starts.tolist(), ptr[q.dims + 1].tolist())
+    ]).reshape(q.dims.size, 2, first.size) + starts[:, None, None]
+    lo, hi = cuts[:, 0].ravel(), cuts[:, 1].ravel()
+    hits = _ranges(lo, hi)
+    blocks = column[hits].astype(np.int64)
+    values = dequantize(index.summary_values[hits], index.m[blocks], index.delta[blocks])
+    values *= np.repeat(np.repeat(q.values.astype(np.float64), first.size), hi - lo)
+    # a block's position in the concatenation of the lists' ranges
+    sizes = last - first
+    shift = np.cumsum(sizes) - sizes - first
+    positions = blocks + np.repeat(np.tile(shift, q.dims.size), hi - lo)
+    scores = np.bincount(positions, weights=values, minlength=sizes.sum())
+    return _ranges(first, last), scores, hits.size
 
 
 def _members(index, blocks):
@@ -169,7 +184,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     # traverse high-value query dimensions first to fill the top k early
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    blocks, r = _summary_scores(index, first, last, q_dense)
+    blocks, r, entries = _summary_scores(index, first, last, q)
     # lists in sketch order, blocks by summary score descending; lexsort is stable
     order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
     blocks, r = blocks[order], r[order]
@@ -187,7 +202,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
 
     top = (np.empty(0, dtype=np.int64), np.empty(0))
     visited = np.zeros(len(forward), dtype=bool)
-    stats = SearchStats()
+    stats = SearchStats(summary_entries=entries)
     top = evaluate_block(Block(fill), forward, q_dense, top, visited, k, stats)
     # main: every later block that clears the threshold the fill fixed
     main = blocks[nfill:]

@@ -1,4 +1,6 @@
 """Shared fixtures: hand-built small collections and the worked golden matrix."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,23 @@ def dense_to_vectorset(dense) -> VectorSet:
     return VectorSet.from_vectors(dense.shape[1], vectors)
 
 
+@functools.lru_cache(maxsize=4)
+def summaries_by_block(index):
+    """A BlockedIndex's dim-major summaries read back block-major, as CSR
+    (ptr, dims, positions): the entries of block b are positions[ptr[b]:ptr[b+1]]
+    of summary_values, on dims[ptr[b]:ptr[b+1]], ascending."""
+    dims = np.repeat(np.arange(index.dim, dtype=np.uint32), np.diff(index.summary_ptr))
+    # a stable sort by block keeps each block's entries in dim order
+    positions = np.argsort(index.summary_blocks, kind="stable")
+    ptr = np.searchsorted(index.summary_blocks[positions], np.arange(index.num_blocks + 1))
+    return ptr, dims[positions], positions
+
+
 def summary_of(index, b):
     """(dims, float64 values) of block b's summary in a BlockedIndex."""
-    s, e = index.summary_ptr[b], index.summary_ptr[b + 1]
-    return index.summary_dims[s:e], dequantize(index.summary_values[s:e], index.m[b], index.delta[b])
+    ptr, dims, positions = summaries_by_block(index)
+    s, e = ptr[b], ptr[b + 1]
+    return dims[s:e], dequantize(index.summary_values[positions[s:e]], index.m[b], index.delta[b])
 
 
 def golden_expected_dense():

@@ -287,6 +287,7 @@ def test_criterion_08_quantization_error_bound(corpus10k, tuned_index):
     # same seeds, same blocks: the two indexes align block by block
     assert np.array_equal(tuned_index.list_ptr, raw_index.list_ptr)
     assert np.array_equal(tuned_index.summary_ptr, raw_index.summary_ptr)
+    assert np.array_equal(tuned_index.summary_blocks, raw_index.summary_blocks)
     checked = 0
     for b in range(tuned_index.num_blocks):
         _, recon = summary_of(tuned_index, b)

@@ -208,6 +208,18 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--mode", "ip", "--alpha-q", "1.5"], "alpha_query=1.5 must lie in (0, 1]"),
+        (["--mode", "ip", "--alpha", "0"], "alpha_doc=0.0 must lie in (0, 1]"),
+        (["--mode", "norm-ratio", "--k-far", "0"], "k_far=0 must be at least 1"),
+        (["--mode", "norm-ratio", "--k-far", "-3"], "k_far=-3 must be at least 1"),
+    ], ids=["alpha-q", "alpha", "k-far-0", "k-far-negative"])
+    def test_stats_bad_parameter_is_named(self, workspace, capsys, argv, message):
+        rc = run(["stats", "--input", workspace / "docs.bin", "--queries", workspace / "queries.bin"] + argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_bench_without_repetitions_is_a_clean_failure(self, workspace, tmp_path, capsys):
         save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), tmp_path / "idx.bin")
         rc = run([

@@ -232,6 +232,15 @@ class TestIpPreservation:
         with pytest.raises(ValueError, match=f"sample={sample} must be at least 1"):
             ip_preservation(small_set, small_set, 1.0, 1.0, sample=sample)
 
+    @pytest.mark.parametrize("alpha_doc, alpha_query, message", [
+        (0.0, 1.0, "alpha_doc=0.0 must lie in"),
+        (1.0, 1.5, "alpha_query=1.5 must lie in"),
+        (1.0, -0.5, "alpha_query=-0.5 must lie in"),
+    ])
+    def test_alpha_out_of_range_named(self, small_set, alpha_doc, alpha_query, message):
+        with pytest.raises(ValueError, match=message):
+            ip_preservation(small_set, small_set, alpha_doc, alpha_query, sample=50)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.6])
     @pytest.mark.parametrize("query_dim", [30, 50, 70])
     def test_matches_per_pair_loop(self, small_set, query_dim, alpha):
@@ -276,6 +285,12 @@ class TestNormRatioCdf:
         cdf = norm_ratio_cdf(small_set, queries, 1)
         assert all(r == pytest.approx(1.0) for r, _ in cdf)
         assert cdf[-1][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k_far", [0, -1])
+    def test_k_far_below_one_rejected(self, small_set, k_far):
+        queries = random_collection(5, small_set.dim, 8, seed=35)
+        with pytest.raises(ValueError, match=f"k_far={k_far} must be at least 1"):
+            norm_ratio_cdf(small_set, queries, k_far)
 
     def test_cdf_is_nondecreasing(self, small_set):
         queries = random_collection(20, small_set.dim, 8, seed=36)

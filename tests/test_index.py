@@ -15,7 +15,7 @@ from sparsemips import (
     set_alpha_mss,
     summarize,
 )
-from sparsemips.storage import ConsistencyError, HeaderError, StorageError, TruncatedPayloadError
+from sparsemips.storage import ConsistencyError, HeaderError, IndexOrderError, StorageError, TruncatedPayloadError
 from sparsemips.synth import random_collection, random_vector
 from conftest import summary_of
 
@@ -252,13 +252,17 @@ def per_block_build(vset, params):
             members.append(ids[cl])
             summaries.append(s)
             quantized.append((vals if params.quantize else s.values, m, delta))
+    # every summary entry as (dim, block, value), stored dim-major, blocks ascending
+    dims = np.concatenate([s.dims for s in summaries])
+    blocks = np.repeat(np.arange(len(summaries)), [s.nnz for s in summaries]).astype(np.uint32)
+    by_dim = np.lexsort((blocks, dims))
     return {
         "list_ptr": np.cumsum([0] + blocks_per_list),
         "block_ptr": np.cumsum([0] + [ids.size for ids in members]),
         "member_ids": np.concatenate(members).astype(np.uint32),
-        "summary_ptr": np.cumsum([0] + [s.nnz for s in summaries]),
-        "summary_dims": np.concatenate([s.dims for s in summaries]),
-        "summary_values": np.concatenate([values for values, _, _ in quantized]),
+        "summary_ptr": np.concatenate(([0], np.cumsum(np.bincount(dims, minlength=vset.dim)))),
+        "summary_blocks": blocks[by_dim],
+        "summary_values": np.concatenate([values for values, _, _ in quantized])[by_dim],
         "m": np.array([m for _, m, _ in quantized], dtype=np.float32),
         "delta": np.array([delta for _, _, delta in quantized], dtype=np.float32),
     }
@@ -274,7 +278,7 @@ class TestIndexSerialization:
         loaded = load_index(path)
         assert loaded.params == params
         assert loaded.forward == small_set
-        for name in ("list_ptr", "block_ptr", "member_ids", "summary_ptr", "summary_dims"):
+        for name in ("list_ptr", "block_ptr", "member_ids", "summary_ptr", "summary_blocks"):
             assert np.array_equal(getattr(index, name), getattr(loaded, name))
         for b in range(index.num_blocks):
             da, va = summary_of(index, b)
@@ -298,7 +302,7 @@ class TestIndexSerialization:
 
 SECTIONS = [
     "forward indptr", "forward indices", "forward values", "list_ptr", "block_ptr",
-    "member_ids", "summary_ptr", "summary_dims", "summary_values", "m", "delta",
+    "member_ids", "summary_ptr", "summary_blocks", "summary_values", "m", "delta",
 ]
 
 
@@ -314,10 +318,10 @@ class TestIndexFileRobustness:
     def sections(index):
         """{name: (offset, nbytes)} of each array, from the documented layout."""
         nrows, nnz, nb = len(index), index.forward.indices.size, index.num_blocks
-        snnz = index.summary_dims.size
+        snnz = index.summary_blocks.size
         sizes = [
             8 * (nrows + 1), 4 * nnz, 4 * nnz, 8 * (index.dim + 1), 8 * (nb + 1),
-            4 * index.member_ids.size, 8 * (nb + 1), 4 * snnz,
+            4 * index.member_ids.size, 8 * (index.dim + 1), 4 * snnz,
             snnz * (1 if index.params.quantize else 4), 4 * nb, 4 * nb,
         ]
         offsets = 8 + 36 + 48 + np.concatenate(([0], np.cumsum(sizes)))
@@ -332,6 +336,25 @@ class TestIndexFileRobustness:
         _, path = saved
         path.write_bytes(b"SPMIDX01" + path.read_bytes()[8:])
         with pytest.raises(HeaderError):
+            load_index(path)
+
+    def test_block_major_format_rejected(self, saved):
+        _, path = saved
+        path.write_bytes(b"SPMIDX02" + path.read_bytes()[8:])
+        with pytest.raises(HeaderError):
+            load_index(path)
+
+    @pytest.mark.parametrize("change", ["swap", "repeat"])
+    def test_blocks_not_ascending_within_a_dim_rejected(self, saved, change):
+        index, path = saved
+        d = int(np.flatnonzero(np.diff(index.summary_ptr) >= 2)[0])
+        s = int(index.summary_ptr[d])
+        first, second = index.summary_blocks[s:s + 2]
+        offset = self.sections(index)["summary_blocks"][0] + 4 * s
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = np.array([second, first] if change == "swap" else [first, first], np.uint32).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexOrderError):
             load_index(path)
 
     @pytest.mark.parametrize("section", ["header"] + SECTIONS)
@@ -377,7 +400,7 @@ class TestIndexFileRobustness:
         with pytest.raises(StorageError):
             load_index(path)
 
-    @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_dims", lambda ix: ix.dim)])
+    @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_blocks", lambda ix: ix.num_blocks)])
     def test_out_of_range_ids_rejected(self, saved, section, bound):
         index, path = saved
         offset, _ = self.sections(index)[section]

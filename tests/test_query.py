@@ -2,6 +2,7 @@ import heapq
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsemips import (
     BuildParams,
@@ -12,14 +13,15 @@ from sparsemips import (
     ZeroVectorError,
     build_exact_graph,
     build_index,
+    dequantize,
     exact_topk,
     search,
 )
-from sparsemips.query import evaluate_block, top_k
+from sparsemips.query import _summary_scores, evaluate_block, top_k
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 
-from conftest import summary_of
+from conftest import summaries_by_block, summary_of
 
 
 def exact_build(vset):
@@ -167,6 +169,71 @@ class TestPruning:
                 _, stats = search(index, None, q, SearchParams(k=10, alpha_q=1.0, heap_factor=hf), return_stats=True)
                 evals.append(stats.forward_evaluations)
             assert evals[0] <= evals[1]
+
+
+def block_major_summary_scores(index, first, last, q_dense):
+    """Reference: blocks first[i]:last[i] for each i, concatenated, scored as
+    one block-major summary CSR, dequantized, times the dense query."""
+    ptr, dims, positions = summaries_by_block(index)
+    blocks = np.concatenate([np.arange(f, e) for f, e in zip(first.tolist(), last.tolist())])
+    entries = list(map(slice, ptr[first].tolist(), ptr[last].tolist()))
+    lengths = ptr[blocks + 1] - ptr[blocks]
+    m, delta = np.repeat(index.m[blocks], lengths), np.repeat(index.delta[blocks], lengths)
+    codes = index.summary_values[positions]
+    values = dequantize(np.concatenate([codes[s] for s in entries]), m, delta)
+    cols = np.concatenate([dims[s] for s in entries])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return blocks, sp.csr_matrix((values, cols, indptr), shape=(blocks.size, index.dim)) @ q_dense
+
+
+class TestSummaryScores:
+    @pytest.fixture(scope="class", params=[True, False], ids=["quantized", "float32"])
+    def index(self, request):
+        # dims 40..47 hold a few docs each, so beta=0.05 makes their lists one
+        # block; dims 48..55 hold no entry at all
+        common = list(random_collection(400, 40, 10, seed=21))
+        rare = [SparseVector(v.dims + 40, v.values) for v in random_collection(12, 8, 2, seed=24)]
+        vset = VectorSet.from_vectors(56, common + rare)
+        gamma = 0.7 if request.param else 1.0
+        return build_index(vset, BuildParams(alpha=0.6, beta=0.05, gamma=gamma, quantize=request.param, seed=4))
+
+    def test_equal_to_the_block_major_mat_vec_bit_for_bit(self, index):
+        sizes = np.diff(index.list_ptr)
+        assert (sizes == 1).any() and (sizes > 1).any()
+        # lists meet in the columns: some column holds blocks of several lists
+        list_of = np.repeat(np.arange(index.dim), sizes)[index.summary_blocks]
+        column = np.repeat(np.arange(index.dim), np.diff(index.summary_ptr))
+        assert any(np.unique(list_of[column == d]).size > 1 for d in range(index.dim))
+        rng = np.random.default_rng(22)
+        every = np.arange(index.dim)
+        for trial in range(30):
+            q = random_vector(rng, index.dim, 12)
+            if trial % 2:  # a query dim in no summary
+                dims = np.union1d(q.dims[1:], [50]).astype(np.uint32)
+                q = SparseVector(dims, rng.uniform(0.1, 1.0, dims.size))
+            q_dense = q.to_dense(index.dim, dtype=np.float64)
+            # every block at once (each list once), then the query's own lists out of order
+            for lists in (every, rng.permutation(q.dims)):
+                first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
+                blocks, scores, entries = _summary_scores(index, first, last, q)
+                want_blocks, want = block_major_summary_scores(index, first, last, q_dense)
+                assert np.array_equal(blocks, want_blocks)
+                assert scores.dtype == np.float64
+                assert np.array_equal(scores.view(np.uint64), want.view(np.uint64))
+                in_lists = np.isin(index.summary_blocks, blocks)
+                on_query = np.repeat(np.isin(every, q.dims), np.diff(index.summary_ptr))
+                assert entries == np.count_nonzero(in_lists & on_query)
+
+    def test_search_reports_the_entries_read(self, index):
+        rng = np.random.default_rng(23)
+        params = SearchParams(k=5, alpha_q=0.7, heap_factor=0.9)
+        for _ in range(5):
+            q = random_vector(rng, index.dim, 12)
+            _, stats = search(index, None, q, params, return_stats=True)
+            kept = alpha_mss(q, params.alpha_q).dims
+            _, _, entries = _summary_scores(index, index.list_ptr[kept], index.list_ptr[kept + 1], q)
+            assert stats.summary_entries == entries > 0
+            assert stats.summary_entries < index.summary_blocks.size
 
 
 def per_block_reference(index, q, params):

@@ -8,10 +8,11 @@ the query's dims.  Then score documents exactly against the forward index
 in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
-  k-th best of their scores is the threshold t, fixed from here on;
-- main: every later block, in any sketched list, whose summary score is at
-  least t / heap_factor; the union of its unvisited members is scored at
-  once.
+  k-th best of their scores is the threshold t, fixed from here on.  Only
+  the leading lists whose member counts reach k are sorted to find it;
+- main: every other block, in any sketched list, whose summary score is
+  at least t / heap_factor; the union of its unvisited members is scored
+  at once.
 
 A walk that tests one block at a time starts from the same threshold t and
 only raises it, so every block it visits clears t / heap_factor too: the
@@ -20,6 +21,12 @@ result is the top k of every scored doc by (score desc, id asc); a query
 whose lists hold fewer than k docs falls back to scoring everything, and
 graph expansion optionally scores the unvisited neighbors of the top k in
 one more batch.
+
+Each batch is deduplicated against a visited bitmap and scored over the
+float64 CSR that exact_topk scores: a small batch by one bincount over its
+rows' entries, a large one by scipy's row gather and mat-vec.  Both add a
+row's products in CSR order from 0.0, so every score equals the oracle's
+bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index import Block, dequantize
-from .sketching import ZeroVectorError, alpha_mss
+# perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
+from .sketching import ZeroVectorError, alpha_mss, top_mass  # noqa: F401
 from .vectors import SparseVector
 
 
@@ -73,10 +81,13 @@ class ResultList:
 
 @dataclass
 class SearchStats:
-    forward_evaluations: int = 0
+    forward_evaluations: int = 0  # docs scored exactly, in every batch
     blocks_visited: int = 0
     blocks_skipped: int = 0
     summary_entries: int = 0  # summary entries read to score the blocks
+    dims_kept: int = 0  # sketched query dims whose lists were traversed
+    fallback_docs: int = 0  # docs scored by the exhaustive fallback
+    graph_docs: int = 0  # docs scored by graph expansion
 
 
 def check_query_dims(dims, dim):
@@ -105,6 +116,30 @@ def _ranges(starts, stops):
     return np.repeat(stops - ends, lengths) + np.arange(lengths.sum())
 
 
+# Batches of at most this many docs are scored by one bincount over the CSR
+# arrays, larger ones by scipy's row gather and mat-vec.  On 40-nnz rows of a
+# 10k-row CSR (one thread of a 2-core x86-64 host, numpy 2.4, scipy 1.17)
+# the scipy pair cost ~90 us per call plus ~0.1 us per doc and the bincount
+# ~30 us plus ~0.5 us per doc, so the two crossed at ~130-150 docs.
+SMALL_BATCH = 128
+
+
+def _forward_scores(forward, ids, q_dense):
+    """Exact float64 scores of rows `ids` of the forward index against q_dense.
+
+    Both ways sum each row's products in CSR order from 0.0 over the float64
+    CSR that exact_topk scores, so each score is bit-identical to the oracle's.
+    """
+    csr = forward.scipy64()
+    if ids.size > SMALL_BATCH:
+        return csr[ids] @ q_dense
+    starts, stops = csr.indptr[ids], csr.indptr[ids + 1]
+    entries = _ranges(starts, stops)
+    products = csr.data[entries] * q_dense[csr.indices[entries]]
+    rows = np.repeat(np.arange(ids.size), stops - starts)
+    return np.bincount(rows, weights=products, minlength=ids.size)
+
+
 def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     """Score the distinct `ids` not yet visited; return the best k of them and `top`."""
     ids = ids[~visited[ids]]
@@ -113,10 +148,15 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     visited[ids] = True
     if stats is not None:
         stats.forward_evaluations += ids.size
-    # one row gather and one mat-vec over the float64 CSR that exact_topk
-    # scores, so each score is bit-identical to the oracle's
-    scores = forward.scipy64()[ids] @ q_dense
+    scores = _forward_scores(forward, ids, q_dense)
     return top_k(np.concatenate((top[0], ids)), np.concatenate((top[1], scores)), k)
+
+
+def _unvisited(ids, visited):
+    """The distinct `ids` not yet visited, ascending."""
+    mark = np.zeros(visited.size, dtype=bool)
+    mark[ids] = ~visited[ids]
+    return np.flatnonzero(mark)
 
 
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
@@ -132,7 +172,9 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     """One-hop expansion: score the unvisited neighbors of the docs in `top`."""
     if graph is None or graph.kappa == 0:
         return top
-    neighbors = np.unique(graph.neighbors[top[0]])
+    neighbors = _unvisited(graph.neighbors[top[0]], visited)
+    if stats is not None:
+        stats.graph_docs += neighbors.size
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
 
 
@@ -166,9 +208,9 @@ def _summary_scores(index, first, last, q):
     return _ranges(first, last), scores, hits.size
 
 
-def _members(index, blocks):
-    """Distinct member ids of `blocks`, ascending."""
-    return np.unique(index.member_ids[_ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])])
+def _members(index, blocks, visited):
+    """Distinct member ids of `blocks` not yet visited, ascending."""
+    return _unvisited(index.member_ids[_ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])], visited)
 
 
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):
@@ -180,43 +222,52 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
     forward, k = index.forward, params.k
     q_dense = q.to_dense(index.dim, dtype=np.float64)
-    q_sketch = alpha_mss(q, params.alpha_q)
+    kept = top_mass([0, q.dims.size], q.values, params.alpha_q)
     # traverse high-value query dimensions first to fill the top k early
-    dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
+    dim_order = q.dims[kept][np.argsort(-q.values[kept], kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
     blocks, r, entries = _summary_scores(index, first, last, q)
-    # lists in sketch order, blocks by summary score descending; lexsort is stable
-    order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
-    blocks, r = blocks[order], r[order]
+    visited = np.zeros(len(forward), dtype=bool)
 
-    # fill: the fewest leading blocks with k members, extended while their
-    # distinct docs fall short of k (a doc can sit in several lists)
-    members_upto = np.cumsum(index.block_ptr[blocks + 1] - index.block_ptr[blocks])
-    nfill = min(int(np.searchsorted(members_upto, k)) + 1, blocks.size)
-    fill = _members(index, blocks[:nfill])
+    # fill: the fewest leading blocks, lists in sketch order and blocks by
+    # summary score descending, with k members, extended while their
+    # distinct docs fall short of k (a doc can sit in several lists).  Only
+    # the leading lists whose member counts reach the target are sorted.
+    list_blocks = last - first
+    list_ends = np.cumsum(list_blocks)
+    list_members = np.cumsum(index.block_ptr[last] - index.block_ptr[first])
+    needed, nfill, fill = k, 0, blocks[:0]
     while fill.size < k and nfill < blocks.size:
+        nlists = min(int(np.searchsorted(list_members, needed)) + 1, first.size)
+        head = np.lexsort((-r[:list_ends[nlists - 1]], np.repeat(np.arange(nlists), list_blocks[:nlists])))
+        members_upto = np.cumsum(index.block_ptr[blocks[head] + 1] - index.block_ptr[blocks[head]])
+        nfill = min(int(np.searchsorted(members_upto, needed)) + 1, head.size)
+        fill = _members(index, blocks[head[:nfill]], visited)
         # each further block adds at most its size in new docs
         needed = members_upto[nfill - 1] + k - fill.size
-        nfill = min(int(np.searchsorted(members_upto, needed)) + 1, blocks.size)
-        fill = _members(index, blocks[:nfill])
 
     top = (np.empty(0, dtype=np.int64), np.empty(0))
-    visited = np.zeros(len(forward), dtype=bool)
-    stats = SearchStats(summary_entries=entries)
+    stats = SearchStats(dims_kept=dim_order.size, summary_entries=entries)
     top = evaluate_block(Block(fill), forward, q_dense, top, visited, k, stats)
-    # main: every later block that clears the threshold the fill fixed
-    main = blocks[nfill:]
+    # main: every block outside the fill that clears the threshold the fill
+    # fixed.  A fill that took every block (none at all when every sketched
+    # list is empty) leaves no main and may hold fewer than k docs.
+    main = blocks[:0]
+    if nfill < blocks.size:
+        keep = r >= top[1][-1] / params.heap_factor
+        keep[head[:nfill]] = False
+        main = blocks[keep]
     if main.size:
-        main = main[r[nfill:] >= top[1][-1] / params.heap_factor]
-    if main.size:
-        top = evaluate_block(Block(_members(index, main)), forward, q_dense, top, visited, k, stats)
+        top = evaluate_block(Block(_members(index, main, visited)), forward, q_dense, top, visited, k, stats)
     stats.blocks_visited = nfill + main.size
     stats.blocks_skipped = blocks.size - stats.blocks_visited
 
     if top[0].size < min(k, len(forward)):
         # fewer candidates than requested (k near N, or degenerate pruning):
         # fall back to exact evaluation of everything not yet seen
-        top = _score_unvisited(np.flatnonzero(~visited), forward, q_dense, top, visited, k, stats)
+        rest = np.flatnonzero(~visited)
+        stats.fallback_docs = rest.size
+        top = _score_unvisited(rest, forward, q_dense, top, visited, k, stats)
 
     if params.use_graph and graph is not None and graph.kappa > 0:
         top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)

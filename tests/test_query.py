@@ -17,7 +17,8 @@ from sparsemips import (
     exact_topk,
     search,
 )
-from sparsemips.query import _summary_scores, evaluate_block, top_k
+from sparsemips import query
+from sparsemips.query import SearchStats, _forward_scores, _summary_scores, evaluate_block, top_k
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 
@@ -301,3 +302,159 @@ class TestGraphExpansion:
         q = random_vector(rng, medium_set.dim, 12)
         params = SearchParams(k=10, alpha_q=0.7, heap_factor=0.8, use_graph=False)
         assert search(index, graph, q, params) == search(index, None, q, params)
+
+
+def sorted_traversal(index, graph, q, params):
+    """Reference: the traversal that sorts every block of the sketched lists
+    (lists in sketch order, blocks by summary score descending), dedupes with
+    np.unique and scores every batch with scipy's row gather and mat-vec.
+    Returns the result, its SearchStats and the number of fill blocks."""
+    forward, k = index.forward, params.k
+    q_dense = q.to_dense(index.dim, dtype=np.float64)
+    q_sketch = alpha_mss(q, params.alpha_q)
+    dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
+    first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
+    blocks, r, entries = _summary_scores(index, first, last, q)
+    order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
+    blocks, r = blocks[order], r[order]
+    stats = SearchStats(dims_kept=dim_order.size, summary_entries=entries)
+    visited = np.zeros(len(forward), dtype=bool)
+    top = empty_top()
+
+    def members(bs):
+        return np.unique(np.concatenate([index.block(b).ids for b in bs.tolist()] + [np.empty(0, np.uint32)]))
+
+    def score(ids):
+        nonlocal top
+        ids = ids[~visited[ids]].astype(np.int64)
+        visited[ids] = True
+        stats.forward_evaluations += ids.size
+        scores = forward.scipy64()[ids] @ q_dense
+        top = top_k(np.concatenate((top[0], ids)), np.concatenate((top[1], scores)), k)
+        return ids.size
+
+    members_upto = np.cumsum(index.block_ptr[blocks + 1] - index.block_ptr[blocks])
+    nfill = min(int(np.searchsorted(members_upto, k)) + 1, blocks.size)
+    fill = members(blocks[:nfill])
+    while fill.size < k and nfill < blocks.size:
+        needed = members_upto[nfill - 1] + k - fill.size
+        nfill = min(int(np.searchsorted(members_upto, needed)) + 1, blocks.size)
+        fill = members(blocks[:nfill])
+    score(fill)
+    main = blocks[nfill:]
+    if main.size:
+        main = main[r[nfill:] >= top[1][-1] / params.heap_factor]
+        score(members(main))
+    stats.blocks_visited = nfill + main.size
+    stats.blocks_skipped = blocks.size - stats.blocks_visited
+    if top[0].size < min(k, len(forward)):
+        stats.fallback_docs = score(np.flatnonzero(~visited))
+    if params.use_graph and graph is not None and graph.kappa > 0:
+        stats.graph_docs = score(np.unique(graph.neighbors[top[0]]))
+    return ResultList(*top), stats, nfill
+
+
+def assert_same_as_sorted_traversal(index, graph, q, params):
+    got, stats = search(index, graph, q, params, return_stats=True)
+    want, want_stats, nfill = sorted_traversal(index, graph, q, params)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.scores.view(np.uint32), want.scores.view(np.uint32))
+    assert stats == want_stats
+    return got, stats, nfill
+
+
+def with_vectors(entries):
+    return [SparseVector(np.array(list(e)), np.array(list(e.values()), dtype=np.float32)) for e in entries]
+
+
+class TestLowCallSearch:
+    """search against the sort-every-block traversal, on the cases where
+    pruning degenerates; every SearchStats field must match too."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["quantized", "float32"])
+    def quantize(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def vset(self):
+        # docs 0..5 hold dims 0 and 1, docs 6..7 dim 1 and docs 8..39 dim 2;
+        # the rest spread over dims 10..49, and dims 50..59 hold no entry
+        head = with_vectors([{0: 1.0, 1: 1.0, 10 + j: 0.3} for j in range(6)])
+        head += with_vectors([{1: 0.5, 20 + j: 0.4} for j in range(2)])
+        head += with_vectors([{2: 0.2 + 0.02 * j, 30 + j % 10: 0.5} for j in range(32)])
+        rest = [SparseVector(v.dims + 10, v.values) for v in random_collection(260, 40, 6, seed=41)]
+        return VectorSet.from_vectors(60, head + rest)
+
+    @pytest.fixture(scope="class")
+    def index(self, vset, quantize):
+        return build_index(vset, BuildParams(alpha=1.0, beta=0.3, gamma=1.0, quantize=quantize, seed=5))
+
+    def test_random_queries(self, vset, index):
+        graph = build_exact_graph(vset, 5)
+        rng = np.random.default_rng(42)
+        for trial in range(40):
+            q = random_vector(rng, 50, 8)
+            params = SearchParams(
+                k=(1, 10, 25)[trial % 3], alpha_q=(0.5, 1.0)[trial % 2],
+                heap_factor=(0.7, 1.0)[trial % 4 // 2], use_graph=trial % 5 == 0,
+            )
+            assert_same_as_sorted_traversal(index, graph, q, params)
+
+    def test_every_sketched_list_empty_falls_back(self, vset, index):
+        # the sketch keeps only the two large dims, which no doc holds
+        q = SparseVector(np.array([1, 52, 57]), np.array([0.01, 1.0, 1.0]))
+        params = SearchParams(k=10, alpha_q=0.9)
+        got, stats, _ = assert_same_as_sorted_traversal(index, None, q, params)
+        assert got == exact_topk(vset, q, 10)
+        assert stats.blocks_visited == stats.blocks_skipped == stats.summary_entries == 0
+        assert stats.dims_kept == 2
+        assert stats.fallback_docs == stats.forward_evaluations == len(vset)
+
+    def test_fill_widens_past_the_lists_the_counts_predict(self, index):
+        # lists 0 and 1 hold 6 + 8 >= 10 members but only 8 distinct docs
+        q = SparseVector(np.array([0, 1, 2]), np.array([1.0, 0.9, 0.8]))
+        _, stats, nfill = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=10))
+        assert nfill > index.list_ptr[2] - index.list_ptr[0]
+        assert stats.forward_evaluations >= 10 and stats.fallback_docs == 0
+
+    def test_k_at_least_collection_size(self, vset, index):
+        q = random_vector(np.random.default_rng(43), 50, 6)
+        for k in (len(vset), len(vset) + 7):
+            got, stats, _ = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=k, alpha_q=0.6))
+            assert got == exact_topk(vset, q, k)
+            assert stats.fallback_docs > 0
+
+    def test_small_heap_factor_with_a_graph(self, vset, index):
+        graph = build_exact_graph(vset, 6)
+        rng = np.random.default_rng(44)
+        graph_docs = 0
+        for _ in range(10):
+            q = random_vector(rng, 50, 10)
+            params = SearchParams(k=8, alpha_q=0.7, heap_factor=0.6, use_graph=True)
+            _, stats, _ = assert_same_as_sorted_traversal(index, graph, q, params)
+            assert stats.dims_kept == alpha_mss(q, params.alpha_q).dims.size
+            graph_docs += stats.graph_docs
+        assert graph_docs > 0
+
+
+class TestForwardScores:
+    @pytest.fixture(scope="class")
+    def forward(self):
+        rows = list(random_collection(400, 80, 12, seed=45))
+        for j in range(0, 400, 37):  # rows with no entries
+            rows[j] = SparseVector(np.empty(0, np.uint32), np.empty(0, np.float32))
+        return VectorSet.from_vectors(80, rows)
+
+    @pytest.mark.parametrize("size", [1, 2, query.SMALL_BATCH, query.SMALL_BATCH + 1, 400])
+    def test_both_paths_equal_the_scipy_mat_vec_bit_for_bit(self, forward, size, monkeypatch):
+        rng = np.random.default_rng(size)
+        q_dense = random_vector(rng, 80, 15).to_dense(80, dtype=np.float64)
+        ids = np.sort(rng.choice(400, size=size, replace=False))
+        if size > 1:
+            ids[0] = 0  # an empty row
+        want = forward.scipy64()[ids] @ q_dense
+        for limit in (0, 400):  # every batch by scipy, then every batch by bincount
+            monkeypatch.setattr(query, "SMALL_BATCH", limit)
+            got = _forward_scores(forward, ids, q_dense)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .query import ResultList, SearchParams, check_query_dims, search, top_k
+from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import top_mass
 from .vectors import SparseVector, VectorSet
 
@@ -37,8 +37,7 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     """Exhaustive scoring, sorted by (score desc, id asc), truncated to k."""
     if len(vset) == 0:
         raise ValueError("cannot search an empty collection")
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = check_k(k)
     check_query_dims(q.dims, vset.dim)
     scores = vset.scipy64() @ q.to_dense(vset.dim)
     return ResultList(*top_k(np.arange(len(vset)), scores, k))
@@ -49,7 +48,8 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
 
     A dense right operand sums each score in the order of exact_topk's mat-vec.
     """
-    if not 1 <= k <= len(vset):
+    k = check_k(k)
+    if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
     mat, qmat, all_ids = vset.scipy64(), _csr64(queries, vset.dim), np.arange(len(vset))
@@ -66,8 +66,7 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
 
 def accuracy_at_k(truth_ids, run_ids, k) -> float:
     """|true top-k  intersect  returned top-k| / k by id sets."""
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
+    k = check_k(k)
     truth_ids = np.asarray(truth_ids)
     if truth_ids.size < k:
         raise ValueError(f"ground truth depth {truth_ids.size} is less than k={k}")
@@ -78,8 +77,7 @@ def accuracy_at_k(truth_ids, run_ids, k) -> float:
 
 def mean_accuracy(gt: GroundTruth, runs, k) -> float:
     """runs: per query, a sequence of (id, score) pairs."""
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
+    k = check_k(k)
     if len(runs) > gt.num_queries:
         raise ValueError(f"run holds query {len(runs) - 1}, but the ground truth has {gt.num_queries} queries")
     accs = [

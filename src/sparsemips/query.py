@@ -36,7 +36,7 @@ import numpy as np
 
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
-from .sketching import ZeroVectorError, alpha_mss, top_mass  # noqa: F401
+from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
 from .vectors import SparseVector
 
 
@@ -48,8 +48,7 @@ class SearchParams:
     use_graph: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
+        object.__setattr__(self, "k", check_k(self.k))
         if not 0 < self.alpha_q <= 1:
             raise ValueError("alpha_q must lie in (0, 1]")
         if not 0 < self.heap_factor <= 1:
@@ -90,6 +89,15 @@ class SearchStats:
     graph_docs: int = 0  # docs scored by graph expansion
 
 
+def check_k(k):
+    """k as an int; ValueError unless it is an integer (a bool is not one) of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k={k!r} must be an integer")
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    return int(k)
+
+
 def check_query_dims(dims, dim):
     """Raise ValueError unless every query dim lies below the collection's `dim`."""
     if dims.size and int(dims.max()) >= dim:
@@ -103,24 +111,27 @@ def top_k(ids, scores, k):
     included, so the lexsort orders only those.
     """
     if scores.size > k:
-        keep = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
+        keep = (scores >= np.partition(scores, scores.size - k)[scores.size - k]).nonzero()[0]
         ids, scores = ids[keep], scores[keep]
     order = np.lexsort((ids, -scores))[:k]
     return ids[order], scores[order]
 
 
 def _ranges(starts, stops):
-    """Concatenation of arange(starts[i], stops[i]) over i, without a loop."""
+    """Concatenation of arange(starts[i], stops[i]) over i, as intp, without a loop."""
+    starts, stops = starts.astype(np.intp, copy=False), stops.astype(np.intp, copy=False)
     lengths = stops - starts
-    ends = np.cumsum(lengths)
-    return np.repeat(stops - ends, lengths) + np.arange(lengths.sum())
+    entries = (stops - lengths.cumsum()).repeat(lengths)
+    entries += np.arange(entries.size)
+    return entries
 
 
 # Batches of at most this many docs are scored by one bincount over the CSR
-# arrays, larger ones by scipy's row gather and mat-vec.  On 40-nnz rows of a
-# 10k-row CSR (one thread of a 2-core x86-64 host, numpy 2.4, scipy 1.17)
-# the scipy pair cost ~90 us per call plus ~0.1 us per doc and the bincount
-# ~30 us plus ~0.5 us per doc, so the two crossed at ~130-150 docs.
+# arrays, larger ones by scipy's row gather and mat-vec.  On the benchmark's
+# own batches (40-nnz rows of a 10k-row CSR; one thread of a 2-core x86-64
+# host, numpy 2.4, scipy 1.17) the bincount took ~26 us at 23 docs plus
+# ~0.6 us per doc and scipy 80-105 us almost flat, so they crossed at
+# ~140-150 docs; limits of 160 and 192 searched no faster than 128.
 SMALL_BATCH = 128
 
 
@@ -135,9 +146,10 @@ def _forward_scores(forward, ids, q_dense):
         return csr[ids] @ q_dense
     starts, stops = csr.indptr[ids], csr.indptr[ids + 1]
     entries = _ranges(starts, stops)
-    products = csr.data[entries] * q_dense[csr.indices[entries]]
-    rows = np.repeat(np.arange(ids.size), stops - starts)
-    return np.bincount(rows, weights=products, minlength=ids.size)
+    products = csr.data[entries]
+    # take converts scipy's int32 indices far faster than fancy indexing does
+    products *= q_dense.take(csr.indices[entries])
+    return np.bincount(np.arange(ids.size).repeat(stops - starts), products, ids.size)
 
 
 def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
@@ -153,10 +165,11 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
 
 
 def _unvisited(ids, visited):
-    """The distinct `ids` not yet visited, ascending."""
+    """The distinct `ids` not yet visited, ascending, as intp."""
     mark = np.zeros(visited.size, dtype=bool)
-    mark[ids] = ~visited[ids]
-    return np.flatnonzero(mark)
+    mark[ids] = True  # one scatter through `ids`, which may be uint32
+    np.greater(mark, visited, out=mark)  # marked and not visited
+    return mark.nonzero()[0]
 
 
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
@@ -179,8 +192,8 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
 
 
 def _summary_scores(index, first, last, q):
-    """Blocks first[i]:last[i] for each i, concatenated, their summary scores
-    against the query q, and the number of summary entries read.
+    """Blocks first[i]:last[i] for each of at least one i, concatenated, their
+    summary scores against the query q, and the number of summary entries read.
 
     The blocks of a list are a contiguous run of each dim's column, so one
     binary search per query dim finds every entry that can score.  Entries
@@ -192,25 +205,27 @@ def _summary_scores(index, first, last, q):
     # uint32 needles: int64 ones make searchsorted copy the column on each call
     bounds = np.concatenate((first, last)).astype(np.uint32)
     starts = ptr[q.dims]
-    cuts = np.concatenate([
-        np.searchsorted(column[s:e], bounds) for s, e in zip(starts.tolist(), ptr[q.dims + 1].tolist())
-    ]).reshape(q.dims.size, 2, first.size) + starts[:, None, None]
-    lo, hi = cuts[:, 0].ravel(), cuts[:, 1].ravel()
-    hits = _ranges(lo, hi)
-    blocks = column[hits].astype(np.int64)
+    # row i: the entries of query dim i that start, then end, each list's run
+    cuts = np.array([column[s:e].searchsorted(bounds) for s, e in zip(starts.tolist(), ptr[q.dims + 1].tolist())])
+    cuts += starts[:, None]
+    lo, hi = cuts[:, :first.size], cuts[:, first.size:]
+    counts = hi - lo
+    hits = _ranges(lo.ravel(), hi.ravel())
+    blocks = column[hits].astype(np.intp)
     values = dequantize(index.summary_values[hits], index.m[blocks], index.delta[blocks])
-    values *= np.repeat(np.repeat(q.values.astype(np.float64), first.size), hi - lo)
+    values *= q.values.repeat(counts.sum(axis=1))
     # a block's position in the concatenation of the lists' ranges
     sizes = last - first
-    shift = np.cumsum(sizes) - sizes - first
-    positions = blocks + np.repeat(np.tile(shift, q.dims.size), hi - lo)
-    scores = np.bincount(positions, weights=values, minlength=sizes.sum())
+    ends = sizes.cumsum()
+    blocks += (ends - sizes - first)[None].repeat(q.dims.size, axis=0).repeat(counts.ravel())
+    scores = np.bincount(blocks, values, ends[-1])
     return _ranges(first, last), scores, hits.size
 
 
 def _members(index, blocks, visited):
     """Distinct member ids of `blocks` not yet visited, ascending."""
-    return _unvisited(index.member_ids[_ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])], visited)
+    members = _ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])
+    return _unvisited(index.member_ids[members], visited)
 
 
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):
@@ -222,9 +237,8 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
     forward, k = index.forward, params.k
     q_dense = q.to_dense(index.dim, dtype=np.float64)
-    kept = top_mass([0, q.dims.size], q.values, params.alpha_q)
-    # traverse high-value query dimensions first to fill the top k early
-    dim_order = q.dims[kept][np.argsort(-q.values[kept], kind="stable")]
+    # the sketch's dims, high values first, to fill the top k early
+    dim_order = q.dims[top_mass_order([0, q.dims.size], q.values, params.alpha_q)]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
     blocks, r, entries = _summary_scores(index, first, last, q)
     visited = np.zeros(len(forward), dtype=bool)
@@ -233,15 +247,16 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     # summary score descending, with k members, extended while their
     # distinct docs fall short of k (a doc can sit in several lists).  Only
     # the leading lists whose member counts reach the target are sorted.
-    list_blocks = last - first
-    list_ends = np.cumsum(list_blocks)
-    list_members = np.cumsum(index.block_ptr[last] - index.block_ptr[first])
+    block_ptr, list_blocks = index.block_ptr, last - first
+    list_ends = list_blocks.cumsum()
+    list_members = (block_ptr[last] - block_ptr[first]).cumsum()
     needed, nfill, fill = k, 0, blocks[:0]
     while fill.size < k and nfill < blocks.size:
-        nlists = min(int(np.searchsorted(list_members, needed)) + 1, first.size)
-        head = np.lexsort((-r[:list_ends[nlists - 1]], np.repeat(np.arange(nlists), list_blocks[:nlists])))
-        members_upto = np.cumsum(index.block_ptr[blocks[head] + 1] - index.block_ptr[blocks[head]])
-        nfill = min(int(np.searchsorted(members_upto, needed)) + 1, head.size)
+        nlists = min(int(list_members.searchsorted(needed)) + 1, first.size)
+        head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
+        head_blocks = blocks[head]
+        members_upto = (block_ptr[head_blocks + 1] - block_ptr[head_blocks]).cumsum()
+        nfill = min(int(members_upto.searchsorted(needed)) + 1, head.size)
         fill = _members(index, blocks[head[:nfill]], visited)
         # each further block adds at most its size in new docs
         needed = members_upto[nfill - 1] + k - fill.size

@@ -3,8 +3,9 @@
 Three procedures live here:
   * seeded l1 threshold sampling with its unbiased inner-product estimator,
   * the top-mass rule (keep the fewest largest entries that reach a target
-    fraction of the l1 mass), on every segment of a CSR at once; the
-    per-vector sketch is its one-segment call,
+    fraction of the l1 mass), on every segment of a CSR at once, as a mask or
+    as the kept positions largest first; the per-vector sketch is its
+    one-segment call,
   * the collection-level variant that keeps, per dimension, the largest
     column values.
 """
@@ -124,23 +125,30 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     return out
 
 
-def top_mass(indptr, values, alpha):
-    """The top-mass rule on every segment values[indptr[s]:indptr[s+1]] of a CSR.
-
-    Each segment keeps its fewest largest entries whose sum reaches a
-    fraction alpha of its l1 mass; ties sort by (value descending, position
-    ascending), which is dim ascending in a CSR row.  Returns a mask of the
-    kept entries; alpha == 1 keeps every entry.
-    """
+def _segment_sizes(indptr, alpha):
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     indptr = np.asarray(indptr, dtype=np.int64)
     sizes = indptr[1:] - indptr[:-1]
     if not sizes.all():  # values are positive, so only an empty segment has no mass
         raise ZeroVectorError("cannot sketch a zero vector")
-    if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
-        return np.ones(values.size, dtype=bool)
+    return sizes
+
+
+def top_mass_order(indptr, values, alpha):
+    """The entries the top-mass rule keeps on every segment
+    values[indptr[s]:indptr[s+1]] of a CSR, as positions into values: segment
+    by segment, largest value first.
+
+    Each segment keeps its fewest largest entries whose sum reaches a
+    fraction alpha of its l1 mass; ties sort by (value descending, position
+    ascending), which is dim ascending in a CSR row.  alpha == 1 keeps every
+    entry.
+    """
+    sizes = _segment_sizes(indptr, alpha)
     order = np.lexsort((-values, np.arange(sizes.size).repeat(sizes)))  # ties: positions ascending
+    if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
+        return order
     # one zero-padded row per segment, largest value first, after a leading
     # 0: csum[s, p] is the mass of segment s's p largest entries, summed in
     # the same order, so rounded alike, as a cumsum of the segment alone
@@ -153,8 +161,17 @@ def top_mass(indptr, values, alpha):
     # largest always; the boundary comparison tolerates float32 value rounding
     below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
     below[:, 0] = True
-    keep = np.empty(values.size, dtype=bool)
-    keep[order] = below[filled]
+    return order[below[filled]]
+
+
+def top_mass(indptr, values, alpha):
+    """The top-mass rule of top_mass_order as a mask of the kept entries;
+    alpha == 1 keeps every entry without sorting any."""
+    if alpha == 1:  # every entry, without the sort
+        _segment_sizes(indptr, alpha)
+        return np.ones(values.size, dtype=bool)
+    keep = np.zeros(values.size, dtype=bool)
+    keep[top_mass_order(indptr, values, alpha)] = True
     return keep
 
 

@@ -155,6 +155,23 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             ground_truth(small_set, small_set, len(small_set) + 1)
 
+    @pytest.mark.parametrize("k", [2.5, True, np.bool_(True), None])
+    def test_k_must_be_an_integer(self, small_set, k):
+        q = small_set.vector(0)
+        with pytest.raises(ValueError, match="k=.* must be an integer"):
+            exact_topk(small_set, q, k)
+        with pytest.raises(ValueError, match="k=.* must be an integer"):
+            ground_truth(small_set, small_set, k)
+
+    @pytest.mark.parametrize("k", [np.int64(4), np.uint32(4)])
+    def test_numpy_integer_k_accepted(self, small_set, k):
+        gt = ground_truth(small_set, small_set, k)
+        assert gt.ids.shape == (len(small_set), 4)
+        for j in (0, 7):
+            q = small_set.vector(j)
+            assert exact_topk(small_set, q, k) == exact_topk(small_set, q, 4)
+            assert np.array_equal(gt.ids[j], exact_topk(small_set, q, 4).ids)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, small_set, k):
         with pytest.raises(ValueError, match=f"k={k} must be at least 1"):

@@ -15,6 +15,10 @@ from sparsemips import (
     build_index,
     dequantize,
     exact_topk,
+    load_graph,
+    load_index,
+    save_graph,
+    save_index,
     search,
 )
 from sparsemips import query
@@ -40,6 +44,17 @@ class TestSearchParams:
             SearchParams(k=5, alpha_q=0.0)
         with pytest.raises(ValueError):
             SearchParams(k=5, heap_factor=1.5)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.bool_(True), "3", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k=.* must be an integer"):
+            SearchParams(k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.uint32(3), np.int8(3)])
+    def test_numpy_integer_k_accepted(self, small_set, k):
+        index = exact_build(small_set)
+        q = random_vector(np.random.default_rng(49), small_set.dim, 8)
+        assert search(index, None, q, SearchParams(k=k)) == search(index, None, q, SearchParams(k=3))
 
 
 class TestTopK:
@@ -438,23 +453,120 @@ class TestLowCallSearch:
 
 
 class TestForwardScores:
+    N = 400
+
     @pytest.fixture(scope="class")
     def forward(self):
-        rows = list(random_collection(400, 80, 12, seed=45))
-        for j in range(0, 400, 37):  # rows with no entries
+        rows = list(random_collection(self.N, 80, 12, seed=45))
+        for j in range(0, self.N, 37):  # rows with no entries
             rows[j] = SparseVector(np.empty(0, np.uint32), np.empty(0, np.float32))
         return VectorSet.from_vectors(80, rows)
 
-    @pytest.mark.parametrize("size", [1, 2, query.SMALL_BATCH, query.SMALL_BATCH + 1, 400])
-    def test_both_paths_equal_the_scipy_mat_vec_bit_for_bit(self, forward, size, monkeypatch):
+    @staticmethod
+    def batch(size, dtype):
         rng = np.random.default_rng(size)
         q_dense = random_vector(rng, 80, 15).to_dense(80, dtype=np.float64)
-        ids = np.sort(rng.choice(400, size=size, replace=False))
+        ids = np.sort(rng.choice(TestForwardScores.N, size=size, replace=False)).astype(dtype)
         if size > 1:
             ids[0] = 0  # an empty row
+        return ids, q_dense
+
+    @pytest.mark.parametrize("size", [1, 2, query.SMALL_BATCH, query.SMALL_BATCH + 1, N])
+    def test_both_paths_equal_the_scipy_mat_vec_bit_for_bit(self, forward, size, monkeypatch):
+        for dtype in (np.intp, np.uint32):  # graph neighbors arrive as uint32, other batches as intp
+            ids, q_dense = self.batch(size, dtype)
+            want = forward.scipy64()[ids] @ q_dense
+            for limit in (0, self.N):  # every batch by scipy, then every batch by bincount
+                monkeypatch.setattr(query, "SMALL_BATCH", limit)
+                got = _forward_scores(forward, ids, q_dense)
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.intp, np.uint32])
+    @pytest.mark.parametrize("size", [query.SMALL_BATCH, query.SMALL_BATCH + 1])
+    def test_small_batch_is_the_last_size_bincount_scores(self, forward, size, dtype, monkeypatch):
+        ids, q_dense = self.batch(size, dtype)
+        calls = []
+        ranges = query._ranges
+
+        def counted(starts, stops):
+            calls.append(starts.size)
+            return ranges(starts, stops)
+
+        monkeypatch.setattr(query, "_ranges", counted)  # only the bincount path gathers ranges
+        got = _forward_scores(forward, ids, q_dense)
+        assert calls == ([size] if size <= query.SMALL_BATCH else [])
         want = forward.scipy64()[ids] @ q_dense
-        for limit in (0, 400):  # every batch by scipy, then every batch by bincount
-            monkeypatch.setattr(query, "SMALL_BATCH", limit)
-            got = _forward_scores(forward, ids, q_dense)
-            assert got.dtype == np.float64
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestRanges:
+    @staticmethod
+    def reference(starts, stops):
+        return np.concatenate([np.arange(s, e) for s, e in zip(starts.tolist(), stops.tolist())] + [np.empty(0, int)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, np.int64])
+    def test_equals_a_loop_of_aranges(self, dtype):
+        rng = np.random.default_rng(46)
+        cases = [([], []), ([4], [4]), ([0, 3, 3, 9], [0, 5, 3, 12]), ([7, 2, 0], [9, 2, 5])]
+        for _ in range(20):  # ranges in any order, some empty, some overlapping
+            starts = rng.integers(0, 50, rng.integers(1, 12))
+            cases.append((starts, starts + rng.integers(0, 6, starts.size)))
+        for starts, stops in cases:
+            starts, stops = np.asarray(starts, dtype=dtype), np.asarray(stops, dtype=dtype)
+            got = query._ranges(starts, stops)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, self.reference(starts, stops))
+
+
+class TestSearchAfterReload:
+    """The loaded copy of an index and graph holds buffer views in the file's
+    dtypes; search on it must equal search on the built one."""
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
+    def test_equal_to_the_built_index(self, medium_set, quantize, tmp_path):
+        built = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=7))
+        built_graph = build_exact_graph(medium_set, 6)
+        save_index(built, tmp_path / "index.bin")
+        save_graph(built_graph, tmp_path / "graph.bin")
+        loaded, loaded_graph = load_index(tmp_path / "index.bin"), load_graph(tmp_path / "graph.bin")
+        assert loaded.member_ids.base is not None and loaded.member_ids.dtype == loaded_graph.neighbors.dtype == np.uint32
+        rng = np.random.default_rng(47)
+        for trial in range(30):
+            q = random_vector(rng, medium_set.dim, 12)
+            params = SearchParams(k=(5, 10, 40)[trial % 3], alpha_q=(0.7, 1.0)[trial % 2],
+                                  heap_factor=(0.8, 1.0)[trial % 4 // 2], use_graph=trial % 5 < 2)
+            got, got_stats = search(loaded, loaded_graph, q, params, return_stats=True)
+            want, want_stats = search(built, built_graph, q, params, return_stats=True)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.scores.view(np.uint32), want.scores.view(np.uint32))
+            assert got_stats == want_stats
+
+
+def test_evaluate_block_sees_every_doc_but_the_fallback_and_graph_ones(medium_set, monkeypatch):
+    """perfbench reads forward scoring and the fallback off the calls to
+    evaluate_block, so every fill and main batch must go through it."""
+    index = build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=8))
+    graph = build_exact_graph(medium_set, 5)
+    seen = []
+    evaluate = query.evaluate_block
+
+    def spy(block, forward, q_dense, top, visited, k, stats=None):
+        before = stats.forward_evaluations
+        top = evaluate(block, forward, q_dense, top, visited, k, stats)
+        seen.append(stats.forward_evaluations - before)
+        return top
+
+    monkeypatch.setattr(query, "evaluate_block", spy)
+    rng = np.random.default_rng(48)
+    fallback = graph_docs = 0
+    for trial in range(24):
+        q = random_vector(rng, medium_set.dim, 10)
+        params = SearchParams(k=(10, len(medium_set))[trial % 6 == 0], alpha_q=0.7, heap_factor=0.9,
+                              use_graph=trial % 2 == 0)
+        seen.clear()
+        _, stats = search(index, graph, q, params, return_stats=True)
+        assert sum(seen) == stats.forward_evaluations - stats.fallback_docs - stats.graph_docs
+        fallback += stats.fallback_docs
+        graph_docs += stats.graph_docs
+    assert fallback > 0 and graph_docs > 0

@@ -13,7 +13,7 @@ from sparsemips import (
     ts_estimate,
     ts_estimate_trials,
 )
-from sparsemips.sketching import hash_unit, top_mass
+from sparsemips.sketching import hash_unit, top_mass, top_mass_order
 from sparsemips.synth import bernoulli_collection, random_vector
 from conftest import dense_to_vectorset
 
@@ -175,6 +175,17 @@ class TestTopMassSubvector:
         keep = top_mass([0, u.nnz, u.nnz + v.nnz], np.concatenate((u.values, v.values)), alpha)
         assert np.array_equal(keep[:u.nnz], np.isin(u.dims, alpha_mss(u, alpha).dims))
         assert np.array_equal(keep[u.nnz:], np.isin(v.dims, alpha_mss(v, alpha).dims))
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=sparse_vectors(), v=sparse_vectors(), alpha=st.sampled_from([0.3, 0.7, 0.95, 1.0]))
+    def test_order_lists_the_kept_entries_largest_first(self, u, v, alpha):
+        values = np.concatenate((u.values, v.values))
+        indptr = [0, u.nnz, u.nnz + v.nnz]
+        keep = top_mass(indptr, values, alpha)
+        # per segment: the kept positions, stably sorted by value descending
+        want = [s + np.flatnonzero(keep[s:e])[np.argsort(-values[s:e][keep[s:e]], kind="stable")]
+                for s, e in zip(indptr, indptr[1:])]
+        assert np.array_equal(top_mass_order(indptr, values, alpha), np.concatenate(want))
 
 
 class TestSetLevelSketch:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import top_mass
 from .vectors import SparseVector, VectorSet
@@ -46,21 +47,30 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
 def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
     """exact_topk of every query, bit for bit, scored a dense block of queries at a time.
 
-    A dense right operand sums each score in the order of exact_topk's mat-vec.
+    A dense right operand sums each score in the order of exact_topk's mat-vec,
+    whatever the block's width, so the blocks are scored on the thread pool.
     """
     k = check_k(k)
     if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
+    # both float64 CSR caches are built here, before any worker reads them
     mat, qmat, all_ids = vset.scipy64(), _csr64(queries, vset.dim), np.arange(len(vset))
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
-    # dense blocks of at most 2**20 entries: each query's scores are a strided column
-    chunk = max(1, 2**20 // max(len(vset), vset.dim))
-    for start in range(0, len(queries), chunk):
+    # the workers' dense blocks share 2**20 entries: each query's scores are a strided column
+    chunk = max(1, 2**20 // (parallel.cpu_count() * max(len(vset), vset.dim)))
+
+    def best(start):
         block = (mat @ qmat[start:start + chunk].T.toarray()).T
-        for r, row in enumerate(block, start):
-            ids[r], scores[r] = top_k(all_ids, row, k)
+        return start, [top_k(all_ids, row, k) for row in block]
+
+    def collect(found):
+        start, rows = found
+        for r, (row_ids, row_scores) in enumerate(rows, start):
+            ids[r], scores[r] = row_ids, row_scores
+
+    parallel.in_order(best, range(0, len(queries), chunk), collect)
     return GroundTruth(k=k, ids=ids, scores=scores)
 
 

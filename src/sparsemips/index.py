@@ -11,6 +11,8 @@ arrays (see BlockedIndex), saved as one record after an SPMIDX03 magic.
 One array call each summarizes, truncates and quantizes all the blocks of a
 list, as CSR segments; once every list is done, one transpose stores the
 summaries dim-major, so a query reads only the columns of its own dims.
+The lists are built on the thread pool of `parallel`, and appended in list
+order, so the index does not depend on the number of threads.
 """
 from __future__ import annotations
 
@@ -22,10 +24,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
-from .storage import ConsistencyError, HeaderError, _check_csr, collection_layout, read_record, write_record
-from .vectors import VectorSet
+from .storage import CSR_ERRORS, ConsistencyError, HeaderError, _check_csr, collection_layout, read_record, write_record
+from .vectors import VectorSet, _ranges
 
 INDEX_MAGIC = b"SPMIDX03"
 
@@ -102,8 +105,13 @@ def cluster_list(rows, beta, seed):
     rng = np.random.default_rng(seed)
     centroid_pos = np.sort(rng.choice(n, size=c, replace=False))
     mat = rows.astype(np.float64, copy=False)
-    # a dense right operand gives the same sums, in the same order, as a sparse one
-    assign = np.argmax(mat @ mat[centroid_pos].T.toarray(), axis=1)  # lowest index on ties
+    # the centroids as the columns of a dense right operand, which gives the
+    # same sums, in the same order, as a sparse one
+    starts, stops = mat.indptr[centroid_pos], mat.indptr[centroid_pos + 1]
+    entries = _ranges(starts, stops)
+    centroids = np.zeros((mat.shape[1], c))
+    centroids[mat.indices[entries], np.arange(c).repeat(stops - starts)] = mat.data[entries]
+    assign = np.argmax(mat @ centroids, axis=1)  # lowest index on ties
     sizes = np.bincount(assign, minlength=c)
     return np.argsort(assign, kind="stable"), np.concatenate(([0], np.cumsum(sizes[sizes > 0])))
 
@@ -178,28 +186,34 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     # are held twice only while the final transpose runs
     block_ptr, summary_ptr, m, delta = array("q", [0]), array("q", [0]), array("f"), array("f")
     summary_dims, summary_values = array("I"), array("B" if params.quantize else "f")
-    for i in range(vset.dim):
-        s, e = csc.indptr[i], csc.indptr[i + 1]
-        if s == e:
-            continue
-        ids = csc.indices[s:e]  # ascending
+
+    def build_list(i):
+        """List i's blocks: their members, and their summaries as a CSR,
+        truncated and quantized."""
+        ids = csc.indices[csc.indptr[i]:csc.indptr[i + 1]]  # ascending
         rows = sketched[ids]
         order, members_ptr = cluster_list(rows, params.beta, [params.seed, i])
-        nblocks = blocks_per_list[i] = members_ptr.size - 1
-        member_ids[s:e] = ids[order]
-        # all the list's blocks at once: summaries as a CSR, truncated, quantized
+        nblocks = members_ptr.size - 1
         indptr, dims, values = summarize(rows[order], members_ptr)
         keep = top_mass(indptr, values, params.gamma)
         indptr, dims, values = np.concatenate(([0], keep.cumsum()))[indptr], dims[keep], values[keep]
         block_m, block_delta = np.zeros(nblocks, np.float32), np.ones(nblocks, np.float32)
         if params.quantize:
             values, block_m, block_delta = quantize_summary(indptr, values)
+        return i, ids[order], members_ptr, indptr, dims, values, block_m, block_delta
+
+    def collect(built):
+        i, members, members_ptr, indptr, dims, values, block_m, block_delta = built
+        member_ids[csc.indptr[i]:csc.indptr[i + 1]] = members
+        blocks_per_list[i] = members_ptr.size - 1
         block_ptr.frombytes((block_ptr[-1] + members_ptr[1:]).tobytes())
         summary_ptr.frombytes((len(summary_dims) + indptr[1:]).tobytes())
         summary_dims.frombytes(dims.tobytes())
         summary_values.frombytes(values.tobytes())
         m.frombytes(block_m.tobytes())
         delta.frombytes(block_delta.tobytes())
+
+    parallel.in_order(build_list, np.flatnonzero(np.diff(csc.indptr)), collect)
     list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
     by_block = sp.csr_matrix((np.asarray(summary_values), np.asarray(summary_dims), np.asarray(summary_ptr)),
                              shape=(list_ptr[-1], vset.dim))
@@ -248,10 +262,10 @@ def load_index(path) -> BlockedIndex:
         raise HeaderError(f"build parameters: {exc}") from None
     nrows, dim, _, nblocks, _, _ = head[5:]
     indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_blocks, summary_values = arrays[:9]
-    _check_csr(indptr, indices, dim, "forward index", values)
+    forward = VectorSet(dim, indptr, indices, values, what="forward index", errors=CSR_ERRORS)
     _check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")  # list i holds blocks list_ptr[i]:list_ptr[i+1]
     _check_csr(block_ptr, member_ids, nrows, "block members")
     _check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values)
     if not np.isfinite(np.concatenate(arrays[9:])).all():
         raise ConsistencyError("summaries: m and delta must be finite")
-    return BlockedIndex(params, VectorSet(dim, *arrays[:3]), *arrays[3:])
+    return BlockedIndex(params, forward, *arrays[3:])

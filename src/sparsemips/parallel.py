@@ -1,0 +1,44 @@
+"""The thread pool that set-up runs its independent pieces on.
+
+Threads overlap the kernels that release the GIL, such as scipy's sparse
+products and numpy's partition; numpy's sorts hold it (numpy 2.4), so the
+pieces gain from threads only what runs outside them.  The pieces give
+the same results on any number of threads; search never runs here.
+"""
+from __future__ import annotations
+
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
+
+
+def cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can tell
+        return os.cpu_count() or 1
+
+
+def in_order(fn, items, collect):
+    """collect(fn(item)) for each item, in the order of `items`.
+
+    The fn calls run on a pool of cpu_count() threads and collect on the
+    calling thread, at most two calls per thread ahead of it, so only a few
+    results are ever pending.  When a call or collect raises (interrupts
+    included), the calls not yet started are cancelled, the running ones
+    finish, and the exception propagates as raised; no thread outlives the
+    function.
+    """
+    workers = cpu_count()
+    items = iter(items)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            collect(result)
+    finally:
+        pool.shutdown(cancel_futures=True)

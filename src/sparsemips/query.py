@@ -37,7 +37,7 @@ import numpy as np
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
 from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector
+from .vectors import SparseVector, _ranges
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,6 @@ def top_k(ids, scores, k):
         ids, scores = ids[keep], scores[keep]
     order = np.lexsort((ids, -scores))[:k]
     return ids[order], scores[order]
-
-
-def _ranges(starts, stops):
-    """Concatenation of arange(starts[i], stops[i]) over i, as intp, without a loop."""
-    starts, stops = starts.astype(np.intp, copy=False), stops.astype(np.intp, copy=False)
-    lengths = stops - starts
-    entries = (stops - lengths.cumsum()).repeat(lengths)
-    entries += np.arange(entries.size)
-    return entries
 
 
 # Batches of at most this many docs are scored by one bincount over the CSR

@@ -142,11 +142,18 @@ def top_mass_order(indptr, values, alpha):
 
     Each segment keeps its fewest largest entries whose sum reaches a
     fraction alpha of its l1 mass; ties sort by (value descending, position
-    ascending), which is dim ascending in a CSR row.  alpha == 1 keeps every
-    entry.
+    ascending), which is dim ascending in a CSR row.  The values are
+    positive and rank as float32, the precision vectors are stored in.
+    alpha == 1 keeps every entry.
     """
     sizes = _segment_sizes(indptr, alpha)
-    order = np.lexsort((-values, np.arange(sizes.size).repeat(sizes)))  # ties: positions ascending
+    # positive float32s order like their bit patterns, so the flipped bits
+    # sort largest first, behind the segment in the key's high half; one
+    # stable sort of the key keeps ties in position order
+    key = ~np.asarray(values, dtype=np.float32).view(np.uint32)
+    if sizes.size > 1:
+        key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | key
+    order = np.argsort(key, kind="stable")
     if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
         return order
     # one zero-padded row per segment, largest value first, after a leading

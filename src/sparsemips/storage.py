@@ -84,9 +84,13 @@ def read_record(path, header, layout, magic=b""):
     return fields, arrays
 
 
+# vectors.check_csr's errors for a bad layout or range, bad row order and bad values
+CSR_ERRORS = (ConsistencyError, IndexOrderError, NonPositiveValueError)
+
+
 def _check_csr(ptr, indices, bound, what, values=None):
     """vectors.check_csr, raising this module's error types."""
-    check_csr(ptr, indices, bound, what, values, (ConsistencyError, IndexOrderError, NonPositiveValueError))
+    check_csr(ptr, indices, bound, what, values, CSR_ERRORS)
 
 
 _COLLECTION = struct.Struct("<QQQ")
@@ -107,8 +111,7 @@ def save_collection(vset: VectorSet, path):
 
 def load_collection(path) -> VectorSet:
     (_, ncols, _), (indptr, indices, values) = read_record(path, _COLLECTION, collection_layout)
-    _check_csr(indptr, indices, ncols, "collection", values)
-    return VectorSet(ncols, indptr, indices, values)
+    return VectorSet(ncols, indptr, indices, values, what="collection", errors=CSR_ERRORS)
 
 
 _GROUND_TRUTH = struct.Struct("<II")

@@ -103,6 +103,15 @@ def restrict(u: SparseVector, dims) -> SparseVector:
     return SparseVector(u.dims[mask], u.values[mask])
 
 
+def _ranges(starts, stops):
+    """Concatenation of arange(starts[i], stops[i]) over i, as intp, without a loop."""
+    starts, stops = starts.astype(np.intp, copy=False), stops.astype(np.intp, copy=False)
+    lengths = stops - starts
+    entries = (stops - lengths.cumsum()).repeat(lengths)
+    entries += np.arange(entries.size)
+    return entries
+
+
 def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,) * 3):
     """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
     indices into rows strictly increasing and < bound, and values (if given)
@@ -134,14 +143,16 @@ class VectorSet:
     after construction.
     """
 
-    def __init__(self, dim, indptr, indices, values):
+    def __init__(self, dim, indptr, indices, values, *, what="vector set", errors=(SparseVectorError,) * 3):
+        """`what` names the set in errors and `errors` are check_csr's
+        exception types, for a loader that raises its own."""
         self.dim = int(dim)
         self.indptr = _as_readonly(np.ascontiguousarray(indptr, dtype=np.uint64))
         self.indices = _as_readonly(np.ascontiguousarray(indices, dtype=np.uint32))
         self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))
         if self.indptr.size == 0 or self.indices.size != self.values.size:
             raise SparseVectorError("indptr/indices/values are inconsistent")
-        check_csr(self.indptr, self.indices, self.dim, "vector set", self.values)
+        check_csr(self.indptr, self.indices, self.dim, what, self.values, errors)
 
     @classmethod
     def from_vectors(cls, dim, vectors):

@@ -118,7 +118,8 @@ class TestGroundTruth:
     def test_rows_equal_exact_topk(self, query_dim):
         base = list(random_collection(40, 30, 6, seed=50))
         # rows 40-49 copy rows 0-9, so their scores tie; dim 300_000 makes
-        # dense blocks of 2**20 // 300_000 = 3 queries, 4 blocks for 11
+        # dense blocks of 2**20 // (threads * 300_000) queries: on one CPU
+        # 3, 4 blocks for 11 (tests/test_parallel.py sets the thread count)
         docs = VectorSet.from_vectors(300_000, base + base[:10])
         vectors = list(random_collection(11, 30, 5, seed=51))
         vectors[4] = EMPTY

@@ -15,7 +15,14 @@ from sparsemips import (
     set_alpha_mss,
     summarize,
 )
-from sparsemips.storage import ConsistencyError, HeaderError, IndexOrderError, StorageError, TruncatedPayloadError
+from sparsemips.storage import (
+    ConsistencyError,
+    HeaderError,
+    IndexOrderError,
+    NonPositiveValueError,
+    StorageError,
+    TruncatedPayloadError,
+)
 from sparsemips.synth import random_collection, random_vector
 from conftest import summary_of
 
@@ -398,6 +405,32 @@ class TestIndexFileRobustness:
         data[8 + 8 * field:16 + 8 * field] = np.float64(value).tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
+            load_index(path)
+
+    @pytest.mark.parametrize("section, entry, error", [
+        ("forward indptr", np.uint64(2**40), ConsistencyError),
+        ("forward indices", np.uint32(2**31), ConsistencyError),
+        ("forward values", np.float32(0), NonPositiveValueError),
+        ("forward values", np.float32(np.nan), NonPositiveValueError),
+    ])
+    def test_bad_forward_index_named(self, saved, section, entry, error):
+        index, path = saved
+        offset, nbytes = self.sections(index)[section]
+        data = bytearray(path.read_bytes())
+        at = offset + nbytes - entry.nbytes  # the last entry
+        data[at:at + entry.nbytes] = entry.tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(error, match="^forward index: "):
+            load_index(path)
+
+    def test_forward_rows_out_of_order_rejected(self, saved):
+        index, path = saved
+        row = int(np.flatnonzero(index.forward.nnz_per_row() >= 2)[0])
+        offset = self.sections(index)["forward indices"][0] + 4 * int(index.forward.indptr[row])
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 8] = data[offset + 4:offset + 8] + data[offset:offset + 4]
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexOrderError, match="^forward index: "):
             load_index(path)
 
     @pytest.mark.parametrize("section, bound", [("member_ids", len), ("summary_blocks", lambda ix: ix.num_blocks)])

@@ -1,0 +1,143 @@
+"""Set-up on the thread pool: outputs that do not depend on the pool size,
+and failures that stop the pool and reach the caller unchanged."""
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import sparsemips.evaluation
+import sparsemips.index
+import sparsemips.parallel
+from sparsemips import BuildParams, VectorSet, build_exact_graph, build_index, exact_topk, ground_truth, save_index
+from sparsemips.parallel import in_order
+from sparsemips.synth import random_collection
+from sparsemips.vectors import EMPTY
+
+POOL_SIZES = [1, 2, 3]
+
+
+@pytest.fixture
+def pool_size(monkeypatch):
+    """Sets the number of CPUs the pool sees."""
+    def set_size(n):
+        monkeypatch.setattr(sparsemips.parallel, "cpu_count", lambda: n)
+    return set_size
+
+
+def wide_collection():
+    """Docs on dim 2**18, so ground_truth's dense blocks hold 4 // workers
+    queries: at least 3 blocks for 13 queries.  Rows 40-49 copy rows 0-9, so
+    their scores tie."""
+    base = list(random_collection(40, 30, 6, seed=60))
+    docs = VectorSet.from_vectors(2**18, base + base[:10])
+    vectors = list(random_collection(13, 30, 5, seed=61))
+    vectors[4] = EMPTY
+    return docs, VectorSet.from_vectors(2**18, vectors)
+
+
+def failing_on_second_call(fn, exc):
+    """fn that raises exc on its second call, and the list of its calls."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped, calls
+
+
+class TestPoolSizeInvariance:
+    @pytest.mark.parametrize("workers", POOL_SIZES)
+    def test_ground_truth_equals_exact_topk(self, pool_size, workers):
+        pool_size(workers)
+        docs, queries = wide_collection()
+        gt = ground_truth(docs, queries, 12)
+        for qi, q in enumerate(queries):
+            res = exact_topk(docs, q, 12)
+            assert gt.ids[qi].tolist() == res.ids.tolist()
+            assert gt.scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
+
+    def test_exact_graph_unchanged(self, pool_size):
+        docs, _ = wide_collection()
+        graphs = []
+        for workers in POOL_SIZES:
+            pool_size(workers)
+            graphs.append(build_exact_graph(docs, 6).neighbors)
+        for neighbors in graphs[1:]:
+            assert np.array_equal(neighbors, graphs[0])
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_index_bytes_identical(self, pool_size, medium_set, tmp_path, quantize):
+        params = BuildParams(alpha=0.6, beta=0.3, gamma=0.8, quantize=quantize, seed=5)
+        saved = []
+        for workers in POOL_SIZES:
+            pool_size(workers)
+            path = tmp_path / f"{workers}.idx"
+            save_index(build_index(medium_set, params), path)
+            saved.append(path.read_bytes())
+        assert saved[1:] == saved[:1] * 2
+
+
+class TestFailures:
+    @pytest.mark.parametrize("exc", [ValueError("boom"), KeyboardInterrupt(), MemoryError()],
+                             ids=["ValueError", "KeyboardInterrupt", "MemoryError"])
+    def test_ground_truth_chunk_failure(self, pool_size, monkeypatch, exc):
+        pool_size(2)  # dense blocks of 2 queries: 50 blocks for 100
+        docs = random_collection(50, 2**18, 6, seed=62)
+        queries = random_collection(100, 2**18, 5, seed=63)
+        top_k, calls = failing_on_second_call(sparsemips.evaluation.top_k, exc)
+        monkeypatch.setattr(sparsemips.evaluation, "top_k", top_k)
+        threads = threading.active_count()
+        with pytest.raises(type(exc)) as raised:
+            ground_truth(docs, queries, 5)
+        assert raised.value is exc
+        assert threading.active_count() == threads
+        # the second call is in block 0 or 1, and in-order collection submits
+        # at most blocks 0 to 2 * 2 by then, of 2 queries each
+        assert len(calls) <= (2 * 2 + 1) * 2 < len(queries)
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"), KeyboardInterrupt(), MemoryError()],
+                             ids=["ValueError", "KeyboardInterrupt", "MemoryError"])
+    def test_build_list_failure(self, pool_size, monkeypatch, medium_set, exc):
+        pool_size(2)
+        cluster_list, calls = failing_on_second_call(sparsemips.index.cluster_list, exc)
+        monkeypatch.setattr(sparsemips.index, "cluster_list", cluster_list)
+        threads = threading.active_count()
+        with pytest.raises(type(exc)) as raised:
+            build_index(medium_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0))
+        assert raised.value is exc
+        assert threading.active_count() == threads
+        # the second call is on list 0 or 1, when at most lists 0 to 2 * 2 are submitted
+        assert len(calls) <= 2 * 2 + 1 < medium_set.dim
+
+    def test_collect_failure_cancels_the_rest(self, pool_size):
+        pool_size(2)
+        started = []
+        threads = threading.active_count()
+
+        def interrupt(result):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            in_order(started.append, range(100), interrupt)
+        assert threading.active_count() == threads
+        # collect saw the first result when 2 * 2 + 1 calls had been submitted
+        assert set(started) <= set(range(2 * 2 + 1))
+
+
+def test_results_collected_in_order_under_contention(pool_size):
+    """More threads than cores and a short switch interval: every result is
+    collected once, in item order."""
+    pool_size(2 * (os.cpu_count() or 1) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        collected = []
+        in_order(lambda i: (i, float(np.arange(i % 50 + 1).sum())), range(2000), collected.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert collected == [(i, float(np.arange(i % 50 + 1).sum())) for i in range(2000)]

@@ -188,6 +188,43 @@ class TestTopMassSubvector:
         assert np.array_equal(top_mass_order(indptr, values, alpha), np.concatenate(want))
 
 
+def lexsorted_top_mass_order(indptr, values, alpha):
+    """top_mass_order with its entries ranked by one lexsort of (segment,
+    -value), the order the one-key sort must reproduce."""
+    sizes = np.diff(np.asarray(indptr, dtype=np.int64))
+    order = np.lexsort((-values, np.arange(sizes.size).repeat(sizes)))
+    if alpha == 1:
+        return order
+    width = sizes.max(initial=0)
+    filled = np.arange(width) < sizes[:, None]
+    csum = np.zeros((sizes.size, width + 1))
+    csum[:, 1:][filled] = values[order]
+    csum.cumsum(axis=1, out=csum)
+    below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
+    below[:, 0] = True
+    return order[below[filled]]
+
+
+class TestTopMassOrderKey:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1),
+           alpha=st.sampled_from([0.05, 0.3, 0.6, 0.95, 1.0]), levels=st.integers(1, 40))
+    def test_equals_the_lexsort_ranking(self, sizes, seed, alpha, levels):
+        # few distinct values make ties within and across segments; the
+        # values span tiny to huge float32 magnitudes
+        rng = np.random.default_rng(seed)
+        palette = np.exp2(rng.uniform(-100, 100, levels)).astype(np.float32)
+        values = palette[rng.integers(0, levels, sum(sizes))]
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        assert np.array_equal(top_mass_order(indptr, values, alpha), lexsorted_top_mass_order(indptr, values, alpha))
+
+    def test_float64_copies_of_float32_values_rank_alike(self):
+        values = np.random.default_rng(3).random(50).astype(np.float32)
+        indptr = [0, 20, 21, 50]
+        assert np.array_equal(top_mass_order(indptr, values.astype(np.float64), 0.7),
+                              top_mass_order(indptr, values, 0.7))
+
+
 class TestSetLevelSketch:
     def test_column_cardinality_law(self, golden_set):
         for alpha in (0.2, 0.4, 0.7, 1.0):

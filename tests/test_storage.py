@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparsemips.storage
+import sparsemips.vectors
+
 from sparsemips import (
     BuildParams,
     GroundTruth,
@@ -35,6 +38,7 @@ from sparsemips.storage import (
     write_results_tsv,
 )
 from sparsemips.synth import random_collection
+from sparsemips.vectors import check_csr
 
 
 def _raw_collection(nrows, ncols, indptr, indices, values):
@@ -151,6 +155,37 @@ class TestCollectionFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(TruncatedPayloadError):
             load_collection(path)
+
+
+class TestOneCheckPerCsr:
+    """Each CSR of a file is checked once as it loads."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        whats = []
+
+        def counting(ptr, indices, bound, what, *args):
+            whats.append(what)
+            return check_csr(ptr, indices, bound, what, *args)
+
+        monkeypatch.setattr(sparsemips.vectors, "check_csr", counting)
+        monkeypatch.setattr(sparsemips.storage, "check_csr", counting)
+        return whats
+
+    def test_collection(self, small_set, tmp_path, checked):
+        path = tmp_path / "c.bin"
+        save_collection(small_set, path)
+        checked.clear()
+        load_collection(path)
+        assert checked == ["collection"]
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_index(self, small_set, tmp_path, checked, quantize):
+        path = tmp_path / "idx.bin"
+        save_index(build_index(small_set, BuildParams(alpha=0.6, beta=0.25, gamma=0.8, quantize=quantize)), path)
+        checked.clear()
+        load_index(path)
+        assert checked == ["forward index", "lists", "block members", "summaries"]
 
 
 class TestGroundTruthFormat:

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
-from .sketching import top_mass
+from .sketching import largest_first, top_mass
 from .vectors import SparseVector, VectorSet
 
 
@@ -108,9 +108,7 @@ def mass_curve(vset: VectorSet, max_keep: int):
     if counted == 0:
         raise ValueError("collection holds only empty vectors")
     rows = np.repeat(np.arange(len(vset)), lengths)
-    values = vset.values.astype(np.float64)
-    # within each row, values descending; rows stay in order
-    values = values[np.lexsort((-values, rows))]
+    values = vset.values[largest_first(vset.indptr, vset.values)].astype(np.float64)
     shares = values / np.bincount(rows, weights=values)[rows]
     rank = np.arange(values.size) - np.repeat(vset.indptr[:-1].astype(np.int64), lengths)
     # a row shorter than j already counts all of its mass at j

@@ -46,8 +46,9 @@ def _neighbor_graph(n, kappa, best):
     """The graph of each point's min(kappa, N-1) best neighbors: best(width + 1)
     gives each point's best width + 1 ids as an (N, width + 1) array, and each
     row drops the point's own id, or its last id when the point is not in it."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    # the file stores kappa as an unsigned 32-bit field
+    if not 0 <= kappa < 2**32:
+        raise ValueError(f"kappa={kappa} must lie in [0, 2**32)")
     width = min(kappa, max(n - 1, 0))
     if width == 0:
         return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))

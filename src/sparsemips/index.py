@@ -27,8 +27,8 @@ import scipy.sparse as sp
 from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
-from .storage import CSR_ERRORS, ConsistencyError, HeaderError, _check_csr, collection_layout, read_record, write_record
-from .vectors import VectorSet, _ranges
+from .storage import CSR_ERRORS, ConsistencyError, HeaderError, collection_layout, read_record, write_record
+from .vectors import VectorSet, _ranges, check_csr
 
 INDEX_MAGIC = b"SPMIDX03"
 
@@ -48,6 +48,9 @@ class BuildParams:
             raise ValueError("beta must lie in (0, 1)")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
+        # the file stores the seed as a signed 64-bit field
+        if type(self.seed) is not int or not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed={self.seed!r} must be an int in [0, 2**63)")
 
 
 def quantize_summary(indptr, values):
@@ -169,9 +172,6 @@ class BlockedIndex:
     def num_blocks(self):
         return self.block_ptr.size - 1
 
-    def block(self, b) -> Block:
-        return Block(self.member_ids[self.block_ptr[b]:self.block_ptr[b + 1]])
-
 
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
@@ -263,9 +263,11 @@ def load_index(path) -> BlockedIndex:
     nrows, dim, _, nblocks, _, _ = head[5:]
     indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_blocks, summary_values = arrays[:9]
     forward = VectorSet(dim, indptr, indices, values, what="forward index", errors=CSR_ERRORS)
-    _check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")  # list i holds blocks list_ptr[i]:list_ptr[i+1]
-    _check_csr(block_ptr, member_ids, nrows, "block members")
-    _check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values)
+    # list i holds blocks list_ptr[i]:list_ptr[i+1]
+    check_csr(list_ptr, np.arange(nblocks), nblocks, "lists", errors=CSR_ERRORS)
+    check_csr(block_ptr, member_ids, nrows, "block members", errors=CSR_ERRORS)
+    check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values,
+              errors=CSR_ERRORS)
     if not np.isfinite(np.concatenate(arrays[9:])).all():
         raise ConsistencyError("summaries: m and delta must be finite")
     return BlockedIndex(params, forward, *arrays[3:])

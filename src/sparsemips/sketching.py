@@ -8,6 +8,9 @@ Three procedures live here:
     one-segment call,
   * the collection-level variant that keeps, per dimension, the largest
     column values.
+
+Both rules rank entries by one order, largest_first: per segment, largest
+value first, ties by position.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .vectors import SparseVector, VectorSet, lp_norm
+from .vectors import SparseVector, VectorSet, _ranges, lp_norm
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -135,25 +138,35 @@ def _segment_sizes(indptr, alpha):
     return sizes
 
 
+def largest_first(indptr, values):
+    """Positions into values, segment by segment of a CSR's
+    values[indptr[s]:indptr[s+1]], largest value first.
+
+    Ties keep position order, which is dim ascending in a CSR row and row
+    ascending in a CSC column.  The values are positive and rank as float32,
+    the precision vectors are stored in.  Segments may be empty.
+    """
+    # positive float32s order like their bit patterns, so the flipped bits
+    # sort largest first, behind the segment in the key's high half; one
+    # stable sort of the key keeps ties in position order
+    key = ~np.asarray(values, dtype=np.float32).view(np.uint32)
+    if len(indptr) > 2:
+        sizes = np.diff(np.asarray(indptr, dtype=np.int64))
+        key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | key
+    return np.argsort(key, kind="stable")
+
+
 def top_mass_order(indptr, values, alpha):
     """The entries the top-mass rule keeps on every segment
     values[indptr[s]:indptr[s+1]] of a CSR, as positions into values: segment
     by segment, largest value first.
 
     Each segment keeps its fewest largest entries whose sum reaches a
-    fraction alpha of its l1 mass; ties sort by (value descending, position
-    ascending), which is dim ascending in a CSR row.  The values are
-    positive and rank as float32, the precision vectors are stored in.
+    fraction alpha of its l1 mass, ranked as largest_first ranks them.
     alpha == 1 keeps every entry.
     """
     sizes = _segment_sizes(indptr, alpha)
-    # positive float32s order like their bit patterns, so the flipped bits
-    # sort largest first, behind the segment in the key's high half; one
-    # stable sort of the key keeps ties in position order
-    key = ~np.asarray(values, dtype=np.float32).view(np.uint32)
-    if sizes.size > 1:
-        key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | key
-    order = np.argsort(key, kind="stable")
+    order = largest_first(indptr, values)
     if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
         return order
     # one zero-padded row per segment, largest value first, after a leading
@@ -194,29 +207,19 @@ def alpha_mss(u: SparseVector, alpha: float) -> SparseVector:
 def set_alpha_mss(vset: VectorSet, alpha: float) -> VectorSet:
     """Per dimension, keep the ceil(alpha * |L_i|) largest column values.
 
-    Column ties sort by (value descending, row id ascending).  Output vectors
-    are subvectors of the inputs; dimensionality and vector count unchanged.
+    Columns rank as largest_first ranks them: ties by row id ascending.
+    Output vectors are subvectors of the inputs; dimensionality and vector
+    count unchanged.  alpha == 1 returns vset, without sorting anything.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    csc = vset.to_scipy().tocsc()
-    csc.sort_indices()
-    keep_mask = np.zeros(csc.data.size, dtype=bool)
-    indptr = csc.indptr
-    for i in range(csc.shape[1]):
-        s, e = indptr[i], indptr[i + 1]
-        n = e - s
-        if n == 0:
-            continue
-        lam = min(int(np.ceil(alpha * n)), n)
-        if lam == n:
-            keep_mask[s:e] = True
-            continue
-        order = np.argsort(-csc.data[s:e], kind="stable")  # rows ascending in csc
-        keep_mask[s + order[:lam]] = True
-    pruned = sp.csc_matrix(
-        (np.where(keep_mask, csc.data, 0.0), csc.indices, csc.indptr), shape=csc.shape
-    ).tocsr()
-    pruned.eliminate_zeros()
-    pruned.sort_indices()
+    if alpha == 1:
+        return vset
+    csc = vset.to_scipy().tocsc()  # rows ascending within each column
+    starts = csc.indptr[:-1]
+    kept_per_dim = np.ceil(alpha * np.diff(csc.indptr)).astype(np.int64)
+    keep = np.zeros(csc.nnz, dtype=bool)
+    keep[largest_first(csc.indptr, csc.data)[_ranges(starts, starts + kept_per_dim)]] = True
+    kept_ptr = np.concatenate(([0], np.cumsum(kept_per_dim)))
+    pruned = sp.csc_matrix((csc.data[keep], csc.indices[keep], kept_ptr), shape=csc.shape).tocsr()
     return VectorSet(vset.dim, pruned.indptr, pruned.indices, pruned.data)

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .vectors import VectorSet, check_csr
+from .vectors import VectorSet
 
 
 class StorageError(Exception):
@@ -86,11 +86,6 @@ def read_record(path, header, layout, magic=b""):
 
 # vectors.check_csr's errors for a bad layout or range, bad row order and bad values
 CSR_ERRORS = (ConsistencyError, IndexOrderError, NonPositiveValueError)
-
-
-def _check_csr(ptr, indices, bound, what, values=None):
-    """vectors.check_csr, raising this module's error types."""
-    check_csr(ptr, indices, bound, what, values, CSR_ERRORS)
 
 
 _COLLECTION = struct.Struct("<QQQ")

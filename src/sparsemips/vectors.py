@@ -49,9 +49,6 @@ class SparseVector:
     def nnz(self):
         return int(self.dims.size)
 
-    def is_zero(self):
-        return self.dims.size == 0
-
     def pairs(self):
         return list(zip(self.dims.tolist(), self.values.tolist()))
 

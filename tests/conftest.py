@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sparsemips import SparseVector, VectorSet, dequantize
 from sparsemips.synth import random_collection
@@ -64,6 +65,28 @@ def summaries_by_block(index):
     positions = np.argsort(index.summary_blocks, kind="stable")
     ptr = np.searchsorted(index.summary_blocks[positions], np.arange(index.num_blocks + 1))
     return ptr, dims[positions], positions
+
+
+# three values, so rows and columns are full of ties
+TIED_VALUES = (0.25, 1.0, 7.5)
+
+
+@st.composite
+def tied_sets(draw, min_rows=0):
+    """A VectorSet of at most 12 dims and 15 rows, values from TIED_VALUES;
+    rows and columns may be empty."""
+    dim = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), st.sampled_from(TIED_VALUES), max_size=dim),
+                         min_size=min_rows, max_size=15))
+    return VectorSet.from_vectors(dim, [
+        SparseVector(np.array(sorted(row), dtype=np.uint32), np.array([row[d] for d in sorted(row)], dtype=np.float32))
+        for row in rows
+    ])
+
+
+def members_of(index, b):
+    """Member ids of block b in a BlockedIndex, ascending."""
+    return index.member_ids[index.block_ptr[b]:index.block_ptr[b + 1]]
 
 
 def summary_of(index, b):

@@ -119,6 +119,28 @@ class TestErrorHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_outside_the_file_field_is_named(self, workspace, tmp_path, capsys, seed):
+        rc = run([
+            "build", "--input", workspace / "docs.bin", "--output", tmp_path / "x.bin",
+            "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.8", "--seed", seed,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed=") and err.count("\n") == 1
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_kappa_outside_the_file_field_is_named(self, workspace, tmp_path, capsys):
+        save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), tmp_path / "idx.bin")
+        rc = run([
+            "knn-graph", "--index", tmp_path / "idx.bin", "--kappa", str(2**32), "--exact",
+            "--output", tmp_path / "g.bin",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kappa=") and err.count("\n") == 1
+        assert not (tmp_path / "g.bin").exists()
+
     def test_truncated_index_is_a_clean_failure(self, workspace, tmp_path, capsys):
         bad = tmp_path / "idx.bin"
         save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), bad)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sparsemips import (
     BuildParams,
@@ -23,7 +24,7 @@ from sparsemips.evaluation import mean_accuracy
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 from sparsemips.vectors import EMPTY
-from conftest import dense_to_vectorset
+from conftest import dense_to_vectorset, tied_sets
 
 
 def naive_topk(vset, q, k):
@@ -208,6 +209,28 @@ class TestMassCurve:
         got = [f for _, f in mass_curve(vset, 40)]
         # sums of at most 40 float64 shares: 1e-12 is far above their rounding
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vset=tied_sets(min_rows=1), max_keep=st.integers(0, 14))
+    def test_equals_the_per_row_sort(self, vset, max_keep):
+        assume(vset.indices.size)
+        # each row's values descending, summed one at a time in the order mass_curve sums them
+        per_rank, counted = [0.0] * max_keep, 0
+        for v in vset:
+            if v.nnz == 0:
+                continue
+            counted += 1
+            vals = np.sort(v.values.astype(np.float64))[::-1].tolist()
+            total = 0.0
+            for x in vals:
+                total += x
+            for j, x in enumerate(vals[:max_keep]):
+                per_rank[j] += x / total
+        expected, running = [], 0.0
+        for j in range(max_keep):
+            running += per_rank[j]
+            expected.append((j + 1, running / counted))
+        assert mass_curve(vset, max_keep) == expected
 
     def test_monotone_in_j(self, small_set):
         curve = mass_curve(small_set, 10)

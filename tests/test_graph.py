@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import sparsemips.graph
 from sparsemips import (
     BuildParams,
     SearchParams,
@@ -56,6 +57,19 @@ class TestExactGraph:
     def test_kappa_zero_is_empty(self, small_set):
         g = build_exact_graph(small_set, 0)
         assert g.width == 0 and len(g) == len(small_set)
+
+    @pytest.mark.parametrize("kappa", [-1, 2**32])
+    def test_kappa_outside_the_file_field_rejected_before_any_search(self, small_set, monkeypatch, kappa):
+        def no_search(*args):
+            raise AssertionError("searched before checking kappa")
+
+        monkeypatch.setattr(sparsemips.graph, "ground_truth", no_search)
+        monkeypatch.setattr(sparsemips.graph, "search", no_search)
+        index = build_index(small_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0))
+        with pytest.raises(ValueError, match="^kappa="):
+            build_exact_graph(small_set, kappa)
+        with pytest.raises(ValueError, match="^kappa="):
+            build_approx_graph(index, kappa, SearchParams(k=1))
 
     def test_width_capped_at_n_minus_one(self):
         vset = random_collection(4, 10, 3, seed=18)

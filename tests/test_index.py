@@ -24,7 +24,7 @@ from sparsemips.storage import (
     TruncatedPayloadError,
 )
 from sparsemips.synth import random_collection, random_vector
-from conftest import summary_of
+from conftest import members_of, summary_of
 
 
 def csr_rows(dim, vectors):
@@ -52,6 +52,17 @@ class TestBuildParams:
             BuildParams(alpha=0.5, beta=1.0, gamma=0.7)
         with pytest.raises(ValueError):
             BuildParams(alpha=0.5, beta=0.2, gamma=1.2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, True, 1.0, np.int64(3), "3", None])
+    def test_seed_outside_the_file_field_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed="):
+            BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_seed_range_ends_save_and_load(self, small_set, tmp_path, seed):
+        params = BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=seed)
+        save_index(build_index(small_set, params), tmp_path / "idx.bin")
+        assert load_index(tmp_path / "idx.bin").params == params
 
 
 def one(values):
@@ -191,7 +202,7 @@ class TestBuildIndex:
             sdims, svals = summary_of(index, b)
             dense = np.zeros(small_set.dim)
             dense[sdims] = svals
-            for j in index.block(b).ids.tolist():
+            for j in members_of(index, b).tolist():
                 v = small_set.vector(j)
                 assert np.all(dense[v.dims] >= v.values.astype(np.float64) - 1e-9)
 

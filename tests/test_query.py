@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sparsemips import (
+    Block,
     BuildParams,
     ResultList,
     SearchParams,
@@ -26,7 +27,7 @@ from sparsemips.query import SearchStats, _forward_scores, _summary_scores, eval
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 
-from conftest import summaries_by_block, summary_of
+from conftest import members_of, summaries_by_block, summary_of
 
 
 def exact_build(vset):
@@ -79,7 +80,7 @@ class TestEvaluateBlock:
         rng = np.random.default_rng(23)
         q = random_vector(rng, small_set.dim, 10)
         q_dense = q.to_dense(small_set.dim)
-        block = index.block(index.list_ptr[q.dims[0]])
+        block = Block(members_of(index, index.list_ptr[q.dims[0]]))
         visited = np.zeros(len(small_set), dtype=bool)
         top = evaluate_block(block, small_set, q_dense, empty_top(), visited, k=50)
         assert np.all(visited[block.ids])
@@ -266,7 +267,7 @@ def per_block_reference(index, q, params):
         for j in np.argsort(-np.asarray(r), kind="stable").tolist():
             if len(heap) == params.k and r[j] < heap[0][0] / params.heap_factor:
                 break
-            for doc in index.block(lo + j).ids.tolist():
+            for doc in members_of(index, lo + j).tolist():
                 if not visited[doc]:
                     visited[doc] = True
                     v = index.forward.vector(doc)
@@ -337,7 +338,7 @@ def sorted_traversal(index, graph, q, params):
     top = empty_top()
 
     def members(bs):
-        return np.unique(np.concatenate([index.block(b).ids for b in bs.tolist()] + [np.empty(0, np.uint32)]))
+        return np.unique(np.concatenate([members_of(index, b) for b in bs.tolist()] + [np.empty(0, np.uint32)]))
 
     def score(ids):
         nonlocal top

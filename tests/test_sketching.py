@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparsemips import (
     SparseVector,
+    VectorSet,
     ZeroVectorError,
     alpha_mss,
     dot,
@@ -13,9 +15,9 @@ from sparsemips import (
     ts_estimate,
     ts_estimate_trials,
 )
-from sparsemips.sketching import hash_unit, top_mass, top_mass_order
+from sparsemips.sketching import hash_unit, largest_first, top_mass, top_mass_order
 from sparsemips.synth import bernoulli_collection, random_vector
-from conftest import dense_to_vectorset
+from conftest import TIED_VALUES, dense_to_vectorset, tied_sets
 
 
 def sparse_vectors(max_dim=40, max_nnz=12):
@@ -225,7 +227,42 @@ class TestTopMassOrderKey:
                               top_mass_order(indptr, values, 0.7))
 
 
+class TestLargestFirst:
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(st.lists(st.sampled_from(TIED_VALUES), max_size=8), max_size=8))
+    def test_ties_keep_position_order(self, segments):
+        # no segment, one segment (the key without a segment half), and empty segments
+        indptr = np.cumsum([0] + [len(seg) for seg in segments])
+        values = np.array([v for seg in segments for v in seg], dtype=np.float32)
+        want = [s + np.argsort(-values[s:e], kind="stable") for s, e in zip(indptr, indptr[1:])]
+        assert np.array_equal(largest_first(indptr, values), np.concatenate(want + [np.empty(0, np.intp)]))
+
+
+def looped_set_alpha_mss(vset, alpha):
+    """set_alpha_mss as one stable argsort per column, then a zeroed copy
+    pruned of its zeros: the reference the one-order version must match."""
+    csc = vset.to_scipy().tocsc()
+    csc.sort_indices()
+    keep_mask = np.zeros(csc.data.size, dtype=bool)
+    for i in range(csc.shape[1]):
+        s, e = csc.indptr[i], csc.indptr[i + 1]
+        lam = min(int(np.ceil(alpha * (e - s))), e - s)
+        order = np.argsort(-csc.data[s:e], kind="stable")  # rows ascending in csc
+        keep_mask[s + order[:lam]] = True
+    pruned = sp.csc_matrix(
+        (np.where(keep_mask, csc.data, 0.0), csc.indices, csc.indptr), shape=csc.shape
+    ).tocsr()
+    pruned.eliminate_zeros()
+    pruned.sort_indices()
+    return VectorSet(vset.dim, pruned.indptr, pruned.indices, pruned.data)
+
+
 class TestSetLevelSketch:
+    @settings(max_examples=200, deadline=None)
+    @given(vset=tied_sets(), alpha=st.floats(0.0, 1.0, exclude_min=True))
+    def test_equals_the_per_column_loop(self, vset, alpha):
+        assert set_alpha_mss(vset, alpha) == looped_set_alpha_mss(vset, alpha)
+
     def test_column_cardinality_law(self, golden_set):
         for alpha in (0.2, 0.4, 0.7, 1.0):
             pruned = set_alpha_mss(golden_set, alpha).to_scipy().tocsc()

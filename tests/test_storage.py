@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sparsemips.storage
+import sparsemips.index
 import sparsemips.vectors
 
 from sparsemips import (
@@ -164,12 +164,12 @@ class TestOneCheckPerCsr:
     def checked(self, monkeypatch):
         whats = []
 
-        def counting(ptr, indices, bound, what, *args):
+        def counting(ptr, indices, bound, what, *args, **kwargs):
             whats.append(what)
-            return check_csr(ptr, indices, bound, what, *args)
+            return check_csr(ptr, indices, bound, what, *args, **kwargs)
 
         monkeypatch.setattr(sparsemips.vectors, "check_csr", counting)
-        monkeypatch.setattr(sparsemips.storage, "check_csr", counting)
+        monkeypatch.setattr(sparsemips.index, "check_csr", counting)
         return whats
 
     def test_collection(self, small_set, tmp_path, checked):

@@ -23,6 +23,7 @@ class KnnGraph:
     neighbors: np.ndarray  # (N, min(kappa, N-1)) uint32, score-descending rows
 
     def __post_init__(self):
+        check_kappa(self.kappa)
         object.__setattr__(self, "neighbors", np.ascontiguousarray(self.neighbors, dtype=np.uint32))
 
     @property
@@ -31,6 +32,12 @@ class KnnGraph:
 
     def __len__(self):
         return self.neighbors.shape[0]
+
+
+def check_kappa(kappa):
+    """Raise ValueError unless kappa fits the file's unsigned 32-bit field."""
+    if not 0 <= kappa < 2**32:
+        raise ValueError(f"kappa={kappa} must lie in [0, 2**32)")
 
 
 def graph_size_bits(n, kappa):
@@ -46,9 +53,7 @@ def _neighbor_graph(n, kappa, best):
     """The graph of each point's min(kappa, N-1) best neighbors: best(width + 1)
     gives each point's best width + 1 ids as an (N, width + 1) array, and each
     row drops the point's own id, or its last id when the point is not in it."""
-    # the file stores kappa as an unsigned 32-bit field
-    if not 0 <= kappa < 2**32:
-        raise ValueError(f"kappa={kappa} must lie in [0, 2**32)")
+    check_kappa(kappa)  # before any search
     width = min(kappa, max(n - 1, 0))
     if width == 0:
         return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))

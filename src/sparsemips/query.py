@@ -23,16 +23,21 @@ graph expansion optionally scores the unvisited neighbors of the top k in
 one more batch.
 
 Each batch is deduplicated against a visited bitmap and scored over the
-float64 CSR that exact_topk scores: a small batch by one bincount over its
-rows' entries, a large one by scipy's row gather and mat-vec.  Both add a
+float64 CSR that exact_topk scores, by the two compiled routines behind
+scipy's row indexing and mat-vec (csr_row_index, then csr_matvec), called
+directly to skip the ~90 Python calls scipy makes around them.  They add a
 row's products in CSR order from 0.0, so every score equals the oracle's
-bit for bit.
+bit for bit.  They check no bounds and take index arrays of one dtype only,
+so evaluate_block and expand_with_graph reject an id outside [0, N) before
+any scoring, and every index array passed is cast to the CSR's own index
+dtype.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
@@ -117,30 +122,28 @@ def top_k(ids, scores, k):
     return ids[order], scores[order]
 
 
-# Batches of at most this many docs are scored by one bincount over the CSR
-# arrays, larger ones by scipy's row gather and mat-vec.  On the benchmark's
-# own batches (40-nnz rows of a 10k-row CSR; one thread of a 2-core x86-64
-# host, numpy 2.4, scipy 1.17) the bincount took ~26 us at 23 docs plus
-# ~0.6 us per doc and scipy 80-105 us almost flat, so they crossed at
-# ~140-150 docs; limits of 160 and 192 searched no faster than 128.
-SMALL_BATCH = 128
-
-
 def _forward_scores(forward, ids, q_dense):
     """Exact float64 scores of rows `ids` of the forward index against q_dense.
 
-    Both ways sum each row's products in CSR order from 0.0 over the float64
-    CSR that exact_topk scores, so each score is bit-identical to the oracle's.
+    The two compiled routines behind scipy's row indexing and mat-vec,
+    called directly: csr_row_index gathers the rows, and csr_matvec sums
+    each row's products in CSR order from 0.0 over the float64 CSR that
+    exact_topk scores, so each score is bit-identical to the oracle's.
+    Neither checks bounds, so every id must lie in [0, N).  Every index
+    array shares the CSR's index dtype: sparsetools would otherwise upcast
+    the whole forward index on every call.
     """
     csr = forward.scipy64()
-    if ids.size > SMALL_BATCH:
-        return csr[ids] @ q_dense
-    starts, stops = csr.indptr[ids], csr.indptr[ids + 1]
-    entries = _ranges(starts, stops)
-    products = csr.data[entries]
-    # take converts scipy's int32 indices far faster than fancy indexing does
-    products *= q_dense.take(csr.indices[entries])
-    return np.bincount(np.arange(ids.size).repeat(stops - starts), products, ids.size)
+    ptr = csr.indptr
+    ids = ids.astype(ptr.dtype, copy=False)
+    sub_ptr = np.zeros(ids.size + 1, dtype=ptr.dtype)
+    (ptr[ids + 1] - ptr[ids]).cumsum(out=sub_ptr[1:])
+    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
+    sub_data = np.empty(sub_ptr[-1])
+    _sparsetools.csr_row_index(ids.size, ids, ptr, csr.indices, csr.data, sub_indices, sub_data)
+    scores = np.zeros(ids.size)
+    _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
+    return scores
 
 
 def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
@@ -153,6 +156,18 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
         stats.forward_evaluations += ids.size
     scores = _forward_scores(forward, ids, q_dense)
     return top_k(np.concatenate((top[0], ids)), np.concatenate((top[1], scores)), k)
+
+
+def _check_batch(ids, forward, q_dense):
+    """Raise ValueError unless q_dense has one entry per dim and the ids are
+    integers in [0, N): the compiled kernels read both without bounds checks."""
+    if q_dense.shape != (forward.dim,):
+        raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"doc ids must be integers, not {ids.dtype}")
+    n = len(forward)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
 
 
 def _unvisited(ids, visited):
@@ -168,15 +183,22 @@ def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
 
     `block.ids` are distinct; `top` is the running best k as an (ids, float64
     scores) pair, sorted.  Returns the best k of `top` and the new scores.
+    Raises ValueError, before scoring any, if an id lies outside [0, N).
     """
+    _check_batch(block.ids, forward, q_dense)
     return _score_unvisited(block.ids, forward, q_dense, top, visited, k, stats)
 
 
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
-    """One-hop expansion: score the unvisited neighbors of the docs in `top`."""
+    """One-hop expansion: score the unvisited neighbors of the docs in `top`.
+
+    Raises ValueError, as evaluate_block does, before scoring a neighbor
+    outside [0, N), which a `visited` longer than N would let through.
+    """
     if graph is None or graph.kappa == 0:
         return top
     neighbors = _unvisited(graph.neighbors[top[0]], visited)
+    _check_batch(neighbors, forward, q_dense)
     if stats is not None:
         stats.graph_docs += neighbors.size
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)

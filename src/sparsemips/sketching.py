@@ -169,6 +169,11 @@ def top_mass_order(indptr, values, alpha):
     order = largest_first(indptr, values)
     if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
         return order
+    # an entry is kept if the larger ones fall short of the target, the
+    # largest always; the boundary comparison tolerates float32 value rounding
+    if len(indptr) == 2:  # one segment (a query): its kept entries are a prefix
+        csum = values[order].cumsum(dtype=np.float64)
+        return order[:1 + int(csum[:-1].searchsorted((alpha - 1e-6) * csum[-1]))]
     # one zero-padded row per segment, largest value first, after a leading
     # 0: csum[s, p] is the mass of segment s's p largest entries, summed in
     # the same order, so rounded alike, as a cumsum of the segment alone
@@ -177,8 +182,6 @@ def top_mass_order(indptr, values, alpha):
     csum = np.zeros((sizes.size, width + 1))
     csum[:, 1:][filled] = values[order]
     csum.cumsum(axis=1, out=csum)
-    # an entry is kept if the larger ones fall short of the target, the
-    # largest always; the boundary comparison tolerates float32 value rounding
     below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
     below[:, 0] = True
     return order[below[filled]]

@@ -6,6 +6,7 @@ import pytest
 import sparsemips.graph
 from sparsemips import (
     BuildParams,
+    KnnGraph,
     SearchParams,
     SparseVector,
     VectorSet,
@@ -136,6 +137,19 @@ class TestSizeFormula:
 
 
 class TestGraphSerialization:
+    @pytest.mark.parametrize("kappa", [-1, 2**32])
+    def test_kappa_outside_the_file_field_rejected_on_construction(self, kappa):
+        """A graph whose kappa the file cannot store is never made, so
+        save_graph cannot die in struct.pack."""
+        with pytest.raises(ValueError, match=f"^kappa={kappa} must lie in"):
+            KnnGraph(kappa=kappa, neighbors=np.zeros((3, 2), dtype=np.uint32))
+
+    def test_largest_kappa_the_file_stores_round_trips(self, tmp_path):
+        g = KnnGraph(kappa=2**32 - 1, neighbors=np.array([[1], [0]], dtype=np.uint32))
+        save_graph(g, tmp_path / "g.bin")
+        loaded = load_graph(tmp_path / "g.bin")
+        assert loaded.kappa == 2**32 - 1 and np.array_equal(loaded.neighbors, g.neighbors)
+
     def test_round_trip(self, small_set, tmp_path):
         g = build_exact_graph(small_set, 7)
         path = tmp_path / "g.bin"

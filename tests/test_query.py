@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from sparsemips import (
     Block,
     BuildParams,
+    KnnGraph,
     ResultList,
     SearchParams,
     SparseVector,
@@ -23,7 +24,7 @@ from sparsemips import (
     search,
 )
 from sparsemips import query
-from sparsemips.query import SearchStats, _forward_scores, _summary_scores, evaluate_block, top_k
+from sparsemips.query import SearchStats, _forward_scores, _summary_scores, evaluate_block, expand_with_graph, top_k
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector
 
@@ -92,6 +93,40 @@ class TestEvaluateBlock:
         before = len(top[0])
         top = evaluate_block(block, small_set, q_dense, top, visited, k=50)
         assert len(top[0]) == before
+
+    @pytest.mark.parametrize("size", [2, 201])  # a small batch, and one of every doc
+    @pytest.mark.parametrize("bad, dtype", [(-1, np.intp), ("N", np.intp), ("N", np.uint32)])
+    def test_id_outside_the_collection_rejected_before_scoring(self, small_set, size, bad, dtype):
+        n = len(small_set)
+        bad = n if bad == "N" else bad
+        ids = np.concatenate(([bad], np.arange(min(size, n) - 1))).astype(dtype)
+        q_dense = random_vector(np.random.default_rng(23), small_set.dim, 10).to_dense(small_set.dim)
+        visited = np.zeros(n, dtype=bool)
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=f"doc id {bad} is out of range for {n} docs"):
+            evaluate_block(Block(ids), small_set, q_dense, empty_top(), visited, k=5, stats=stats)
+        assert not visited.any() and stats == SearchStats()
+
+    @pytest.mark.parametrize("ids", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_ids_that_are_not_integers_rejected(self, small_set, ids):
+        with pytest.raises(ValueError, match=f"doc ids must be integers, not {ids.dtype}"):
+            evaluate_block(Block(ids), small_set, np.ones(small_set.dim), empty_top(),
+                           np.zeros(len(small_set), dtype=bool), k=5)
+
+    @pytest.mark.parametrize("shape", [(49,), (51,), (1, 50)])
+    def test_dense_query_of_another_dim_rejected(self, small_set, shape):
+        with pytest.raises(ValueError, match=f"dense query of shape .* does not match dim {small_set.dim}"):
+            evaluate_block(Block(np.arange(3)), small_set, np.ones(shape), empty_top(),
+                           np.zeros(len(small_set), dtype=bool), k=5)
+
+    def test_graph_neighbor_outside_the_collection_rejected(self, small_set):
+        """A visited bitmap longer than N lets a neighbor id of N or more
+        through the dedupe; it must not reach the kernel."""
+        n = len(small_set)
+        graph = KnnGraph(kappa=1, neighbors=np.full((n + 1, 1), n, dtype=np.uint32))
+        top = (np.array([0]), np.array([1.0]))
+        with pytest.raises(ValueError, match=f"doc id {n} is out of range for {n} docs"):
+            expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, np.zeros(n + 1, dtype=bool))
 
 
 class TestExactModeEquivalence:
@@ -472,33 +507,45 @@ class TestForwardScores:
             ids[0] = 0  # an empty row
         return ids, q_dense
 
-    @pytest.mark.parametrize("size", [1, 2, query.SMALL_BATCH, query.SMALL_BATCH + 1, N])
-    def test_both_paths_equal_the_scipy_mat_vec_bit_for_bit(self, forward, size, monkeypatch):
-        for dtype in (np.intp, np.uint32):  # graph neighbors arrive as uint32, other batches as intp
+    @pytest.mark.parametrize("size", [1, 2, 128, 129, N])
+    def test_both_paths_equal_the_scipy_mat_vec_bit_for_bit(self, forward, size):
+        """One compiled kernel, on both id dtypes that reach it: intp (the
+        batches search builds) and uint32 (the stored member ids and graph
+        neighbors, which a caller of evaluate_block may pass as they are)."""
+        for dtype in (np.intp, np.uint32):
             ids, q_dense = self.batch(size, dtype)
             want = forward.scipy64()[ids] @ q_dense
-            for limit in (0, self.N):  # every batch by scipy, then every batch by bincount
-                monkeypatch.setattr(query, "SMALL_BATCH", limit)
-                got = _forward_scores(forward, ids, q_dense)
-                assert got.dtype == np.float64
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = _forward_scores(forward, ids, q_dense)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("dtype", [np.intp, np.uint32])
-    @pytest.mark.parametrize("size", [query.SMALL_BATCH, query.SMALL_BATCH + 1])
-    def test_small_batch_is_the_last_size_bincount_scores(self, forward, size, dtype, monkeypatch):
-        ids, q_dense = self.batch(size, dtype)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint32])
+    def test_every_index_array_has_the_csr_index_dtype(self, forward, dtype, monkeypatch):
+        """sparsetools upcasts the whole forward index on every call when one
+        index array is wider than the CSR's, and rejects narrower outputs."""
         calls = []
-        ranges = query._ranges
+        kernels = query._sparsetools
 
-        def counted(starts, stops):
-            calls.append(starts.size)
-            return ranges(starts, stops)
+        class Recording:
+            def csr_row_index(self, *args):
+                calls.append(args)
+                return kernels.csr_row_index(*args)
 
-        monkeypatch.setattr(query, "_ranges", counted)  # only the bincount path gathers ranges
+            def csr_matvec(self, *args):
+                calls.append(args)
+                return kernels.csr_matvec(*args)
+
+        monkeypatch.setattr(query, "_sparsetools", Recording())
+        ids, q_dense = self.batch(129, dtype)
         got = _forward_scores(forward, ids, q_dense)
-        assert calls == ([size] if size <= query.SMALL_BATCH else [])
-        want = forward.scipy64()[ids] @ q_dense
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        csr = forward.scipy64()
+        (n_rows, row_ids, ptr, indices, data, sub_indices, sub_data), \
+            (m_rows, n_cols, sub_ptr, mv_indices, mv_data, x, scores) = calls
+        assert ptr is csr.indptr and indices is csr.indices and data is csr.data  # no copies
+        for array in (row_ids, sub_indices, sub_ptr):
+            assert array.dtype == csr.indptr.dtype == csr.indices.dtype
+        assert mv_indices is sub_indices and mv_data is sub_data and x is q_dense and scores is got
+        assert n_rows == m_rows == ids.size and n_cols == forward.dim
 
 
 class TestRanges:

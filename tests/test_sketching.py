@@ -227,6 +227,36 @@ class TestTopMassOrderKey:
                               top_mass_order(indptr, values, 0.7))
 
 
+class TestOneSegmentTopMassOrder:
+    """A single segment (a query) takes a 1-D cumsum, not the padded 2-D one;
+    it must keep exactly the positions the 2-D path keeps."""
+
+    @staticmethod
+    def alphas(values, pick, nudge):
+        """alpha drawn from (0, 1), plus alphas that put the target
+        (alpha - 1e-6) * mass within a few ulps of a prefix mass."""
+        csum = np.sort(values.astype(np.float64))[::-1].cumsum()
+        alpha = csum[pick % csum.size] / csum[-1] + 1e-6
+        for _ in range(abs(nudge)):
+            alpha = np.nextafter(alpha, np.inf if nudge > 0 else -np.inf)
+        return [a for a in (float(alpha), float(csum[0] / csum[-1])) if 0 < a < 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), levels=st.integers(1, 6),
+           alpha=st.floats(0, 1, exclude_min=True, exclude_max=True), pick=st.integers(0, 39),
+           nudge=st.integers(-3, 3))
+    def test_equals_the_two_dimensional_path(self, seed, n, levels, alpha, pick, nudge):
+        rng = np.random.default_rng(seed)
+        palette = np.concatenate((TIED_VALUES, rng.random(levels) + 1e-3)).astype(np.float32)
+        values = palette[rng.integers(0, palette.size, n)]  # few levels, so many ties
+        other = np.array([1.0, 2.0], dtype=np.float32)  # a second segment forces the 2-D path
+        for a in [alpha] + self.alphas(values, pick, nudge):
+            got = top_mass_order([0, n], values, a)
+            assert np.array_equal(got, lexsorted_top_mass_order(np.array([0, n]), values, a))
+            both = top_mass_order([0, n, n + 2], np.concatenate((values, other)), a)
+            assert np.array_equal(got, both[both < n])
+
+
 class TestLargestFirst:
     @settings(max_examples=200, deadline=None)
     @given(segments=st.lists(st.lists(st.sampled_from(TIED_VALUES), max_size=8), max_size=8))

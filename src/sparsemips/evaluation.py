@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
-from .vectors import SparseVector, VectorSet
+from .vectors import SparseVector, VectorSet, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def mass_curve(vset: VectorSet, max_keep: int):
     """Mean fraction of l1 mass kept by the top-j entries, for j = 1..max_keep."""
     if len(vset) == 0:
         raise ValueError("empty collection")
-    if max_keep < 0:
-        raise ValueError(f"max_keep={max_keep} must be at least 0")
+    max_keep = check_int("max_keep", max_keep, 0)
     lengths = vset.nnz_per_row()
     counted = np.count_nonzero(lengths)
     if counted == 0:
@@ -128,11 +127,9 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
         raise ValueError("cannot sample pairs from an empty query set")
     if len(vset) == 0:
         raise ValueError("cannot sample pairs from an empty collection")
-    if sample < 1:
-        raise ValueError(f"sample={sample} must be at least 1")
-    for name, alpha in (("alpha_doc", alpha_doc), ("alpha_query", alpha_query)):
-        if not 0 < alpha <= 1:
-            raise ValueError(f"{name}={alpha} must lie in (0, 1]")
+    sample = check_int("sample", sample, 1)
+    check_fraction("alpha_doc", alpha_doc)
+    check_fraction("alpha_query", alpha_query)
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, len(queries), size=sample)
     ds = rng.integers(0, len(vset), size=sample)
@@ -155,8 +152,7 @@ def ip_preservation(vset, queries, alpha_doc, alpha_query, sample, seed=0):
 def norm_ratio_cdf(vset, queries, k_far):
     """CDF of ||v_I||1 / ||u_I||1: u nearest, v the k_far-th nearest, I = query support."""
     check_query_dims(queries.indices, vset.dim)
-    if k_far < 1:
-        raise ValueError(f"k_far={k_far} must be at least 1")
+    k_far = check_int("k_far", k_far, 1)
     if k_far > len(vset):
         return []
     gt = ground_truth(vset, queries, k_far)
@@ -188,8 +184,7 @@ class BenchReport:
 
 def bench(index, graph, queries, params: SearchParams, repetitions=3) -> BenchReport:
     """Single-worker wall time around the search call, best of `repetitions`."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    repetitions = check_int("repetitions", repetitions, 1)
     times = []
     for q in queries:
         if q.dims.size == 0:

@@ -14,36 +14,49 @@ import numpy as np
 from .evaluation import ground_truth
 from .query import search
 from .storage import ConsistencyError, HeaderError, read_record, write_record
-from .vectors import VectorSet
+from .vectors import VectorSet, as_unsigned, check_int
 
 
 @dataclass(frozen=True)
 class KnnGraph:
+    """kappa and the (N, row_width(N, kappa)) uint32 neighbor table, every
+    id < N; ValueError on construction otherwise."""
+
     kappa: int
-    neighbors: np.ndarray  # (N, min(kappa, N-1)) uint32, score-descending rows
+    neighbors: np.ndarray  # score-descending rows
 
     def __post_init__(self):
-        check_kappa(self.kappa)
-        object.__setattr__(self, "neighbors", np.ascontiguousarray(self.neighbors, dtype=np.uint32))
+        kappa = check_kappa(self.kappa)
+        neighbors = as_unsigned(self.neighbors, np.uint32, "neighbor ids", ValueError)
+        if neighbors.ndim != 2 or neighbors.shape[1] != row_width(len(neighbors), kappa):
+            raise ValueError(f"neighbors of shape {neighbors.shape} are not (N, min(kappa, N-1)) for kappa={kappa}")
+        if neighbors.size and int(neighbors.max()) >= len(neighbors):
+            raise ValueError(f"neighbor id {int(neighbors.max())} is out of range for {len(neighbors)} nodes")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "neighbors", neighbors)
 
     @property
     def width(self):
-        return self.neighbors.shape[1] if self.neighbors.ndim == 2 else 0
+        return self.neighbors.shape[1]
 
     def __len__(self):
         return self.neighbors.shape[0]
 
 
 def check_kappa(kappa):
-    """Raise ValueError unless kappa fits the file's unsigned 32-bit field."""
-    if not 0 <= kappa < 2**32:
-        raise ValueError(f"kappa={kappa} must lie in [0, 2**32)")
+    """kappa as an int; ValueError unless it is an integer that fits the
+    file's unsigned 32-bit field."""
+    return check_int("kappa", kappa, 0, 2**32)
+
+
+def row_width(n, kappa):
+    """Neighbors per row of a graph of n points: min(kappa, N-1)."""
+    return min(kappa, max(n - 1, 0))
 
 
 def graph_size_bits(n, kappa):
     """Bits needed at minimal fixed id width: (floor(log2(N-1))+1) * N * kappa."""
-    if n < 2:
-        raise ValueError("graph size formula requires N >= 2")
+    n, kappa = check_int("n", n, 2), check_kappa(kappa)
     if kappa == 0:
         return 0
     return (n - 1).bit_length() * n * kappa  # bit_length == floor(log2)+1
@@ -53,8 +66,7 @@ def _neighbor_graph(n, kappa, best):
     """The graph of each point's min(kappa, N-1) best neighbors: best(width + 1)
     gives each point's best width + 1 ids as an (N, width + 1) array, and each
     row drops the point's own id, or its last id when the point is not in it."""
-    check_kappa(kappa)  # before any search
-    width = min(kappa, max(n - 1, 0))
+    width = row_width(n, check_kappa(kappa))  # before any search
     if width == 0:
         return KnnGraph(kappa=kappa, neighbors=np.empty((n, 0), dtype=np.uint32))
     found = best(width + 1)
@@ -96,7 +108,7 @@ _HEADER = struct.Struct("<QIB")  # nodes, kappa, bytes per id
 def _layout(n, kappa, byte_width):
     if not 1 <= byte_width <= 4:
         raise HeaderError(f"graph ids are {byte_width} bytes wide, not 1 to 4")
-    return [("neighbors", "u1", n * min(kappa, max(n - 1, 0)) * byte_width)]
+    return [("neighbors", "u1", n * row_width(n, kappa) * byte_width)]
 
 
 def save_graph(graph: KnnGraph, path):
@@ -110,7 +122,7 @@ def save_graph(graph: KnnGraph, path):
 def load_graph(path) -> KnnGraph:
     (n, kappa, byte_width), [packed] = read_record(path, _HEADER, _layout)
     ids = np.pad(packed.reshape(-1, byte_width), [(0, 0), (0, 4 - byte_width)]).view("<u4")
-    neighbors = ids.reshape(n, min(kappa, max(n - 1, 0)))
-    if neighbors.size and int(neighbors.max()) >= n:
-        raise ConsistencyError(f"graph: neighbor id {int(neighbors.max())} is out of range for {n} nodes")
-    return KnnGraph(kappa=kappa, neighbors=neighbors)
+    try:
+        return KnnGraph(kappa=kappa, neighbors=ids.reshape(n, row_width(n, kappa)))
+    except ValueError as exc:
+        raise ConsistencyError(f"graph: {exc}") from None

@@ -28,7 +28,7 @@ from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import CSR_ERRORS, ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import VectorSet, _ranges, check_csr
+from .vectors import VectorSet, _ranges, check_csr, check_fraction
 
 INDEX_MAGIC = b"SPMIDX03"
 
@@ -42,12 +42,10 @@ class BuildParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+        check_fraction("alpha", self.alpha)
         if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
+            raise ValueError(f"beta={self.beta} must lie in (0, 1)")
+        check_fraction("gamma", self.gamma)
         # the file stores the seed as a signed 64-bit field
         if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise ValueError(f"seed={self.seed!r} must be an int in [0, 2**63)")

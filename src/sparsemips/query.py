@@ -42,7 +42,7 @@ from scipy.sparse import _sparsetools
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
 from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector, _ranges
+from .vectors import SparseVector, _ranges, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class SearchParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_k(self.k))
-        if not 0 < self.alpha_q <= 1:
-            raise ValueError("alpha_q must lie in (0, 1]")
-        if not 0 < self.heap_factor <= 1:
-            raise ValueError("heap_factor must lie in (0, 1]")
+        check_fraction("alpha_q", self.alpha_q)
+        check_fraction("heap_factor", self.heap_factor)
 
 
 class ResultList:
@@ -96,11 +94,7 @@ class SearchStats:
 
 def check_k(k):
     """k as an int; ValueError unless it is an integer (a bool is not one) of at least 1."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k={k!r} must be an integer")
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
-    return int(k)
+    return check_int("k", k, 1)
 
 
 def check_query_dims(dims, dim):
@@ -192,11 +186,15 @@ def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     """One-hop expansion: score the unvisited neighbors of the docs in `top`.
 
-    Raises ValueError, as evaluate_block does, before scoring a neighbor
-    outside [0, N), which a `visited` longer than N would let through.
+    Raises ValueError, as evaluate_block does, before scoring any: for a
+    graph whose node count is not the length of `visited` (N in search),
+    which its ids index, and for a neighbor outside [0, N), which a
+    `visited` longer than N would let through.
     """
     if graph is None or graph.kappa == 0:
         return top
+    if len(graph) != visited.size:
+        raise ValueError(f"graph has {len(graph)} nodes but visited has {visited.size} entries")
     neighbors = _unvisited(graph.neighbors[top[0]], visited)
     _check_batch(neighbors, forward, q_dense)
     if stats is not None:

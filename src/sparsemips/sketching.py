@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .vectors import SparseVector, VectorSet, _ranges, lp_norm
+from .vectors import SparseVector, VectorSet, _ranges, check_fraction, lp_norm
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -129,8 +129,7 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
 
 
 def _segment_sizes(indptr, alpha):
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_fraction("alpha", alpha)
     indptr = np.asarray(indptr, dtype=np.int64)
     sizes = indptr[1:] - indptr[:-1]
     if not sizes.all():  # values are positive, so only an empty segment has no mass
@@ -214,8 +213,7 @@ def set_alpha_mss(vset: VectorSet, alpha: float) -> VectorSet:
     Output vectors are subvectors of the inputs; dimensionality and vector
     count unchanged.  alpha == 1 returns vset, without sorting anything.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_fraction("alpha", alpha)
     if alpha == 1:
         return vset
     csc = vset.to_scipy().tocsc()  # rows ascending within each column

@@ -1,4 +1,7 @@
-"""Sparse vector primitives and the immutable collection container.
+"""Sparse vector primitives, the immutable collection container, and the
+input rules of the whole package: check_csr, as_unsigned for caller
+integer arrays, check_int for counts and check_fraction for (0, 1]
+parameters, each the one place its rule is written.
 
 Vectors are stored as parallel arrays of strictly increasing dimension
 indices (uint32) and strictly positive values (float32).  Inner products
@@ -30,7 +33,7 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self):
-        dims = _as_readonly(np.ascontiguousarray(self.dims, dtype=np.uint32))
+        dims = _as_readonly(as_unsigned(self.dims, np.uint32, "sparse vector: dims"))
         values = _as_readonly(np.ascontiguousarray(self.values, dtype=np.float32))
         if dims.shape != values.shape or dims.ndim != 1:
             raise SparseVectorError("dims and values must be 1-d arrays of equal length")
@@ -41,9 +44,7 @@ class SparseVector:
     @classmethod
     def from_pairs(cls, pairs):
         pairs = sorted(pairs)
-        dims = np.array([d for d, _ in pairs], dtype=np.uint32)
-        values = np.array([v for _, v in pairs], dtype=np.float32)
-        return cls(dims, values)
+        return cls([d for d, _ in pairs], [v for _, v in pairs])
 
     @property
     def nnz(self):
@@ -130,6 +131,40 @@ def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,
         raise value(f"{what}: values must be finite and strictly positive")
 
 
+def as_unsigned(a, dtype, what, error=SparseVectorError):
+    """`a` as a contiguous array of the unsigned integer `dtype`, its values
+    unchanged: `error` unless it is empty or holds integers in the dtype's
+    range.  A cast alone would wrap -1 to the largest value and truncate 2.7."""
+    a = np.asarray(a)
+    dtype = np.dtype(dtype)
+    if a.size and not (a.dtype.kind == "u" and a.dtype.itemsize <= dtype.itemsize):
+        if a.dtype.kind not in "iu":
+            raise error(f"{what} must be integers, not {a.dtype}")
+        low, high = a.min(), a.max()
+        if low < 0 or high >= 2 ** (8 * dtype.itemsize):
+            raise error(f"{what} must lie in [0, 2**{8 * dtype.itemsize}), not {low if low < 0 else high}")
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def check_int(name, value, low, high=None):
+    """value as an int; ValueError, naming it, unless it is an integer (a
+    Python or numpy one, but not a bool) of at least `low` and below `high`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    value = int(value)
+    if high is not None and not low <= value < high:
+        raise ValueError(f"{name}={value} must lie in [{low}, {high})")
+    if value < low:
+        raise ValueError(f"{name}={value} must be at least {low}")
+    return value
+
+
+def check_fraction(name, value):
+    """ValueError, naming it, unless value lies in (0, 1]; NaN does not."""
+    if not 0 < value <= 1:
+        raise ValueError(f"{name}={value} must lie in (0, 1]")
+
+
 EMPTY = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
 
 
@@ -142,10 +177,11 @@ class VectorSet:
 
     def __init__(self, dim, indptr, indices, values, *, what="vector set", errors=(SparseVectorError,) * 3):
         """`what` names the set in errors and `errors` are check_csr's
-        exception types, for a loader that raises its own."""
+        exception types, for a loader that raises its own; the first is also
+        as_unsigned's, for pointers or indices that are not integers in range."""
         self.dim = int(dim)
-        self.indptr = _as_readonly(np.ascontiguousarray(indptr, dtype=np.uint64))
-        self.indices = _as_readonly(np.ascontiguousarray(indices, dtype=np.uint32))
+        self.indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers", errors[0]))
+        self.indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices", errors[0]))
         self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))
         if self.indptr.size == 0 or self.indices.size != self.values.size:
             raise SparseVectorError("indptr/indices/values are inconsistent")

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sparsemips.graph
 from sparsemips import (
@@ -220,3 +221,36 @@ class TestGraphSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(HeaderError):
             load_graph(path)
+
+
+@st.composite
+def _graph_fields(draw):
+    """(kappa, neighbors) that KnnGraph may reject: a kappa that is not an
+    integer or outside the file's field, and a table of N rows whose width
+    may differ from min(kappa, N-1), flattened to one dimension, or holding
+    ids of N or more."""
+    n = draw(st.integers(0, 6))
+    kappa = draw(st.one_of(st.integers(0, 8), st.sampled_from([2**32 - 1, 2**32, -1, 1.5, True])))
+    width = draw(st.one_of(st.just(max(0, int(min(kappa, n - 1)))), st.integers(0, 6)))
+    ids = draw(st.lists(st.integers(0, n + 1), min_size=n * width, max_size=n * width))
+    shape = draw(st.sampled_from([(n, width), (n * width,)]))
+    return kappa, np.array(ids, dtype=np.uint32).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_fields())
+@example((1.5, np.array([[1], [0]], dtype=np.uint32)))      # not an integer: struct.error on save
+@example((1, np.array([[1, 0], [0, 1]], dtype=np.uint32)))  # wider than min(kappa, N-1)
+@example((1, np.array([1, 0], dtype=np.uint32)))            # one dimension
+@example((1, np.array([[2], [0]], dtype=np.uint32)))        # id N
+def test_every_graph_that_constructs_survives_save_and_load(tmp_path_factory, fields):
+    kappa, neighbors = fields
+    try:
+        graph = KnnGraph(kappa=kappa, neighbors=neighbors)
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "graph-round-trip.bin"
+    save_graph(graph, path)
+    loaded = load_graph(path)
+    assert loaded.kappa == graph.kappa and np.array_equal(loaded.neighbors, graph.neighbors)
+    assert loaded.neighbors.shape == graph.neighbors.shape

@@ -128,6 +128,21 @@ class TestEvaluateBlock:
         with pytest.raises(ValueError, match=f"doc id {n} is out of range for {n} docs"):
             expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, np.zeros(n + 1, dtype=bool))
 
+    @pytest.mark.parametrize("nodes", [29, 31])
+    def test_graph_of_another_size_rejected(self, nodes):
+        """Graph ids index the visited bitmap: a graph with a row too few
+        (id 29) or an id too many (30) fails with ValueError, not IndexError."""
+        forward = random_collection(30, 20, 5, seed=50)
+        neighbors = np.full((nodes, 1), nodes - 1, dtype=np.uint32)
+        neighbors[-1] = 0
+        graph = KnnGraph(kappa=1, neighbors=neighbors)
+        top = (np.arange(30), np.ones(30))
+        visited = np.zeros(30, dtype=bool)
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=f"graph has {nodes} nodes but visited has 30 entries"):
+            expand_with_graph(top, graph, forward, np.ones(20), 5, visited, stats)
+        assert not visited.any() and stats == SearchStats()
+
 
 class TestExactModeEquivalence:
     def test_matches_oracle_including_tie_order(self, medium_set):

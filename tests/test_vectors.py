@@ -2,8 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sparsemips import SparseVector, VectorSet, dot, lp_norm, restrict
-from sparsemips.vectors import SparseVectorError
+from sparsemips import (
+    BuildParams,
+    KnnGraph,
+    SearchParams,
+    SparseVector,
+    VectorSet,
+    accuracy_at_k,
+    alpha_mss,
+    bench,
+    build_exact_graph,
+    build_index,
+    dot,
+    graph_size_bits,
+    ip_preservation,
+    lp_norm,
+    mass_curve,
+    norm_ratio_cdf,
+    restrict,
+    set_alpha_mss,
+)
+from sparsemips.graph import check_kappa
+from sparsemips.vectors import SparseVectorError, check_int
 from sparsemips.synth import random_collection, random_vector
 
 
@@ -149,7 +169,8 @@ _VALUE = st.one_of(
 @st.composite
 def _row(draw):
     """(dims, values) lists: sorted or not, with or without duplicates, lengths equal or not."""
-    dims = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)), max_size=6))
+    dims = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1), st.sampled_from([2**32, -1, 2.7])),
+                         max_size=6))
     if draw(st.booleans()):
         dims = sorted(set(dims))
     length = max(0, len(dims) + draw(st.sampled_from([0, 0, 0, -1, 1])))
@@ -171,6 +192,12 @@ def _raises_sparse_vector_error(make):
 @example(([3, 1], [1.0, 1.0]))          # unsorted
 @example(([2, 2], [1.0, 1.0]))          # duplicate
 @example(([2**32 - 1], [1.0]))          # largest uint32 dim
+@example(([2**32], [1.0]))              # past uint32, which a cast would wrap to 0
+@example(([-1], [1.0]))
+@example(([2.7], [1.0]))                # not an integer, which a cast would truncate
+@example((np.array([2**32]), [1.0]))    # the same as int64 arrays
+@example((np.array([-1]), [1.0]))
+@example((np.array([], dtype=np.float64), []))  # empty, of any dtype
 @example(([1, 2], [1.0, 0.0]))          # zero
 @example(([1], [-0.5]))                 # negative
 @example(([1], [np.nan]))               # NaN
@@ -182,3 +209,54 @@ def test_sparse_vector_rejects_exactly_what_a_one_row_vector_set_rejects(row):
     as_vector = _raises_sparse_vector_error(lambda: SparseVector(dims, values))
     as_set = _raises_sparse_vector_error(lambda: VectorSet(2**32, [0, len(dims)], dims, values))
     assert as_vector == as_set
+
+
+
+def _tiny_index(vset):
+    return build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0))
+
+
+# each integer count, and each (0, 1] fraction, with a call that takes it
+_COUNTS = [
+    pytest.param("k", lambda s, v: accuracy_at_k(np.arange(5), [0, 1], v), id="k-accuracy_at_k"),
+    pytest.param("kappa", lambda s, v: KnnGraph(kappa=v, neighbors=np.empty((1, 0))), id="kappa-KnnGraph"),
+    pytest.param("kappa", lambda s, v: build_exact_graph(s, v), id="kappa-build_exact_graph"),
+    pytest.param("kappa", lambda s, v: graph_size_bits(10, v), id="kappa-graph_size_bits"),
+    pytest.param("n", lambda s, v: graph_size_bits(v, 1), id="n-graph_size_bits"),
+    pytest.param("sample", lambda s, v: ip_preservation(s, s, 1.0, 1.0, sample=v), id="sample"),
+    pytest.param("max_keep", lambda s, v: mass_curve(s, v), id="max_keep"),
+    pytest.param("k_far", lambda s, v: norm_ratio_cdf(s, s, v), id="k_far"),
+    pytest.param("repetitions", lambda s, v: bench(_tiny_index(s), None, list(s)[:2], SearchParams(k=3),
+                                                   repetitions=v), id="repetitions"),
+]
+_FRACTIONS = [
+    pytest.param("alpha", lambda s, v: BuildParams(alpha=v, beta=0.2, gamma=0.5), id="alpha-BuildParams"),
+    pytest.param("gamma", lambda s, v: BuildParams(alpha=0.5, beta=0.2, gamma=v), id="gamma"),
+    pytest.param("alpha_q", lambda s, v: SearchParams(k=3, alpha_q=v), id="alpha_q"),
+    pytest.param("heap_factor", lambda s, v: SearchParams(k=3, heap_factor=v), id="heap_factor"),
+    pytest.param("alpha", lambda s, v: alpha_mss(s.vector(1), v), id="alpha-alpha_mss"),
+    pytest.param("alpha", lambda s, v: set_alpha_mss(s, v), id="alpha-set_alpha_mss"),
+    pytest.param("alpha_doc", lambda s, v: ip_preservation(s, s, v, 1.0, sample=50), id="alpha_doc"),
+    pytest.param("alpha_query", lambda s, v: ip_preservation(s, s, 1.0, v, sample=50), id="alpha_query"),
+]
+
+
+class TestInputRules:
+    """Every count and fraction goes through one check, which names it."""
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name, call", _COUNTS)
+    def test_count_that_is_not_an_integer_named(self, small_set, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name}={value!r} must be an integer$"):
+            call(small_set, value)
+
+    @pytest.mark.parametrize("value", [np.nan, 0, 1.5])
+    @pytest.mark.parametrize("name, call", _FRACTIONS)
+    def test_fraction_outside_zero_one_named(self, small_set, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name}={value} must lie in \(0, 1\]$"):
+            call(small_set, value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_counts_accepted_as_int(self, value):
+        assert type(check_int("x", value, 0)) is int and check_int("x", value, 0) == 3
+        assert type(check_kappa(value)) is int and type(KnnGraph(value, np.empty((0, 0))).kappa) is int

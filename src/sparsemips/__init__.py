@@ -6,7 +6,6 @@ neighbor-graph candidate expansion, plus an exact oracle and evaluation
 tools.
 """
 from .evaluation import (
-    GroundTruth,
     accuracy_at_k,
     bench,
     exact_topk,
@@ -42,7 +41,7 @@ from .storage import load_collection, load_ground_truth, save_collection, save_g
 from .vectors import SparseVector, VectorSet, dot, lp_norm, restrict
 
 __all__ = [
-    "Block", "BlockedIndex", "BuildParams", "GroundTruth", "KnnGraph",
+    "Block", "BlockedIndex", "BuildParams", "KnnGraph",
     "ResultList", "SearchParams", "SparseVector", "ThresholdSketch",
     "VectorSet", "ZeroVectorError", "accuracy_at_k", "alpha_mss", "bench",
     "build_approx_graph", "build_exact_graph", "build_index", "cluster_list",

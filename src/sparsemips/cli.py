@@ -62,18 +62,16 @@ def _cmd_search(args):
 def _cmd_ground_truth(args):
     vset = storage.load_collection(args.input)
     queries = storage.load_collection(args.queries)
-    gt = evaluation.ground_truth(vset, queries, args.k)
-    storage.save_ground_truth(gt.ids, gt.scores, args.output)
-    print(f"ground truth for {gt.num_queries} queries at k={args.k}")
+    ids, scores = evaluation.ground_truth(vset, queries, args.k)
+    storage.save_ground_truth(ids, scores, args.output)
+    print(f"ground truth for {len(ids)} queries at k={args.k}")
 
 
 def _cmd_evaluate(args):
     runs = storage.read_results_tsv(args.run)
-    ids, scores = storage.load_ground_truth(args.gt)
-    gt = evaluation.GroundTruth(k=ids.shape[1], ids=ids, scores=scores)
-    if len(runs) < gt.num_queries:
-        runs = runs + [[] for _ in range(gt.num_queries - len(runs))]
-    acc = evaluation.mean_accuracy(gt, runs, args.k)
+    ids, _ = storage.load_ground_truth(args.gt)
+    runs += [[] for _ in range(len(ids) - len(runs))]
+    acc = evaluation.mean_accuracy(ids, runs, args.k)
     print(f"mean accuracy@{args.k}: {acc:.4f}")
 
 
@@ -103,12 +101,12 @@ def _cmd_stats(args):
 
 def _cmd_bench(args):
     index, graph, queries, params = _search_setup(args)
-    report = evaluation.bench(index, graph, queries, params, repetitions=args.reps)
-    if report.per_query_us.size == 0:
+    us = evaluation.bench(index, graph, queries, params, repetitions=args.reps)
+    if us.size == 0:
         print("no queries")
         return
-    print(f"queries: {report.per_query_us.size}  reps: {report.repetitions} (best-of)")
-    print(f"mean_us: {report.mean_us:.1f}  median_us: {report.median_us:.1f}  p95_us: {report.p95_us:.1f}")
+    print(f"queries: {us.size}  reps: {args.reps} (best-of)")
+    print(f"mean_us: {us.mean():.1f}  median_us: {np.median(us):.1f}  p95_us: {np.percentile(us, 95):.1f}")
 
 
 def _add_search_flags(p):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,17 +10,6 @@ from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
 from .vectors import SparseVector, VectorSet, check_fraction, check_int
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    k: int
-    ids: np.ndarray      # (nq, k) uint32
-    scores: np.ndarray   # (nq, k) float32
-
-    @property
-    def num_queries(self):
-        return self.ids.shape[0]
 
 
 def _csr64(vset: VectorSet, width: int):
@@ -41,11 +29,12 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     k = check_k(k)
     check_query_dims(q.dims, vset.dim)
     scores = vset.scipy64() @ q.to_dense(vset.dim)
-    return ResultList(*top_k(np.arange(len(vset)), scores, k))
+    return ResultList(*top_k(np.arange(len(vset), dtype=np.uint32), scores, k))
 
 
-def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
-    """exact_topk of every query, bit for bit, scored a dense block of queries at a time.
+def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
+    """exact_topk of every query, bit for bit, as (ids, scores): uint32 and
+    float32 (nq, k) arrays, scored a dense block of queries at a time.
 
     A dense right operand sums each score in the order of exact_topk's mat-vec,
     whatever the block's width, so the blocks are scored on the thread pool.
@@ -71,7 +60,7 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int) -> GroundTruth:
             ids[r], scores[r] = row_ids, row_scores
 
     parallel.in_order(best, range(0, len(queries), chunk), collect)
-    return GroundTruth(k=k, ids=ids, scores=scores)
+    return ids, scores
 
 
 def accuracy_at_k(truth_ids, run_ids, k) -> float:
@@ -85,13 +74,14 @@ def accuracy_at_k(truth_ids, run_ids, k) -> float:
     return len(truth & run) / k
 
 
-def mean_accuracy(gt: GroundTruth, runs, k) -> float:
-    """runs: per query, a sequence of (id, score) pairs."""
+def mean_accuracy(truth_ids, runs, k) -> float:
+    """truth_ids: (nq, depth) true top ids per query; runs: per query, a
+    sequence of (id, score) pairs."""
     k = check_k(k)
-    if len(runs) > gt.num_queries:
-        raise ValueError(f"run holds query {len(runs) - 1}, but the ground truth has {gt.num_queries} queries")
+    if len(runs) > len(truth_ids):
+        raise ValueError(f"run holds query {len(runs) - 1}, but the ground truth has {len(truth_ids)} queries")
     accs = [
-        accuracy_at_k(gt.ids[qi], [doc for doc, _ in run[:k]], k)
+        accuracy_at_k(truth_ids[qi], [doc for doc, _ in run[:k]], k)
         for qi, run in enumerate(runs)
     ]
     return float(np.mean(accs)) if accs else 0.0
@@ -155,35 +145,18 @@ def norm_ratio_cdf(vset, queries, k_far):
     k_far = check_int("k_far", k_far, 1)
     if k_far > len(vset):
         return []
-    gt = ground_truth(vset, queries, k_far)
+    ids, _ = ground_truth(vset, queries, k_far)
     support = _csr64(queries, vset.dim).astype(bool)
     mat = vset.scipy64()
-    near = _row_sums(mat[gt.ids[:, 0]].multiply(support))
-    far = _row_sums(mat[gt.ids[:, -1]].multiply(support))
+    near = _row_sums(mat[ids[:, 0]].multiply(support))
+    far = _row_sums(mat[ids[:, -1]].multiply(support))
     ratios = np.sort(far[near > 0] / near[near > 0])  # an empty query has no near mass
     return [(float(r), (i + 1) / ratios.size) for i, r in enumerate(ratios)]
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    per_query_us: np.ndarray
-    repetitions: int
-
-    @property
-    def mean_us(self):
-        return float(np.mean(self.per_query_us)) if self.per_query_us.size else 0.0
-
-    @property
-    def median_us(self):
-        return float(np.median(self.per_query_us)) if self.per_query_us.size else 0.0
-
-    @property
-    def p95_us(self):
-        return float(np.percentile(self.per_query_us, 95)) if self.per_query_us.size else 0.0
-
-
-def bench(index, graph, queries, params: SearchParams, repetitions=3) -> BenchReport:
-    """Single-worker wall time around the search call, best of `repetitions`."""
+def bench(index, graph, queries, params: SearchParams, repetitions=3):
+    """Single-worker wall time around the search call, best of `repetitions`:
+    one float64 entry in µs per nonempty query."""
     repetitions = check_int("repetitions", repetitions, 1)
     times = []
     for q in queries:
@@ -195,4 +168,4 @@ def bench(index, graph, queries, params: SearchParams, repetitions=3) -> BenchRe
             search(index, graph, q, params)
             best = min(best, time.perf_counter_ns() - t0)
         times.append(best / 1000.0)
-    return BenchReport(per_query_us=np.asarray(times), repetitions=repetitions)
+    return np.asarray(times, dtype=np.float64)

@@ -78,7 +78,7 @@ def _neighbor_graph(n, kappa, best):
 def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
     """Brute-force top-kappa neighbors per point, ties by ascending id: the
     collection's ground truth against itself, without self."""
-    return _neighbor_graph(len(vset), kappa, lambda k: ground_truth(vset, vset, k).ids)
+    return _neighbor_graph(len(vset), kappa, lambda k: ground_truth(vset, vset, k)[0])
 
 
 def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:

@@ -96,8 +96,8 @@ def cluster_list(rows, beta, seed):
     Samples c = max(1, ceil(beta * n)) rows (capped at n) uniformly without
     replacement as centroids and assigns every row to the centroid
     maximizing the inner product, lowest centroid index on ties.  Returns
-    (order, ptr): the row positions grouped by centroid, ascending within a
-    group, and the bounds of the nonempty groups, order[ptr[g]:ptr[g+1]].
+    each row's block label: blocks are numbered in centroid order, with the
+    centroids no row chose dropped, so every label in 0..max holds a row.
     """
     n = rows.shape[0]
     if n == 0:
@@ -113,29 +113,28 @@ def cluster_list(rows, beta, seed):
     centroids = np.zeros((mat.shape[1], c))
     centroids[mat.indices[entries], np.arange(c).repeat(stops - starts)] = mat.data[entries]
     assign = np.argmax(mat @ centroids, axis=1)  # lowest index on ties
-    sizes = np.bincount(assign, minlength=c)
-    return np.argsort(assign, kind="stable"), np.concatenate(([0], np.cumsum(sizes[sizes > 0])))
+    chosen = np.bincount(assign, minlength=c) > 0
+    return (chosen.cumsum() - 1)[assign]
 
 
-def summarize(rows, ptr):
-    """Coordinatewise maximum of each group rows[ptr[g]:ptr[g+1]] of a CSR matrix.
+def summarize(rows, labels):
+    """Coordinatewise maximum of each group of rows of a CSR matrix, the rows
+    labelled g for g = 0..max(labels).
 
     Returns the summaries as a CSR: (indptr, dims, float32 values), dims
-    ascending within each summary.  Every group must be nonempty.
+    ascending within each summary.  ValueError for no rows at all.
     """
-    ptr = np.asarray(ptr, dtype=np.int64)
-    sizes = np.diff(ptr)
-    if np.any(sizes == 0):
-        raise ValueError("cannot summarize an empty block")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("cannot summarize an empty list")
     dim = rows.shape[1]
-    group = np.repeat(np.arange(sizes.size), sizes)
-    key = np.repeat(group * dim, np.diff(rows.indptr)) + rows.indices
+    key = np.repeat(labels * dim, np.diff(rows.indptr)) + rows.indices
     order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))  # first entry of each (group, dim)
     values = np.maximum.reduceat(rows.data[order], first).astype(np.float32)
     key = key[first]
-    indptr = np.searchsorted(key, np.arange(sizes.size + 1) * dim)
+    indptr = np.searchsorted(key, np.arange(labels.max() + 2) * dim)
     return indptr, (key % dim).astype(np.uint32), values
 
 
@@ -190,21 +189,21 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         truncated and quantized."""
         ids = csc.indices[csc.indptr[i]:csc.indptr[i + 1]]  # ascending
         rows = sketched[ids]
-        order, members_ptr = cluster_list(rows, params.beta, [params.seed, i])
-        nblocks = members_ptr.size - 1
-        indptr, dims, values = summarize(rows[order], members_ptr)
+        labels = cluster_list(rows, params.beta, [params.seed, i])
+        sizes = np.bincount(labels)
+        indptr, dims, values = summarize(rows, labels)
         keep = top_mass(indptr, values, params.gamma)
         indptr, dims, values = np.concatenate(([0], keep.cumsum()))[indptr], dims[keep], values[keep]
-        block_m, block_delta = np.zeros(nblocks, np.float32), np.ones(nblocks, np.float32)
+        block_m, block_delta = np.zeros(sizes.size, np.float32), np.ones(sizes.size, np.float32)
         if params.quantize:
             values, block_m, block_delta = quantize_summary(indptr, values)
-        return i, ids[order], members_ptr, indptr, dims, values, block_m, block_delta
+        return i, ids[np.argsort(labels, kind="stable")], sizes, indptr, dims, values, block_m, block_delta
 
     def collect(built):
-        i, members, members_ptr, indptr, dims, values, block_m, block_delta = built
+        i, members, sizes, indptr, dims, values, block_m, block_delta = built
         member_ids[csc.indptr[i]:csc.indptr[i + 1]] = members
-        blocks_per_list[i] = members_ptr.size - 1
-        block_ptr.frombytes((block_ptr[-1] + members_ptr[1:]).tobytes())
+        blocks_per_list[i] = sizes.size
+        block_ptr.frombytes((block_ptr[-1] + sizes.cumsum()).tobytes())
         summary_ptr.frombytes((len(summary_dims) + indptr[1:]).tobytes())
         summary_dims.frombytes(dims.tobytes())
         summary_values.frombytes(values.tobytes())

@@ -42,7 +42,7 @@ from scipy.sparse import _sparsetools
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
 from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector, _ranges, check_fraction, check_int
+from .vectors import SparseVector, _ranges, as_unsigned, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,11 @@ class SearchParams:
 
 
 class ResultList:
-    """(id, score) pairs, score descending, ties by ascending id."""
+    """(id, score) pairs, score descending, ties by ascending id; ValueError
+    unless the ids are u32 integers."""
 
     def __init__(self, ids, scores):
-        self.ids = np.ascontiguousarray(ids, dtype=np.uint32)
+        self.ids = as_unsigned(ids, np.uint32, "result ids", ValueError)
         self.scores = np.ascontiguousarray(scores, dtype=np.float32)
 
     def __len__(self):
@@ -298,5 +299,6 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     if params.use_graph and graph is not None and graph.kappa > 0:
         top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)
 
-    result = ResultList(*top)
+    # ids below N fit u32, and a u32 array skips ResultList's range scan
+    result = ResultList(top[0].astype(np.uint32), top[1])
     return (result, stats) if return_stats else result

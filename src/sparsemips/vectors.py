@@ -179,7 +179,7 @@ class VectorSet:
         """`what` names the set in errors and `errors` are check_csr's
         exception types, for a loader that raises its own; the first is also
         as_unsigned's, for pointers or indices that are not integers in range."""
-        self.dim = int(dim)
+        self.dim = check_int("dim", dim, 0, 2**32 + 1)
         self.indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers", errors[0]))
         self.indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices", errors[0]))
         self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))

@@ -32,9 +32,9 @@ def csr_rows(dim, vectors):
 
 
 def clusters_of(rows, beta, seed):
-    """cluster_list's groups as lists of row positions."""
-    order, ptr = cluster_list(rows, beta, seed)
-    return [cl.tolist() for cl in np.split(order, ptr[1:-1])]
+    """cluster_list's groups as lists of row positions, in label order."""
+    labels = cluster_list(rows, beta, seed)
+    return [np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1)]
 
 
 def list_members(index, i):
@@ -115,24 +115,29 @@ class TestQuantization:
         assert delta[1] == 0 and m.dtype == delta.dtype == np.float32 and codes.dtype == np.uint8
 
 
-def summary_vectors(rows, ptr):
+def summary_vectors(rows, labels):
     """summarize's CSR output as one SparseVector per group."""
-    indptr, dims, values = summarize(rows, ptr)
+    indptr, dims, values = summarize(rows, labels)
     return [SparseVector(dims[s:e], values[s:e]) for s, e in zip(indptr[:-1], indptr[1:])]
+
+
+def same(values):
+    """One label for every row of `values`."""
+    return np.zeros(len(values), dtype=np.int64)
 
 
 class TestSummarize:
     def test_coordinatewise_max_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        [s] = summary_vectors(csr_rows(40, members), one(members))
+        [s] = summary_vectors(csr_rows(40, members), same(members))
         dense_max = np.max([m.to_dense(40) for m in members], axis=0)
         np.testing.assert_array_equal(s.to_dense(40, dtype=np.float32), dense_max.astype(np.float32))
 
     def test_summary_score_dominates_members(self):
         rng = np.random.default_rng(13)
         members = [random_vector(rng, 40, 10) for _ in range(6)]
-        [s] = summary_vectors(csr_rows(40, members), one(members))
+        [s] = summary_vectors(csr_rows(40, members), same(members))
         for _ in range(10):
             q = random_vector(rng, 40, 8)
             bound = dot(s, q)
@@ -140,14 +145,17 @@ class TestSummarize:
                 assert bound >= dot(m, q) - 1e-9
 
     def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(csr_rows(40, []), one([]))
+        with pytest.raises(ValueError, match="empty list"):
+            summarize(csr_rows(40, []), same([]))
 
     def test_two_segments_equal_each_alone(self):
         rng = np.random.default_rng(14)
         members = [random_vector(rng, 40, 10) for _ in range(7)]
-        both = summary_vectors(csr_rows(40, members), [0, 4, 7])
-        alone = [summary_vectors(csr_rows(40, group), one(group)) for group in (members[:4], members[4:])]
+        # the groups interleave: a max does not depend on row order
+        labels = np.array([0, 1, 0, 0, 1, 0, 1])
+        both = summary_vectors(csr_rows(40, members), labels)
+        groups = [[m for m, g in zip(members, labels) if g == label] for label in (0, 1)]
+        alone = [summary_vectors(csr_rows(40, group), same(group)) for group in groups]
         assert both == [s for [s] in alone]
 
 
@@ -161,6 +169,16 @@ class TestClustering:
         clusters = clusters_of(members, beta=0.2, seed=[0, 0])
         flat = sorted(p for cl in clusters for p in cl)
         assert flat == list(range(40))
+
+    def test_labels_number_the_chosen_centroids_in_order(self):
+        members = self._members(40, 23)  # one of its 8 centroids is chosen by no row
+        rng = np.random.default_rng([0, 0])
+        rows = members.astype(np.float64)
+        centroids = rows[np.sort(rng.choice(40, size=8, replace=False))]
+        assign = np.argmax((rows @ centroids.T).toarray(), axis=1)
+        labels = cluster_list(members, beta=0.2, seed=[0, 0])
+        assert labels.max() == 6
+        assert labels.tolist() == np.unique(assign, return_inverse=True)[1].tolist()
 
     def test_single_centroid(self):
         members = self._members(5, 15)

@@ -55,11 +55,11 @@ class TestPoolSizeInvariance:
     def test_ground_truth_equals_exact_topk(self, pool_size, workers):
         pool_size(workers)
         docs, queries = wide_collection()
-        gt = ground_truth(docs, queries, 12)
+        ids, scores = ground_truth(docs, queries, 12)
         for qi, q in enumerate(queries):
             res = exact_topk(docs, q, 12)
-            assert gt.ids[qi].tolist() == res.ids.tolist()
-            assert gt.scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
+            assert ids[qi].tolist() == res.ids.tolist()
+            assert scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
 
     def test_exact_graph_unchanged(self, pool_size):
         docs, _ = wide_collection()

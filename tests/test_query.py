@@ -70,6 +70,13 @@ class TestTopK:
         ids, scores = top_k(np.array([5, 2, 9]), np.array([0.5, 0.5, 0.5]), 2)
         assert ResultList(ids, scores).ids.tolist() == [2, 5]
 
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2.7])
+    def test_result_ids_that_are_not_u32_integers_rejected(self, bad):
+        # a cast would wrap -1 and 2**32 and truncate 2.7
+        for ids in ([bad], np.array([bad])):
+            with pytest.raises(ValueError, match="result ids"):
+                ResultList(ids, [1.0])
+
 
 def empty_top():
     return np.empty(0, dtype=np.int64), np.empty(0)

@@ -11,7 +11,6 @@ import sparsemips.vectors
 
 from sparsemips import (
     BuildParams,
-    GroundTruth,
     SearchParams,
     build_exact_graph,
     build_index,
@@ -192,11 +191,20 @@ class TestGroundTruthFormat:
     def test_round_trip(self, tmp_path):
         ids = np.arange(12, dtype=np.uint32).reshape(3, 4)
         scores = np.linspace(1.0, 0.1, 12, dtype=np.float32).reshape(3, 4)
+        docs, queries = random_collection(40, 30, 6, seed=52), random_collection(7, 30, 5, seed=53)
         path = tmp_path / "gt.bin"
-        save_ground_truth(ids, scores, path)
-        got_ids, got_scores = load_ground_truth(path)
-        assert np.array_equal(got_ids, ids)
-        assert np.array_equal(got_scores, scores)
+        for pair in ((ids, scores), ground_truth(docs, queries, 5)):
+            save_ground_truth(*pair, path)
+            for got, want in zip(load_ground_truth(path), pair):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2.7])
+    def test_ids_that_are_not_u32_integers_rejected(self, tmp_path, bad):
+        path = tmp_path / "gt.bin"
+        with pytest.raises(ValueError, match="ground truth ids"):
+            save_ground_truth(np.array([[bad, 2]]), np.ones((1, 2)), path)
+        assert not path.exists()
 
     def test_short_file(self, tmp_path):
         path = tmp_path / "gt.bin"
@@ -206,14 +214,14 @@ class TestGroundTruthFormat:
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "gt.bin"
-        save_ground_truth(np.zeros((2, 3)), np.ones((2, 3)), path)
+        save_ground_truth(np.zeros((2, 3), dtype=np.uint32), np.ones((2, 3)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ConsistencyError):
             load_ground_truth(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_ground_truth(np.zeros((2, 3)), np.zeros((2, 2)), tmp_path / "gt.bin")
+            save_ground_truth(np.zeros((2, 3), dtype=np.uint32), np.zeros((2, 2)), tmp_path / "gt.bin")
 
 
 class TestResultsTsv:
@@ -267,8 +275,8 @@ def saved_files(tmp_path_factory):
         "tuned index": (save_index, (tuned,), load_index, search_all),
         "graph": (save_graph, (build_exact_graph(docs, 4),), load_graph,
                   lambda got: search_all(exact, got, params=SearchParams(k=len(docs), use_graph=True))),
-        "ground truth": (save_ground_truth, (truth.ids, truth.scores), load_ground_truth,
-                         lambda got: mean_accuracy(GroundTruth(got[0].shape[1], *got), runs, got[0].shape[1])),
+        "ground truth": (save_ground_truth, truth, load_ground_truth,
+                         lambda got: mean_accuracy(got[0], runs, got[0].shape[1])),
     }
     out = {}
     for name, (save, args, load, use) in formats.items():

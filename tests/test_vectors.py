@@ -226,6 +226,7 @@ _COUNTS = [
     pytest.param("sample", lambda s, v: ip_preservation(s, s, 1.0, 1.0, sample=v), id="sample"),
     pytest.param("max_keep", lambda s, v: mass_curve(s, v), id="max_keep"),
     pytest.param("k_far", lambda s, v: norm_ratio_cdf(s, s, v), id="k_far"),
+    pytest.param("dim", lambda s, v: VectorSet(v, [0, 1], [1], [1.0]), id="dim-VectorSet"),
     pytest.param("repetitions", lambda s, v: bench(_tiny_index(s), None, list(s)[:2], SearchParams(k=3),
                                                    repetitions=v), id="repetitions"),
 ]
@@ -255,6 +256,13 @@ class TestInputRules:
     def test_fraction_outside_zero_one_named(self, small_set, name, call, value):
         with pytest.raises(ValueError, match=rf"^{name}={value} must lie in \(0, 1\]$"):
             call(small_set, value)
+
+    @pytest.mark.parametrize("dim", [-1, 2**32 + 1])
+    def test_vector_set_dim_outside_the_u32_dims_rejected(self, dim):
+        # checked when the set is built, not only when it is saved
+        with pytest.raises(ValueError, match=f"^dim={dim} must lie in"):
+            VectorSet(dim, [0], [], [])
+        assert VectorSet(2**32, [0], [], []).dim == 2**32
 
     @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)])
     def test_numpy_integer_counts_accepted_as_int(self, value):

@@ -8,11 +8,15 @@ block a conservative coordinatewise-max summary, truncated by a top-mass
 sketch and optionally quantized to 8 bits.  The forward index keeps the
 original vectors for exact re-scoring.  The blocks live in a few flat
 arrays (see BlockedIndex), saved as one record after an SPMIDX03 magic.
-One array call each summarizes, truncates and quantizes all the blocks of a
-list, as CSR segments; once every list is done, one transpose stores the
+The build runs in pieces: runs of consecutive lists whose member rows hold
+about PIECE_ENTRIES entries in all, or one longer list alone.  A piece
+gathers its rows once, clusters each list from that list's own seed, and
+summarizes, truncates and quantizes all its blocks with one array call each,
+as CSR segments; once every piece is done, one transpose stores the
 summaries dim-major, so a query reads only the columns of its own dims.
-The lists are built on the thread pool of `parallel`, and appended in list
-order, so the index does not depend on the number of threads.
+The pieces are built on the thread pool of `parallel`, and appended in list
+order, so the index depends neither on the number of threads nor on where
+the pieces end.
 """
 from __future__ import annotations
 
@@ -31,6 +35,9 @@ from .storage import CSR_ERRORS, ConsistencyError, HeaderError, collection_layou
 from .vectors import VectorSet, _ranges, check_csr, check_fraction
 
 INDEX_MAGIC = b"SPMIDX03"
+# a piece of the build is a run of consecutive lists whose member rows hold
+# about this many entries in all, or one longer list
+PIECE_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,19 @@ class BlockedIndex:
         return self.block_ptr.size - 1
 
 
+def _pieces(weights, budget):
+    """Runs [a, b) of consecutive lists whose weights add up to at most
+    `budget`, or that hold one heavier list; runs of weight 0 are left out."""
+    start = total = 0
+    for i, weight in enumerate(weights.tolist()):
+        if total and total + weight > budget:
+            yield start, i
+            start, total = i, 0
+        total += weight
+    if total:
+        yield start, len(weights)
+
+
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
         raise ValueError("cannot index an empty collection")
@@ -184,12 +204,24 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     block_ptr, summary_ptr, m, delta = array("q", [0]), array("q", [0]), array("f"), array("f")
     summary_dims, summary_values = array("I"), array("B" if params.quantize else "f")
 
-    def build_list(i):
-        """List i's blocks: their members, and their summaries as a CSR,
-        truncated and quantized."""
-        ids = csc.indices[csc.indptr[i]:csc.indptr[i + 1]]  # ascending
+    def build_piece(piece):
+        """The blocks of lists a..b-1: their members, and their summaries as
+        a CSR, truncated and quantized, with one call each for the piece."""
+        a, b = piece
+        lo = csc.indptr[a]
+        ptr = csc.indptr[a:b + 1] - lo
+        ids = csc.indices[lo:csc.indptr[b]]  # list by list, ascending within each
         rows = sketched[ids]
-        labels = cluster_list(rows, params.beta, [params.seed, i])
+        labels = np.empty(ids.size, dtype=np.int64)
+        blocks = np.zeros(b - a, dtype=np.int64)
+        numbered = 0  # the piece numbers its blocks on from list to list
+        for j in np.flatnonzero(np.diff(ptr)):
+            s, e = ptr[j], ptr[j + 1]
+            list_rows = rows[s:e] if e - s < ids.size else rows  # a piece of one list: no copy
+            list_labels = cluster_list(list_rows, params.beta, [params.seed, a + j])
+            labels[s:e] = list_labels + numbered
+            blocks[j] = list_labels.max() + 1
+            numbered += blocks[j]
         sizes = np.bincount(labels)
         indptr, dims, values = summarize(rows, labels)
         keep = top_mass(indptr, values, params.gamma)
@@ -197,12 +229,12 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         block_m, block_delta = np.zeros(sizes.size, np.float32), np.ones(sizes.size, np.float32)
         if params.quantize:
             values, block_m, block_delta = quantize_summary(indptr, values)
-        return i, ids[np.argsort(labels, kind="stable")], sizes, indptr, dims, values, block_m, block_delta
+        return a, b, blocks, ids[np.argsort(labels, kind="stable")], sizes, indptr, dims, values, block_m, block_delta
 
     def collect(built):
-        i, members, sizes, indptr, dims, values, block_m, block_delta = built
-        member_ids[csc.indptr[i]:csc.indptr[i + 1]] = members
-        blocks_per_list[i] = sizes.size
+        a, b, blocks, members, sizes, indptr, dims, values, block_m, block_delta = built
+        member_ids[csc.indptr[a]:csc.indptr[b]] = members
+        blocks_per_list[a:b] = blocks
         block_ptr.frombytes((block_ptr[-1] + sizes.cumsum()).tobytes())
         summary_ptr.frombytes((len(summary_dims) + indptr[1:]).tobytes())
         summary_dims.frombytes(dims.tobytes())
@@ -210,7 +242,9 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         m.frombytes(block_m.tobytes())
         delta.frombytes(block_delta.tobytes())
 
-    parallel.in_order(build_list, np.flatnonzero(np.diff(csc.indptr)), collect)
+    # a list weighs the entries of its member rows, which its piece gathers
+    row_entries = np.concatenate(([0], np.diff(sketched.indptr)[csc.indices].cumsum()))[csc.indptr]
+    parallel.in_order(build_piece, _pieces(np.diff(row_entries), PIECE_ENTRIES), collect)
     list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
     by_block = sp.csr_matrix((np.asarray(summary_values), np.asarray(summary_dims), np.asarray(summary_ptr)),
                              shape=(list_ptr[-1], vset.dim))

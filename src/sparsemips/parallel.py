@@ -2,8 +2,11 @@
 
 Threads overlap the kernels that release the GIL, such as scipy's sparse
 products and numpy's partition; numpy's sorts hold it (numpy 2.4), so the
-pieces gain from threads only what runs outside them.  The pieces give
-the same results on any number of threads; search never runs here.
+pieces gain from threads only what runs outside them.  Each piece is
+large enough (a dense block of queries, or a run of inverted lists with
+~2**15 row entries) that its Python overhead is small beside its kernels.
+The pieces give the same results on any number of threads; search never
+runs here.
 """
 from __future__ import annotations
 

@@ -175,15 +175,24 @@ def top_mass_order(indptr, values, alpha):
         return order[:1 + int(csum[:-1].searchsorted((alpha - 1e-6) * csum[-1]))]
     # one zero-padded row per segment, largest value first, after a leading
     # 0: csum[s, p] is the mass of segment s's p largest entries, summed in
-    # the same order, so rounded alike, as a cumsum of the segment alone
-    width = sizes.max(initial=0)
-    filled = np.arange(width) < sizes[:, None]
-    csum = np.zeros((sizes.size, width + 1))
-    csum[:, 1:][filled] = values[order]
-    csum.cumsum(axis=1, out=csum)
-    below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
-    below[:, 0] = True
-    return order[below[filled]]
+    # the same order, so rounded alike, as a cumsum of the segment alone.
+    # Segments of 2**(e-1) < size <= 2**e share one matrix, so padding at
+    # most doubles the entries of each
+    starts, ranked = np.asarray(indptr, dtype=np.int64)[:-1], values[order]
+    kept = np.empty(order.size, dtype=bool)
+    group = np.frexp(sizes - 1)[1]
+    for e in np.unique(group):
+        segments = np.flatnonzero(group == e)
+        entries = _ranges(starts[segments], starts[segments] + sizes[segments])
+        width = sizes[segments].max()
+        filled = np.arange(width) < sizes[segments, None]
+        csum = np.zeros((segments.size, width + 1))
+        csum[:, 1:][filled] = ranked[entries]
+        csum.cumsum(axis=1, out=csum)
+        below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
+        below[:, 0] = True
+        kept[entries] = below[filled]
+    return order[kept]
 
 
 def top_mass(indptr, values, alpha):

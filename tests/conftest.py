@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import sparsemips.index
 from sparsemips import SparseVector, VectorSet, dequantize
 from sparsemips.synth import random_collection
 
@@ -116,3 +117,46 @@ def small_set() -> VectorSet:
 @pytest.fixture(scope="session")
 def medium_set() -> VectorSet:
     return random_collection(500, 120, 15, seed=4)
+
+
+@functools.cache
+def hub_collection() -> VectorSet:
+    """3600 rows on 20 random dims of 0-99 plus dim 110, which every row
+    holds, so that dim's inverted list is longer than one piece of the build
+    at alpha 0.5 and 1, and a piece holds two or more of the other lists;
+    dims 100-109 and 111-119 hold nothing.  Rows 0-1799 carry 100x values,
+    so the alpha=0.5 sketch keeps most of their entries."""
+    rng = np.random.default_rng(7)
+    n, k = 3600, 20
+    dims = np.sort(np.argsort(rng.random((n, 100)), axis=1)[:, :k], axis=1)
+    dims = np.concatenate((dims, np.full((n, 1), 110)), axis=1)
+    values = rng.uniform(0.1, 1.0, (n, k + 1)) * np.where(np.arange(n) < n // 2, 100.0, 1.0)[:, None]
+    return VectorSet(120, np.arange(0, n * (k + 1) + 1, k + 1), dims.ravel(), values.ravel().astype(np.float32))
+
+
+def list_weights(vset):
+    """Per dim, the entries of the rows in its inverted list: what the list
+    weighs in the pieces of the build."""
+    rows = vset.to_scipy()
+    row_entries = np.diff(rows.indptr)
+    return np.bincount(rows.indices, weights=row_entries.repeat(row_entries), minlength=vset.dim)
+
+
+# sizes of a build piece in row entries, by test id suffix: the module's own
+# (no suffix), one list per piece, and every list in one piece
+PIECE_SIZES = {"": None, "-one_list": 1, "-one_piece": 2**62}
+
+
+def with_piece_sizes(cases):
+    """pytest params: each case (a tuple) at each of PIECE_SIZES, as its last value."""
+    return [pytest.param(*case, size, id="-".join(map(str, case)) + suffix)
+            for case in cases for suffix, size in PIECE_SIZES.items()]
+
+
+@pytest.fixture
+def piece_entries(monkeypatch):
+    """Sets the size of a build piece; None keeps the module's."""
+    def set_size(size):
+        if size is not None:
+            monkeypatch.setattr(sparsemips.index, "PIECE_ENTRIES", size)
+    return set_size

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+import sparsemips.index
 from sparsemips import (
     BuildParams,
     SparseVector,
@@ -24,7 +27,7 @@ from sparsemips.storage import (
     TruncatedPayloadError,
 )
 from sparsemips.synth import random_collection, random_vector
-from conftest import members_of, summary_of
+from conftest import hub_collection, list_weights, members_of, summary_of, with_piece_sizes
 
 
 def csr_rows(dim, vectors):
@@ -231,11 +234,21 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(empty, BuildParams(alpha=0.5, beta=0.2, gamma=0.8))
 
-    @pytest.mark.parametrize("alpha, gamma, quantize", [(0.5, 0.7, True), (0.5, 0.7, False), (1.0, 1.0, False)])
-    def test_build_matches_per_block_reference(self, medium_set, alpha, gamma, quantize):
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_hub_collection_spans_the_piece_cases(self, alpha):
+        """Empty lists, a list longer than a piece, and pieces of two or more lists."""
+        weights = list_weights(set_alpha_mss(hub_collection(), alpha))
+        assert weights.min() == 0
+        assert weights.max() > sparsemips.index.PIECE_ENTRIES >= 2 * weights[weights < weights.max()].max()
+
+    @pytest.mark.parametrize("alpha, gamma, quantize, piece",
+                             with_piece_sizes([(0.5, 0.7, True), (0.5, 0.7, False), (1.0, 1.0, False)]))
+    def test_build_matches_per_block_reference(self, piece_entries, alpha, gamma, quantize, piece):
+        """Piece boundaries never reach the index."""
+        piece_entries(piece)
         params = BuildParams(alpha=alpha, beta=0.2, gamma=gamma, quantize=quantize, seed=2)
-        index = build_index(medium_set, params)
-        expected = per_block_build(medium_set, params)
+        index = build_index(hub_collection(), params)
+        expected = hub_reference(params)
         for name, want in expected.items():
             got = getattr(index, name)
             assert got.dtype == want.dtype, name
@@ -252,6 +265,11 @@ class TestBuildIndex:
         monkeypatch.setattr(SparseVector, "__post_init__", counted)
         build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7))
         assert built == []
+
+
+@functools.cache
+def hub_reference(params):
+    return per_block_build(hub_collection(), params)
 
 
 def per_block_build(vset, params):

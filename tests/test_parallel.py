@@ -14,6 +14,7 @@ from sparsemips import BuildParams, VectorSet, build_exact_graph, build_index, e
 from sparsemips.parallel import in_order
 from sparsemips.synth import random_collection
 from sparsemips.vectors import EMPTY
+from conftest import hub_collection, list_weights, with_piece_sizes
 
 POOL_SIZES = [1, 2, 3]
 
@@ -38,11 +39,11 @@ def wide_collection():
 
 
 def failing_on_second_call(fn, exc):
-    """fn that raises exc on its second call, and the list of its calls."""
+    """fn that raises exc on its second call, and the list of its calls' positional arguments."""
     calls = []
 
     def wrapped(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         if len(calls) == 2:
             raise exc
         return fn(*args, **kwargs)
@@ -70,14 +71,15 @@ class TestPoolSizeInvariance:
         for neighbors in graphs[1:]:
             assert np.array_equal(neighbors, graphs[0])
 
-    @pytest.mark.parametrize("quantize", [True, False])
-    def test_index_bytes_identical(self, pool_size, medium_set, tmp_path, quantize):
-        params = BuildParams(alpha=0.6, beta=0.3, gamma=0.8, quantize=quantize, seed=5)
+    @pytest.mark.parametrize("quantize, piece", with_piece_sizes([(True,), (False,)]))
+    def test_index_bytes_identical(self, pool_size, piece_entries, tmp_path, quantize, piece):
+        piece_entries(piece)
+        params = BuildParams(alpha=0.5, beta=0.3, gamma=0.8, quantize=quantize, seed=5)
         saved = []
         for workers in POOL_SIZES:
             pool_size(workers)
             path = tmp_path / f"{workers}.idx"
-            save_index(build_index(medium_set, params), path)
+            save_index(build_index(hub_collection(), params), path)
             saved.append(path.read_bytes())
         assert saved[1:] == saved[:1] * 2
 
@@ -102,8 +104,12 @@ class TestFailures:
 
     @pytest.mark.parametrize("exc", [ValueError("boom"), KeyboardInterrupt(), MemoryError()],
                              ids=["ValueError", "KeyboardInterrupt", "MemoryError"])
-    def test_build_list_failure(self, pool_size, monkeypatch, medium_set, exc):
+    def test_build_list_failure(self, pool_size, piece_entries, monkeypatch, medium_set, exc):
         pool_size(2)
+        # one or two lists per piece: any three of the set's lists weigh more
+        weights = list_weights(medium_set)
+        assert weights.all()
+        piece_entries(3 * int(weights.min()) - 1)
         cluster_list, calls = failing_on_second_call(sparsemips.index.cluster_list, exc)
         monkeypatch.setattr(sparsemips.index, "cluster_list", cluster_list)
         threads = threading.active_count()
@@ -111,8 +117,10 @@ class TestFailures:
             build_index(medium_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0))
         assert raised.value is exc
         assert threading.active_count() == threads
-        # the second call is on list 0 or 1, when at most lists 0 to 2 * 2 are submitted
-        assert len(calls) <= 2 * 2 + 1 < medium_set.dim
+        # the second call is in piece 0 or 1, when at most pieces 0 to 2 * 2
+        # are submitted, so no list after the first 2 * (2 * 2 + 1) starts
+        started = [seed[1] for _, _, seed in calls]
+        assert max(started) < 2 * (2 * 2 + 1) < medium_set.dim
 
     def test_collect_failure_cancels_the_rest(self, pool_size):
         pool_size(2)

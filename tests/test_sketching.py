@@ -220,6 +220,18 @@ class TestTopMassOrderKey:
         indptr = np.concatenate(([0], np.cumsum(sizes)))
         assert np.array_equal(top_mass_order(indptr, values, alpha), lexsorted_top_mass_order(indptr, values, alpha))
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.6, 0.95])
+    def test_one_long_segment_among_short_ones(self, alpha):
+        # the long segment is padded in a matrix of its own, the short ones
+        # in matrices of their widths
+        rng = np.random.default_rng(8)
+        sizes = rng.integers(1, 9, 60)
+        sizes[17] = 700
+        palette = rng.random(12).astype(np.float32) + 1e-3
+        values = palette[rng.integers(0, palette.size, sizes.sum())]  # ties within and across segments
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        assert np.array_equal(top_mass_order(indptr, values, alpha), lexsorted_top_mass_order(indptr, values, alpha))
+
     def test_float64_copies_of_float32_values_rank_alike(self):
         values = np.random.default_rng(3).random(50).astype(np.float32)
         indptr = [0, 20, 21, 50]

@@ -5,11 +5,16 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import parallel
-from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
+from .query import ResultList, SearchParams, _gather_rows, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
-from .vectors import SparseVector, VectorSet, check_fraction, check_int
+from .vectors import SparseVector, VectorSet, _gathered, check_fraction, check_int
+
+# a piece of ground_truth is a run of consecutive queries whose dims' columns
+# hold about this many entries in all, or one query with more
+PIECE_ENTRIES = 2**17
 
 
 def _csr64(vset: VectorSet, width: int):
@@ -32,34 +37,59 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     return ResultList(*top_k(np.arange(len(vset), dtype=np.uint32), scores, k))
 
 
+def _column_scores(cols, ptr, dims, values):
+    """Each query's float64 scores against every doc, in query order: the
+    queries are the CSR (ptr, dims, float64 values), and `cols` is the
+    collection's CSC, read as the CSR of its transpose.
+
+    The columns on all the queries' dims are gathered at once; each query
+    scatters its own into zeros one dim at a time, dims ascending, so each
+    doc's products are added in the order of exact_topk's mat-vec, whose
+    other terms are all +0.0, and every score equals the oracle's bit for
+    bit.  The dims must lie below the collection's dim and have the CSC's
+    index dtype.
+    """
+    sub_ptr, docs, data = _gather_rows(cols, dims)
+    for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
+        scores = np.zeros(cols.shape[0])
+        _sparsetools.csc_matvec(scores.size, e - s, sub_ptr[s:e + 1], docs, data, values[s:e], scores)
+        yield scores
+
+
 def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
     """exact_topk of every query, bit for bit, as (ids, scores): uint32 and
-    float32 (nq, k) arrays, scored a dense block of queries at a time.
+    float32 (nq, k) arrays, scored one query term at a time.
 
-    A dense right operand sums each score in the order of exact_topk's mat-vec,
-    whatever the block's width, so the blocks are scored on the thread pool.
+    Each call builds the collection's float64 CSC, which is dropped on
+    return.  Pieces of consecutive queries, whose dims' columns hold about
+    PIECE_ENTRIES entries in all (or one query with more), run on the thread
+    pool: each is scored by _column_scores and picked row by row with top_k.
     """
     k = check_k(k)
     if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
-    # both float64 CSR caches are built here, before any worker reads them
-    mat, qmat, all_ids = vset.scipy64(), _csr64(queries, vset.dim), np.arange(len(vset))
+    cols, qmat = vset.scipy64().tocsc(), queries.scipy64()  # for the graph, one cached CSR
+    # every index array passed to the kernels has the CSC's index dtype
+    q_ptr, q_dims = qmat.indptr, qmat.indices.astype(cols.indptr.dtype, copy=False)
+    all_ids = np.arange(len(vset))
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
-    # the workers' dense blocks share 2**20 entries: each query's scores are a strided column
-    chunk = max(1, 2**20 // (parallel.cpu_count() * max(len(vset), vset.dim)))
 
-    def best(start):
-        block = (mat @ qmat[start:start + chunk].T.toarray()).T
-        return start, [top_k(all_ids, row, k) for row in block]
+    def best(piece):
+        a, b = piece
+        s, e = q_ptr[a], q_ptr[b]
+        rows = _column_scores(cols, q_ptr[a:b + 1] - s, q_dims[s:e], qmat.data[s:e])
+        return a, [top_k(all_ids, row, k) for row in rows]
 
     def collect(found):
         start, rows = found
         for r, (row_ids, row_scores) in enumerate(rows, start):
             ids[r], scores[r] = row_ids, row_scores
 
-    parallel.in_order(best, range(0, len(queries), chunk), collect)
+    # a query weighs the entries it gathers, plus one so that no query is left out
+    weights = _gathered(q_ptr, q_dims, np.diff(cols.indptr)) + 1
+    parallel.in_order(best, parallel.pieces(weights, PIECE_ENTRIES), collect)
     return ids, scores
 
 

@@ -32,12 +32,15 @@ from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import CSR_ERRORS, ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import VectorSet, _ranges, check_csr, check_fraction
+from .vectors import VectorSet, _gathered, _ranges, check_csr, check_fraction
 
 INDEX_MAGIC = b"SPMIDX03"
 # a piece of the build is a run of consecutive lists whose member rows hold
 # about this many entries in all, or one longer list
 PIECE_ENTRIES = 2**15
+# cluster_list scores its rows against the centroids in row blocks of at most
+# this many float64 scores
+SCORE_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,8 @@ def cluster_list(rows, beta, seed):
     maximizing the inner product, lowest centroid index on ties.  Returns
     each row's block label: blocks are numbered in centroid order, with the
     centroids no row chose dropped, so every label in 0..max holds a row.
+    The scores are taken in row blocks of at most SCORE_ENTRIES; each row's
+    are summed on their own, so the blocks change no label.
     """
     n = rows.shape[0]
     if n == 0:
@@ -119,7 +124,9 @@ def cluster_list(rows, beta, seed):
     entries = _ranges(starts, stops)
     centroids = np.zeros((mat.shape[1], c))
     centroids[mat.indices[entries], np.arange(c).repeat(stops - starts)] = mat.data[entries]
-    assign = np.argmax(mat @ centroids, axis=1)  # lowest index on ties
+    step = max(1, SCORE_ENTRIES // c)
+    blocks = [mat] if n <= step else [mat[s:s + step] for s in range(0, n, step)]
+    assign = np.concatenate([np.argmax(block @ centroids, axis=1) for block in blocks])  # lowest index on ties
     chosen = np.bincount(assign, minlength=c) > 0
     return (chosen.cumsum() - 1)[assign]
 
@@ -177,19 +184,6 @@ class BlockedIndex:
         return self.block_ptr.size - 1
 
 
-def _pieces(weights, budget):
-    """Runs [a, b) of consecutive lists whose weights add up to at most
-    `budget`, or that hold one heavier list; runs of weight 0 are left out."""
-    start = total = 0
-    for i, weight in enumerate(weights.tolist()):
-        if total and total + weight > budget:
-            yield start, i
-            start, total = i, 0
-        total += weight
-    if total:
-        yield start, len(weights)
-
-
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
         raise ValueError("cannot index an empty collection")
@@ -243,8 +237,8 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         delta.frombytes(block_delta.tobytes())
 
     # a list weighs the entries of its member rows, which its piece gathers
-    row_entries = np.concatenate(([0], np.diff(sketched.indptr)[csc.indices].cumsum()))[csc.indptr]
-    parallel.in_order(build_piece, _pieces(np.diff(row_entries), PIECE_ENTRIES), collect)
+    weights = _gathered(csc.indptr, csc.indices, np.diff(sketched.indptr))
+    parallel.in_order(build_piece, parallel.pieces(weights, PIECE_ENTRIES), collect)
     list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
     by_block = sp.csr_matrix((np.asarray(summary_values), np.asarray(summary_dims), np.asarray(summary_ptr)),
                              shape=(list_ptr[-1], vset.dim))

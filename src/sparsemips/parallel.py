@@ -3,8 +3,9 @@
 Threads overlap the kernels that release the GIL, such as scipy's sparse
 products and numpy's partition; numpy's sorts hold it (numpy 2.4), so the
 pieces gain from threads only what runs outside them.  Each piece is
-large enough (a dense block of queries, or a run of inverted lists with
-~2**15 row entries) that its Python overhead is small beside its kernels.
+large enough (a run of queries whose columns hold ~2**17 entries, or a
+run of inverted lists with ~2**15 row entries) that its Python overhead
+is small beside its kernels.
 The pieces give the same results on any number of threads; search never
 runs here.
 """
@@ -45,3 +46,16 @@ def in_order(fn, items, collect):
             collect(result)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def pieces(weights, budget):
+    """Runs [a, b) of consecutive items whose weights add up to at most
+    `budget`, or that hold one heavier item; runs of weight 0 are left out."""
+    start = total = 0
+    for i, weight in enumerate(weights.tolist()):
+        if total and total + weight > budget:
+            yield start, i
+            start, total = i, 0
+        total += weight
+    if total:
+        yield start, len(weights)

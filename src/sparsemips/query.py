@@ -117,6 +117,22 @@ def top_k(ids, scores, k):
     return ids[order], scores[order]
 
 
+def _gather_rows(csr, rows):
+    """Rows `rows` of a scipy CSR as the arrays (ptr, indices, data) of a
+    new CSR, by the compiled routine behind scipy's row indexing.
+
+    It checks no bounds, so every row must lie in range, and `rows` must
+    have the CSR's index dtype, which the new ptr and indices share.
+    """
+    ptr = csr.indptr
+    sub_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
+    (ptr[rows + 1] - ptr[rows]).cumsum(out=sub_ptr[1:])
+    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
+    sub_data = np.empty(sub_ptr[-1])
+    _sparsetools.csr_row_index(rows.size, rows, ptr, csr.indices, csr.data, sub_indices, sub_data)
+    return sub_ptr, sub_indices, sub_data
+
+
 def _forward_scores(forward, ids, q_dense):
     """Exact float64 scores of rows `ids` of the forward index against q_dense.
 
@@ -129,13 +145,8 @@ def _forward_scores(forward, ids, q_dense):
     the whole forward index on every call.
     """
     csr = forward.scipy64()
-    ptr = csr.indptr
-    ids = ids.astype(ptr.dtype, copy=False)
-    sub_ptr = np.zeros(ids.size + 1, dtype=ptr.dtype)
-    (ptr[ids + 1] - ptr[ids]).cumsum(out=sub_ptr[1:])
-    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
-    sub_data = np.empty(sub_ptr[-1])
-    _sparsetools.csr_row_index(ids.size, ids, ptr, csr.indices, csr.data, sub_indices, sub_data)
+    ids = ids.astype(csr.indptr.dtype, copy=False)
+    sub_ptr, sub_indices, sub_data = _gather_rows(csr, ids)
     scores = np.zeros(ids.size)
     _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
     return scores

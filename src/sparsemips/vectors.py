@@ -110,6 +110,22 @@ def _ranges(starts, stops):
     return entries
 
 
+def _gathered(ptr, indices, lengths):
+    """For each row of the CSR (ptr, indices), the sum of lengths[indices]
+    over its entries: the entries it gathers from rows of those lengths.
+
+    The sums keep the dtype of `lengths`, the row lengths of one CSR, which
+    its index dtype holds: a row's indices are distinct, so its sum is at
+    most that CSR's size.  Beside the result the call holds only
+    lengths[indices], not a running sum of 64-bit integers per entry."""
+    sums = np.zeros(len(ptr) - 1, dtype=lengths.dtype)
+    rows = np.flatnonzero(np.diff(ptr))
+    # a nonempty row's segment runs to the next nonempty row's first entry
+    if rows.size:
+        sums[rows] = np.add.reduceat(lengths[indices], ptr[rows].astype(np.intp), dtype=sums.dtype)
+    return sums
+
+
 def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,) * 3):
     """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
     indices into rows strictly increasing and < bound, and values (if given)

@@ -73,11 +73,12 @@ TIED_VALUES = (0.25, 1.0, 7.5)
 
 
 @st.composite
-def tied_sets(draw, min_rows=0):
-    """A VectorSet of at most 12 dims and 15 rows, values from TIED_VALUES;
-    rows and columns may be empty."""
-    dim = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), st.sampled_from(TIED_VALUES), max_size=dim),
+def tied_sets(draw, min_rows=0, dim=None, values=st.sampled_from(TIED_VALUES)):
+    """A VectorSet of `dim` (by default at most 12) dims and at most 15 rows,
+    values drawn from `values` (by default TIED_VALUES); rows and columns
+    may be empty."""
+    dim = draw(st.integers(1, 12)) if dim is None else dim
+    rows = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim),
                          min_size=min_rows, max_size=15))
     return VectorSet.from_vectors(dim, [
         SparseVector(np.array(sorted(row), dtype=np.uint32), np.array([row[d] for d in sorted(row)], dtype=np.float32))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sparsemips import (
     BuildParams,
@@ -19,11 +19,11 @@ from sparsemips import (
     norm_ratio_cdf,
     restrict,
 )
-from sparsemips.evaluation import mean_accuracy
+from sparsemips.evaluation import _column_scores, mean_accuracy
 from sparsemips.sketching import alpha_mss
-from sparsemips.synth import random_collection, random_vector
+from sparsemips.synth import random_collection, random_vector, zipfian_clustered_collection
 from sparsemips.vectors import EMPTY
-from conftest import dense_to_vectorset, tied_sets
+from conftest import TIED_VALUES, dense_to_vectorset, tied_sets
 
 
 def naive_topk(vset, q, k):
@@ -113,13 +113,33 @@ class TestExactTopk:
             exact_topk(VectorSet.from_vectors(4, []), q, 3)
 
 
+# float32 values of many magnitudes: sums of their float64 products depend on
+# the order they are added in
+SPREAD_VALUES = st.floats(2.0**-10, 2.0**10, width=32)
+
+
+@st.composite
+def docs_and_queries(draw):
+    """A tied_sets collection with two more dims, which no doc holds, and a
+    tied_sets query set on all of its dims; values tied or spread."""
+    values = draw(st.sampled_from([st.sampled_from(TIED_VALUES), SPREAD_VALUES]))
+    docs = draw(tied_sets(min_rows=1, values=values))
+    docs = VectorSet(docs.dim + 2, docs.indptr, docs.indices, docs.values)
+    return docs, draw(tied_sets(dim=docs.dim, values=values))
+
+
+def sv(dims, values):
+    return SparseVector(np.array(dims, dtype=np.uint32), np.array(values, dtype=np.float32))
+
+
 class TestGroundTruth:
     @pytest.mark.parametrize("query_dim", [30, 300_000, 400_000])
     def test_rows_equal_exact_topk(self, query_dim):
         base = list(random_collection(40, 30, 6, seed=50))
-        # rows 40-49 copy rows 0-9, so their scores tie; dim 300_000 makes
-        # dense blocks of 2**20 // (threads * 300_000) queries: on one CPU
-        # 3, 4 blocks for 11 (tests/test_parallel.py sets the thread count)
+        # rows 40-49 copy rows 0-9, so their scores tie; the collection's CSC
+        # has 300_000 columns, all but 30 empty, and the query sets are
+        # narrower than, as wide as and wider than the collection.  The 11
+        # queries make one piece (tests/test_parallel.py splits them)
         docs = VectorSet.from_vectors(300_000, base + base[:10])
         vectors = list(random_collection(11, 30, 5, seed=51))
         vectors[4] = EMPTY
@@ -128,6 +148,38 @@ class TestGroundTruth:
         assert ids.dtype == np.uint32 and scores.dtype == np.float32 and ids.shape == scores.shape == (11, 12)
         for qi, q in enumerate(queries):
             res = exact_topk(docs, q, 12)
+            assert ids[qi].tolist() == res.ids.tolist()
+            assert scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
+
+    @example(pair=(
+        # ties, an empty doc, an empty query, and dim 3, which no doc holds
+        VectorSet.from_vectors(4, [sv([0, 1], [1.0, 1.0]), EMPTY, sv([0, 1], [1.0, 1.0]), sv([1], [7.5])]),
+        VectorSet.from_vectors(4, [EMPTY, sv([3], [1.0]), sv([0, 1, 3], [0.25, 1.0, 7.5])]),
+    ))
+    @given(pair=docs_and_queries())
+    def test_column_scores_equal_the_scipy_mat_vec_bit_for_bit(self, pair):
+        docs, queries = pair
+        cols, qmat = docs.scipy64().tocsc(), queries.scipy64()
+        rows = list(_column_scores(cols, qmat.indptr, qmat.indices.astype(cols.indptr.dtype), qmat.data))
+        assert len(rows) == len(queries)
+        for q, row in zip(queries, rows):
+            want = docs.scipy64() @ q.to_dense(docs.dim)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        ids, scores = ground_truth(docs, queries, len(docs))
+        for qi, q in enumerate(queries):
+            res = exact_topk(docs, q, len(docs))
+            assert ids[qi].tolist() == res.ids.tolist()
+            assert scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
+
+    def test_rows_equal_exact_topk_on_a_benchmark_shaped_corpus(self):
+        """10k docs with zipfian dims, as in the benchmark: a query's columns
+        hold thousands of entries, and 200 queries make many pieces."""
+        docs, _, _ = zipfian_clustered_collection(10_000, 1000, 40, n_clusters=50, seed=[7, 0])
+        end = docs.indptr[200]
+        queries = VectorSet(docs.dim, docs.indptr[:201], docs.indices[:end], docs.values[:end])
+        ids, scores = ground_truth(docs, queries, 11)
+        for qi, q in enumerate(queries):
+            res = exact_topk(docs, q, 11)
             assert ids[qi].tolist() == res.ids.tolist()
             assert scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
 

@@ -197,6 +197,24 @@ class TestClustering:
         with pytest.raises(ValueError):
             cluster_list(csr_rows(30, []), beta=0.2, seed=[0, 0])
 
+    @pytest.mark.parametrize("entries", [1, 2**12, sparsemips.index.SCORE_ENTRIES])
+    def test_score_blocks_change_no_label(self, monkeypatch, entries):
+        """Rows scored one at a time, a few at a time, and in the module's
+        blocks, which split hub_collection's list of every row (dim 110) in
+        three, against all rows at once."""
+        rows = hub_collection().to_scipy(dtype=np.float64)
+        csc = rows.tocsc()
+        csc.sort_indices()
+
+        def labels():
+            return [cluster_list(rows[csc.indices[csc.indptr[i]:csc.indptr[i + 1]]], 0.2, [0, i]).tolist()
+                    for i in (0, 1, 110)]
+
+        monkeypatch.setattr(sparsemips.index, "SCORE_ENTRIES", 2**62)
+        whole = labels()
+        monkeypatch.setattr(sparsemips.index, "SCORE_ENTRIES", entries)
+        assert labels() == whole
+
 
 class TestBuildIndex:
     def test_lists_follow_the_set_sketch(self, golden_set):

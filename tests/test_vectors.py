@@ -23,7 +23,7 @@ from sparsemips import (
     set_alpha_mss,
 )
 from sparsemips.graph import check_kappa
-from sparsemips.vectors import SparseVectorError, check_int
+from sparsemips.vectors import SparseVectorError, _gathered, check_int
 from sparsemips.synth import random_collection, random_vector
 
 
@@ -268,3 +268,15 @@ class TestInputRules:
     def test_numpy_integer_counts_accepted_as_int(self, value):
         assert type(check_int("x", value, 0)) is int and check_int("x", value, 0) == 3
         assert type(check_kappa(value)) is int and type(KnnGraph(value, np.empty((0, 0))).kappa) is int
+
+
+@given(rows=st.lists(st.lists(st.integers(0, 4), max_size=4, unique=True), max_size=8),
+       lengths=st.lists(st.integers(0, 9), min_size=5, max_size=5),
+       dtype=st.sampled_from([np.int32, np.int64]))
+def test_gathered_sums_each_rows_lengths(rows, lengths, dtype):
+    """Empty rows anywhere, at the start and at the end."""
+    ptr = np.cumsum([0] + [len(row) for row in rows]).astype(dtype)
+    indices = np.array([j for row in rows for j in row], dtype=dtype)
+    got = _gathered(ptr, indices, np.array(lengths, dtype=dtype))
+    assert got.dtype == dtype
+    assert got.tolist() == [sum(lengths[j] for j in row) for row in rows]

@@ -14,6 +14,9 @@ gathers its rows once, clusters each list from that list's own seed, and
 summarizes, truncates and quantizes all its blocks with one array call each,
 as CSR segments; once every piece is done, one transpose stores the
 summaries dim-major, so a query reads only the columns of its own dims.
+Every index object, built or loaded, then derives the summary directory
+(see summary_directory): a sorted key d * dim + l and a run offset for each
+(column d, list l) pair that holds entries, 8 bytes a pair, never saved.
 The pieces are built on the thread pool of `parallel`, and appended in list
 order, so the index depends neither on the number of threads nor on where
 the pieces end.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -152,14 +155,47 @@ def summarize(rows, labels):
     return indptr, (key % dim).astype(np.uint32), values
 
 
+def key_dtype(dim):
+    """The dtype of the summary directory's keys d * dim + l: uint32 while
+    dim**2 < 2**32, uint64 above."""
+    return np.dtype(np.uint32 if dim * dim < 2**32 else np.uint64)
+
+
+def summary_directory(dim, list_ptr, summary_ptr, summary_blocks):
+    """The (column d, list l) pairs that hold summary entries, as (key, runs).
+
+    key[i] = d * dim + l ascends, in key_dtype(dim); the entries of pair i
+    are summary_blocks[runs[i]:runs[i+1]], and runs ends with the entry
+    count.  The pairs ascend in storage order (dim-major, blocks ascending
+    within a column, blocks numbered list by list), so each run ends where
+    the next pair's starts.  Derived one column at a time, so no temporary
+    spans more than one column.
+    """
+    kd, nnz = key_dtype(dim), summary_blocks.size
+    rd = np.dtype(np.uint32 if nnz < 2**32 else np.uint64)
+    list_of = np.arange(dim, dtype=kd).repeat(np.diff(list_ptr))  # the list of each block
+    keys, starts = [np.empty(0, dtype=kd)], []
+    for d in np.flatnonzero(np.diff(summary_ptr)).tolist():
+        s, e = int(summary_ptr[d]), int(summary_ptr[d + 1])
+        lists = list_of[summary_blocks[s:e]]
+        at = np.concatenate(([0], np.flatnonzero(lists[1:] != lists[:-1]) + 1))  # each run's first entry
+        keys.append(lists[at] + kd.type(d * dim))
+        starts.append((at + s).astype(rd))
+    return np.concatenate(keys), np.concatenate(starts + [np.array([nnz], dtype=rd)])
+
+
 @dataclass(eq=False)
 class BlockedIndex:
     """Flat CSR-style blocked lists, blocks numbered list by list, plus the
-    forward index.  The fields after `forward` are the file's arrays, in order.
+    forward index.  The fields from `list_ptr` to `delta` are the file's
+    arrays, in order.
 
     The summaries are one CSC by dimension: the entries of dim d are
     summary_ptr[d]:summary_ptr[d+1], with their blocks ascending, so the
-    blocks of one list form a contiguous run of every column."""
+    blocks of one list form a contiguous run of every column.  The last two
+    fields, the summary directory (see summary_directory), find that run
+    with one lookup of d * dim + l; every index object, built or loaded,
+    derives them on construction, and they are never saved."""
 
     params: BuildParams
     forward: VectorSet
@@ -171,6 +207,12 @@ class BlockedIndex:
     summary_values: np.ndarray  # uint8 codes when quantized, float32 values otherwise
     m: np.ndarray               # float32 per block; an entry's value is m + value * delta
     delta: np.ndarray           # float32 per block; m=0 and delta=1 (exact) when unquantized
+    summary_key: np.ndarray = field(init=False, repr=False)   # d * dim + l of each (column, list) pair, ascending
+    summary_runs: np.ndarray = field(init=False, repr=False)  # entries of pair i: summary_runs[i]:summary_runs[i+1]
+
+    def __post_init__(self):
+        self.summary_key, self.summary_runs = summary_directory(
+            self.dim, self.list_ptr, self.summary_ptr, self.summary_blocks)
 
     def __len__(self):
         return len(self.forward)
@@ -275,8 +317,9 @@ def save_index(index: BlockedIndex, path):
     fwd = index.forward
     head = astuple(index.params) + (len(fwd), fwd.dim, fwd.indices.size, index.num_blocks,
                                     index.member_ids.size, index.summary_blocks.size)
-    arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, f.name) for f in fields(index)[2:]]
-    write_record(path, INDEX_MAGIC + _HEADER.pack(*head), zip(arrays, _layout(*head)))
+    layout = _layout(*head)
+    arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, name) for name, _, _ in layout[3:]]
+    write_record(path, INDEX_MAGIC + _HEADER.pack(*head), zip(arrays, layout))
 
 
 def load_index(path) -> BlockedIndex:

@@ -4,8 +4,11 @@ Traversal: sketch the query, score the summary of every block in the
 inverted lists of its surviving dimensions, and order those blocks list by
 list (lists in query-sketch order, blocks by summary score descending).
 The summaries are stored dim-major, so scoring reads only the entries on
-the query's dims.  Then score documents exactly against the forward index
-in two batches:
+the query's dims: the index's summary directory, a sorted key d * dim + l
+and a run offset per (column d, list l) pair that holds entries (8 bytes
+per pair, derived when the index object is made and never saved), finds
+every (query dim, sketched list) run with one binary search.  Then score
+documents exactly against the forward index in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
   k-th best of their scores is the threshold t, fixed from here on.  Only
@@ -214,35 +217,43 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
 
 
-def _summary_scores(index, first, last, q):
-    """Blocks first[i]:last[i] for each of at least one i, concatenated, their
-    summary scores against the query q, and the number of summary entries read.
+def _summary_scores(index, lists, q):
+    """The blocks of `lists` (at least one), list by list, their summary
+    scores against the query q, and the number of summary entries read.
 
-    The blocks of a list are a contiguous run of each dim's column, so one
-    binary search per query dim finds every entry that can score.  Entries
-    arrive dim by dim in ascending order and bincount sums each block's in
-    that order from 0.0, which is what a CSR mat-vec over the whole summary
-    computes: the products it adds beyond these are +0.0.
+    The blocks of a list are a contiguous run of each dim's column, and the
+    index's summary directory finds every (query dim, list) run with one
+    binary search over its keys d * dim + l; a needle not in the keys gets an
+    empty run.  Entries arrive dim by dim in ascending order and bincount
+    sums each block's in that order from 0.0, which is what a CSR mat-vec
+    over the whole summary computes: the products it adds beyond these are
+    +0.0.
     """
-    ptr, column = index.summary_ptr, index.summary_blocks
-    # uint32 needles: int64 ones make searchsorted copy the column on each call
-    bounds = np.concatenate((first, last)).astype(np.uint32)
-    starts = ptr[q.dims]
-    # row i: the entries of query dim i that start, then end, each list's run
-    cuts = np.array([column[s:e].searchsorted(bounds) for s, e in zip(starts.tolist(), ptr[q.dims + 1].tolist())])
-    cuts += starts[:, None]
-    lo, hi = cuts[:, :first.size], cuts[:, first.size:]
-    counts = hi - lo
-    hits = _ranges(lo.ravel(), hi.ravel())
-    blocks = column[hits].astype(np.intp)
-    values = dequantize(index.summary_values[hits], index.m[blocks], index.delta[blocks])
-    values *= q.values.repeat(counts.sum(axis=1))
+    first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
+    blocks = _ranges(first, last)
+    key, runs = index.summary_key, index.summary_runs
+    if key.size == 0:  # no summary entries: every list is empty
+        return blocks, np.zeros(blocks.size), 0
+    # needles in the key's dtype: another makes searchsorted copy the keys
+    kd = key.dtype.type
+    needles = (q.dims.astype(kd, copy=False)[:, None] * kd(index.dim) + lists.astype(kd, copy=False)).ravel()
+    pos = key.searchsorted(needles)
+    # row i: the runs of query dim i in each list; a missed needle's is empty
+    lo, hi = runs[pos], runs[pos + (key.take(pos, mode="clip") == needles)]
+    counts = (hi - lo).astype(np.intp).reshape(q.dims.size, lists.size)
+    hits = _ranges(lo, hi)
+    owner = index.summary_blocks[hits].astype(np.intp)  # the block of each entry read
+    weights = q.values.repeat(counts.sum(axis=1))
+    if index.params.quantize:
+        values = dequantize(index.summary_values[hits], index.m[owner], index.delta[owner])
+        values *= weights
+    else:  # m=0 and delta=1: dequantize would return the float64 cast
+        values = np.multiply(index.summary_values[hits], weights, dtype=np.float64)
     # a block's position in the concatenation of the lists' ranges
     sizes = last - first
     ends = sizes.cumsum()
-    blocks += (ends - sizes - first)[None].repeat(q.dims.size, axis=0).repeat(counts.ravel())
-    scores = np.bincount(blocks, values, ends[-1])
-    return _ranges(first, last), scores, hits.size
+    owner += (ends - sizes - first)[None].repeat(q.dims.size, axis=0).repeat(counts.ravel())
+    return blocks, np.bincount(owner, values, ends[-1]), hits.size
 
 
 def _members(index, blocks, visited):
@@ -263,7 +274,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     # the sketch's dims, high values first, to fill the top k early
     dim_order = q.dims[top_mass_order([0, q.dims.size], q.values, params.alpha_q)]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    blocks, r, entries = _summary_scores(index, first, last, q)
+    blocks, r, entries = _summary_scores(index, dim_order, q)
     visited = np.zeros(len(forward), dtype=bool)
 
     # fill: the fewest leading blocks, lists in sketch order and blocks by

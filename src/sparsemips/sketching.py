@@ -128,13 +128,25 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     return out
 
 
-def _segment_sizes(indptr, alpha):
+def _check_sketch(nonempty, alpha):
+    """ValueError unless alpha lies in (0, 1]; ZeroVectorError unless every
+    segment is `nonempty` (values are positive, so only an empty one has no mass)."""
     check_fraction("alpha", alpha)
+    if not nonempty:
+        raise ZeroVectorError("cannot sketch a zero vector")
+
+
+def _segment_sizes(indptr, alpha):
     indptr = np.asarray(indptr, dtype=np.int64)
     sizes = indptr[1:] - indptr[:-1]
-    if not sizes.all():  # values are positive, so only an empty segment has no mass
-        raise ZeroVectorError("cannot sketch a zero vector")
+    _check_sketch(sizes.all(), alpha)
     return sizes
+
+
+def _flipped(values):
+    """Positive float32s order like their bit patterns, so the flipped bits
+    of `values` sort largest first."""
+    return ~np.asarray(values, dtype=np.float32).view(np.uint32)
 
 
 def largest_first(indptr, values):
@@ -145,10 +157,9 @@ def largest_first(indptr, values):
     ascending in a CSC column.  The values are positive and rank as float32,
     the precision vectors are stored in.  Segments may be empty.
     """
-    # positive float32s order like their bit patterns, so the flipped bits
-    # sort largest first, behind the segment in the key's high half; one
+    # the flipped bits sort behind the segment in the key's high half; one
     # stable sort of the key keeps ties in position order
-    key = ~np.asarray(values, dtype=np.float32).view(np.uint32)
+    key = _flipped(values)
     if len(indptr) > 2:
         sizes = np.diff(np.asarray(indptr, dtype=np.int64))
         key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | key
@@ -164,15 +175,19 @@ def top_mass_order(indptr, values, alpha):
     fraction alpha of its l1 mass, ranked as largest_first ranks them.
     alpha == 1 keeps every entry.
     """
+    if len(indptr) == 2:  # one segment (a query): its kept entries are a prefix
+        _check_sketch(indptr[1] > indptr[0], alpha)
+        order = _flipped(values).argsort(kind="stable")
+        if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
+            return order
+        csum = values[order].cumsum(dtype=np.float64)  # the cut below, on a 1-D cumsum
+        return order[:1 + int(csum[:-1].searchsorted((alpha - 1e-6) * csum[-1]))]
     sizes = _segment_sizes(indptr, alpha)
     order = largest_first(indptr, values)
-    if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
+    if alpha == 1:
         return order
     # an entry is kept if the larger ones fall short of the target, the
     # largest always; the boundary comparison tolerates float32 value rounding
-    if len(indptr) == 2:  # one segment (a query): its kept entries are a prefix
-        csum = values[order].cumsum(dtype=np.float64)
-        return order[:1 + int(csum[:-1].searchsorted((alpha - 1e-6) * csum[-1]))]
     # one zero-padded row per segment, largest value first, after a leading
     # 0: csum[s, p] is the mass of segment s's p largest entries, summed in
     # the same order, so rounded alike, as a cumsum of the segment alone.

@@ -6,15 +6,18 @@ import pytest
 import sparsemips.index
 from sparsemips import (
     BuildParams,
+    SearchParams,
     SparseVector,
     VectorSet,
     build_index,
     cluster_list,
     dequantize,
     dot,
+    exact_topk,
     load_index,
     quantize_summary,
     save_index,
+    search,
     set_alpha_mss,
     summarize,
 )
@@ -370,6 +373,104 @@ class TestIndexSerialization:
         path.write_bytes(b"NOTANIDX" + b"\x00" * 64)
         with pytest.raises(HeaderError):
             load_index(path)
+
+
+def directory_reference(index):
+    """{(d, l): (start, stop)} of every (column, list) pair with a nonempty
+    run, found by a binary search of each column for each list's block range."""
+    runs = {}
+    for d in range(index.dim):
+        s, e = int(index.summary_ptr[d]), int(index.summary_ptr[d + 1])
+        column = index.summary_blocks[s:e]
+        for lst in range(index.dim):
+            lo, hi = (s + int(column.searchsorted(index.list_ptr[i])) for i in (lst, lst + 1))
+            if hi > lo:
+                runs[d, lst] = lo, hi
+    return runs
+
+
+class TestSummaryDirectory:
+    @staticmethod
+    def collection(seed):
+        """Dims 0..29 hold most entries and dims 30..34 a few docs each, so
+        columns hold blocks of many lists; dims 35..39 hold no entry, so their
+        lists and columns are empty."""
+        common = list(random_collection(150, 30, 8, seed=seed))
+        rare = [SparseVector(v.dims + 30, v.values) for v in random_collection(6, 5, 2, seed=seed + 1)]
+        return VectorSet.from_vectors(40, common + rare)
+
+    @pytest.fixture(scope="class", params=[(True, 61), (False, 62), (True, 63), (False, 64)],
+                    ids=["quantized-61", "float32-62", "quantized-63", "float32-64"])
+    def index(self, request):
+        quantize, seed = request.param
+        gamma = 0.7 if quantize else 1.0
+        return build_index(self.collection(seed), BuildParams(alpha=0.6, beta=0.2, gamma=gamma,
+                                                              quantize=quantize, seed=seed))
+
+    def test_runs_equal_a_search_of_each_column(self, index):
+        sizes = np.diff(index.list_ptr)
+        assert (sizes == 0).any() and (np.diff(index.summary_ptr) == 0).any()
+        want = directory_reference(index)
+        assert any(sum(d == e for d, _ in want) > 1 for e in range(index.dim))  # a column of several lists
+        key, runs = index.summary_key, index.summary_runs
+        assert key.dtype == runs.dtype == np.uint32 and runs.size == key.size + 1
+        assert np.all(np.diff(key.astype(np.int64)) > 0)
+        assert runs[0] == 0 and runs[-1] == index.summary_blocks.size
+        got = {divmod(int(k), index.dim): (int(s), int(e)) for k, s, e in zip(key, runs[:-1], runs[1:])}
+        # the present pairs' runs, and no other pair: an absent pair's run is empty
+        assert got == want
+
+    def test_reloaded_index_derives_the_same_directory(self, index, tmp_path):
+        save_index(index, tmp_path / "index.bin")
+        loaded = load_index(tmp_path / "index.bin")
+        for name in ("summary_key", "summary_runs"):
+            got, want = getattr(loaded, name), getattr(index, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_save_writes_only_the_file_arrays(self, index, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        data = path.read_bytes()
+        sections = TestIndexFileRobustness.sections(index)
+        offset, nbytes = sections["delta"]
+        assert len(data) == offset + nbytes
+        fwd = index.forward
+        arrays = [fwd.indptr, fwd.indices, fwd.values] + [getattr(index, name) for name in SECTIONS[3:]]
+        dtypes = ["<u8", "<u4", "<f4", "<i8", "<i8", "<u4", "<i8", "<u4",
+                  "u1" if index.params.quantize else "<f4", "<f4", "<f4"]
+        for name, array, dtype in zip(SECTIONS, arrays, dtypes):
+            offset, nbytes = sections[name]
+            assert data[offset:offset + nbytes] == np.asarray(array, dtype=dtype).tobytes(), name
+
+    def test_key_dtype_widens_when_dim_squared_reaches_2_32(self):
+        assert sparsemips.index.key_dtype(65535) == np.uint32  # 65535**2 < 2**32
+        assert sparsemips.index.key_dtype(65536) == np.uint64
+        assert sparsemips.index.key_dtype(2**32) == np.uint64
+
+    def test_u64_keys_find_the_same_runs_and_results(self, index, monkeypatch):
+        monkeypatch.setattr(sparsemips.index, "key_dtype", lambda dim: np.dtype(np.uint64))
+        wide = build_index(index.forward, index.params)
+        assert wide.summary_key.dtype == np.uint64
+        assert np.array_equal(wide.summary_key, index.summary_key)
+        assert np.array_equal(wide.summary_runs, index.summary_runs)
+        rng = np.random.default_rng(65)
+        params = SearchParams(k=5, alpha_q=0.8, heap_factor=0.9)
+        for _ in range(10):
+            q = random_vector(rng, index.dim, 8)
+            got, got_stats = search(wide, None, q, params, return_stats=True)
+            want, want_stats = search(index, None, q, params, return_stats=True)
+            assert got == want and got_stats == want_stats
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
+    def test_no_summary_entries(self, quantize):
+        empty = SparseVector(np.empty(0, np.uint32), np.empty(0, np.float32))
+        index = build_index(VectorSet.from_vectors(12, [empty] * 4),
+                            BuildParams(alpha=0.5, beta=0.5, gamma=0.5, quantize=quantize))
+        assert index.num_blocks == 0
+        assert index.summary_key.size == 0 and index.summary_key.dtype == np.uint32
+        assert index.summary_runs.tolist() == [0]
+        q = SparseVector(np.array([2, 7]), np.array([0.5, 1.0]))
+        assert search(index, None, q, SearchParams(k=3)) == exact_topk(index.forward, q, 3)
 
 
 SECTIONS = [

@@ -289,7 +289,7 @@ class TestSummaryScores:
             # every block at once (each list once), then the query's own lists out of order
             for lists in (every, rng.permutation(q.dims)):
                 first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
-                blocks, scores, entries = _summary_scores(index, first, last, q)
+                blocks, scores, entries = _summary_scores(index, lists, q)
                 want_blocks, want = block_major_summary_scores(index, first, last, q_dense)
                 assert np.array_equal(blocks, want_blocks)
                 assert scores.dtype == np.float64
@@ -305,7 +305,7 @@ class TestSummaryScores:
             q = random_vector(rng, index.dim, 12)
             _, stats = search(index, None, q, params, return_stats=True)
             kept = alpha_mss(q, params.alpha_q).dims
-            _, _, entries = _summary_scores(index, index.list_ptr[kept], index.list_ptr[kept + 1], q)
+            _, _, entries = _summary_scores(index, kept, q)
             assert stats.summary_entries == entries > 0
             assert stats.summary_entries < index.summary_blocks.size
 
@@ -387,7 +387,7 @@ def sorted_traversal(index, graph, q, params):
     q_sketch = alpha_mss(q, params.alpha_q)
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    blocks, r, entries = _summary_scores(index, first, last, q)
+    blocks, r, entries = _summary_scores(index, dim_order, q)
     order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
     blocks, r = blocks[order], r[order]
     stats = SearchStats(dims_kept=dim_order.size, summary_entries=entries)

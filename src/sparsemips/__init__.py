@@ -1,9 +1,10 @@
 """Approximate maximum inner product search over nonnegative sparse vectors.
 
-Mass-based collection sketching, a blocked inverted index with conservative
-quantized summaries, forward-index re-scoring, and optional one-hop
-neighbor-graph candidate expansion, plus an exact oracle and evaluation
-tools.
+Mass-based collection sketching, a blocked inverted index with
+coordinatewise-max summaries (truncated and optionally quantized, so an
+upper bound on their members' scores only at gamma=1 without quantization),
+forward-index re-scoring, and optional one-hop neighbor-graph candidate
+expansion, plus an exact oracle and evaluation tools.
 """
 from .evaluation import (
     accuracy_at_k,

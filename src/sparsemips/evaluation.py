@@ -46,8 +46,7 @@ def _column_scores(cols, ptr, dims, values):
     scatters its own into zeros one dim at a time, dims ascending, so each
     doc's products are added in the order of exact_topk's mat-vec, whose
     other terms are all +0.0, and every score equals the oracle's bit for
-    bit.  The dims must lie below the collection's dim and have the CSC's
-    index dtype.
+    bit.  The dims must lie below the collection's dim.
     """
     sub_ptr, docs, data = _gather_rows(cols, dims)
     for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
@@ -70,8 +69,7 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
     cols, qmat = vset.scipy64().tocsc(), queries.scipy64()  # for the graph, one cached CSR
-    # every index array passed to the kernels has the CSC's index dtype
-    q_ptr, q_dims = qmat.indptr, qmat.indices.astype(cols.indptr.dtype, copy=False)
+    q_ptr, q_dims = qmat.indptr, qmat.indices
     all_ids = np.arange(len(vset))
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)

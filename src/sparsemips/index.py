@@ -4,9 +4,12 @@ Construction: sketch the collection (set-level pruning: each dimension keeps
 the ceil(alpha * |L_i|) largest values of its column), build one
 inverted list per dimension from the sketched vectors, partition each list
 into geometrically-cohesive blocks with shallow K-Means, and attach to each
-block a conservative coordinatewise-max summary, truncated by a top-mass
-sketch and optionally quantized to 8 bits.  The forward index keeps the
-original vectors for exact re-scoring.  The blocks live in a few flat
+block a coordinatewise-max summary, truncated by a top-mass sketch and
+optionally quantized to 8 bits.  A summary bounds its members' scores only
+at gamma=1 without quantization: truncation drops entries, and a floored
+8-bit code can read up to one step (delta) low, so exact search needs
+quantize=False.  The forward index keeps the original vectors for exact
+re-scoring.  The blocks live in a few flat
 arrays (see BlockedIndex), saved as one record after an SPMIDX03 magic.
 The build runs in pieces: runs of consecutive lists whose member rows hold
 about PIECE_ENTRIES entries in all, or one longer list alone.  A piece
@@ -34,8 +37,8 @@ import scipy.sparse as sp
 from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
-from .storage import CSR_ERRORS, ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import VectorSet, _gathered, _ranges, check_csr, check_fraction
+from .storage import ConsistencyError, HeaderError, collection_layout, read_record, write_record
+from .vectors import SparseVectorError, VectorSet, _gathered, _ranges, check_csr, check_fraction
 
 INDEX_MAGIC = b"SPMIDX03"
 # a piece of the build is a run of consecutive lists whose member rows hold
@@ -229,9 +232,8 @@ class BlockedIndex:
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
         raise ValueError("cannot index an empty collection")
-    sketched = set_alpha_mss(vset, params.alpha).to_scipy(dtype=np.float64)
+    sketched = set_alpha_mss(vset, params.alpha).scipy64()
     csc = sketched.tocsc()
-    csc.sort_indices()
     # the members of list i fill member_ids[csc.indptr[i]:csc.indptr[i + 1]]
     member_ids = np.empty(csc.nnz, dtype=np.uint32)
     blocks_per_list = np.zeros(vset.dim, dtype=np.int64)
@@ -330,12 +332,17 @@ def load_index(path) -> BlockedIndex:
         raise HeaderError(f"build parameters: {exc}") from None
     nrows, dim, _, nblocks, _, _ = head[5:]
     indptr, indices, values, list_ptr, block_ptr, member_ids, summary_ptr, summary_blocks, summary_values = arrays[:9]
-    forward = VectorSet(dim, indptr, indices, values, what="forward index", errors=CSR_ERRORS)
-    # list i holds blocks list_ptr[i]:list_ptr[i+1]
-    check_csr(list_ptr, np.arange(nblocks), nblocks, "lists", errors=CSR_ERRORS)
-    check_csr(block_ptr, member_ids, nrows, "block members", errors=CSR_ERRORS)
-    check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values,
-              errors=CSR_ERRORS)
-    if not np.isfinite(np.concatenate(arrays[9:])).all():
+    try:
+        forward = VectorSet(dim, indptr, indices, values, what="forward index")
+        # list i holds blocks list_ptr[i]:list_ptr[i+1]
+        check_csr(list_ptr, np.arange(nblocks), nblocks, "lists")
+        check_csr(block_ptr, member_ids, nrows, "block members")
+        check_csr(summary_ptr, summary_blocks, nblocks, "summaries", None if params.quantize else summary_values)
+    except SparseVectorError as exc:
+        raise ConsistencyError(str(exc)) from None
+    scales = np.concatenate(arrays[9:])
+    if not np.isfinite(scales).all():
         raise ConsistencyError("summaries: m and delta must be finite")
+    if (scales < 0).any():  # every build stores m >= 0 and delta >= 0
+        raise ConsistencyError("summaries: m and delta must be at least 0")
     return BlockedIndex(params, forward, *arrays[3:])

@@ -124,10 +124,12 @@ def _gather_rows(csr, rows):
     """Rows `rows` of a scipy CSR as the arrays (ptr, indices, data) of a
     new CSR, by the compiled routine behind scipy's row indexing.
 
-    It checks no bounds, so every row must lie in range, and `rows` must
-    have the CSR's index dtype, which the new ptr and indices share.
+    It checks no bounds, so every row must lie in range.  `rows` is cast to
+    the CSR's index dtype, which the new ptr and indices share: sparsetools
+    would otherwise upcast the whole CSR on every call.
     """
     ptr = csr.indptr
+    rows = rows.astype(ptr.dtype, copy=False)
     sub_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
     (ptr[rows + 1] - ptr[rows]).cumsum(out=sub_ptr[1:])
     sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
@@ -143,12 +145,9 @@ def _forward_scores(forward, ids, q_dense):
     called directly: csr_row_index gathers the rows, and csr_matvec sums
     each row's products in CSR order from 0.0 over the float64 CSR that
     exact_topk scores, so each score is bit-identical to the oracle's.
-    Neither checks bounds, so every id must lie in [0, N).  Every index
-    array shares the CSR's index dtype: sparsetools would otherwise upcast
-    the whole forward index on every call.
+    Neither checks bounds, so every id must lie in [0, N).
     """
     csr = forward.scipy64()
-    ids = ids.astype(csr.indptr.dtype, copy=False)
     sub_ptr, sub_indices, sub_data = _gather_rows(csr, ids)
     scores = np.zeros(ids.size)
     _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
@@ -318,7 +317,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         stats.fallback_docs = rest.size
         top = _score_unvisited(rest, forward, q_dense, top, visited, k, stats)
 
-    if params.use_graph and graph is not None and graph.kappa > 0:
+    if params.use_graph:
         top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)
 
     # ids below N fit u32, and a u32 array skips ResultList's range scan

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .vectors import VectorSet, as_unsigned
+from .vectors import SparseVectorError, VectorSet, as_unsigned
 
 
 class StorageError(Exception):
@@ -36,14 +36,6 @@ class TruncatedHeaderError(HeaderError, TruncatedPayloadError):
 
 
 class ConsistencyError(StorageError):
-    pass
-
-
-class IndexOrderError(StorageError):
-    pass
-
-
-class NonPositiveValueError(StorageError):
     pass
 
 
@@ -84,10 +76,6 @@ def read_record(path, header, layout, magic=b""):
     return fields, arrays
 
 
-# vectors.check_csr's errors for a bad layout or range, bad row order and bad values
-CSR_ERRORS = (ConsistencyError, IndexOrderError, NonPositiveValueError)
-
-
 _COLLECTION = struct.Struct("<QQQ")
 
 
@@ -106,7 +94,10 @@ def save_collection(vset: VectorSet, path):
 
 def load_collection(path) -> VectorSet:
     (_, ncols, _), (indptr, indices, values) = read_record(path, _COLLECTION, collection_layout)
-    return VectorSet(ncols, indptr, indices, values, what="collection", errors=CSR_ERRORS)
+    try:
+        return VectorSet(ncols, indptr, indices, values, what="collection")
+    except SparseVectorError as exc:
+        raise ConsistencyError(str(exc)) from None
 
 
 _GROUND_TRUTH = struct.Struct("<II")

@@ -126,25 +126,24 @@ def _gathered(ptr, indices, lengths):
     return sums
 
 
-def check_csr(ptr, indices, bound, what, values=None, errors=(SparseVectorError,) * 3):
-    """Raise unless ptr runs nondecreasing from 0 to indices.size, splitting
-    indices into rows strictly increasing and < bound, and values (if given)
-    are finite and strictly positive.  `errors` are the exception types for
-    a bad layout or range, bad row order, and bad values."""
-    layout, order, value = errors
+def check_csr(ptr, indices, bound, what, values=None):
+    """SparseVectorError, its message led by `what`, unless ptr runs
+    nondecreasing from 0 to indices.size, splitting indices into rows
+    strictly increasing and < bound, and values (if given) are finite and
+    strictly positive."""
     if ptr[0] != 0 or int(ptr[-1]) != indices.size or (ptr[1:] < ptr[:-1]).any():
-        raise layout(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
+        raise SparseVectorError(f"{what}: pointers must run nondecreasing from 0 to {indices.size}")
     if indices.size and int(indices.max()) >= bound:
-        raise layout(f"{what}: index {int(indices.max())} is out of range for {bound}")
+        raise SparseVectorError(f"{what}: index {int(indices.max())} is out of range for {bound}")
     # indices may fail to increase only where a row starts
     not_increasing = indices[1:] <= indices[:-1]
     starts = ptr[1:-1]
     not_increasing[starts[(starts > 0) & (starts < indices.size)] - 1] = False
     if not_increasing.any():
-        raise order(f"{what}: indices must be strictly increasing within each row")
+        raise SparseVectorError(f"{what}: indices must be strictly increasing within each row")
     # min and max propagate NaN, which fails both comparisons
     if values is not None and values.size and not (values.min() > 0 and values.max() < np.inf):
-        raise value(f"{what}: values must be finite and strictly positive")
+        raise SparseVectorError(f"{what}: values must be finite and strictly positive")
 
 
 def as_unsigned(a, dtype, what, error=SparseVectorError):
@@ -191,17 +190,15 @@ class VectorSet:
     after construction.
     """
 
-    def __init__(self, dim, indptr, indices, values, *, what="vector set", errors=(SparseVectorError,) * 3):
-        """`what` names the set in errors and `errors` are check_csr's
-        exception types, for a loader that raises its own; the first is also
-        as_unsigned's, for pointers or indices that are not integers in range."""
+    def __init__(self, dim, indptr, indices, values, *, what="vector set"):
+        """`what` names the set in the SparseVectorError of a bad CSR."""
         self.dim = check_int("dim", dim, 0, 2**32 + 1)
-        self.indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers", errors[0]))
-        self.indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices", errors[0]))
+        self.indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers"))
+        self.indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices"))
         self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))
         if self.indptr.size == 0 or self.indices.size != self.values.size:
             raise SparseVectorError("indptr/indices/values are inconsistent")
-        check_csr(self.indptr, self.indices, self.dim, what, self.values, errors)
+        check_csr(self.indptr, self.indices, self.dim, what, self.values)
 
     @classmethod
     def from_vectors(cls, dim, vectors):

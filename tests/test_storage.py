@@ -29,8 +29,6 @@ from sparsemips.evaluation import mean_accuracy
 from sparsemips.storage import (
     ConsistencyError,
     HeaderError,
-    IndexOrderError,
-    NonPositiveValueError,
     StorageError,
     TruncatedPayloadError,
     read_results_tsv,
@@ -102,7 +100,7 @@ class TestCollectionFormat:
     def test_indices_strictly_increasing_within_row(self, tmp_path):
         path = tmp_path / "c.bin"
         path.write_bytes(_raw_collection(1, 4, [0, 2], [2, 1], [1.0, 1.0]))
-        with pytest.raises(IndexOrderError):
+        with pytest.raises(ConsistencyError, match="^collection: indices must be strictly increasing"):
             load_collection(path)
         # a reset at a row boundary is legal
         path.write_bytes(_raw_collection(2, 4, [0, 2, 4], [1, 3, 0, 2], [1.0] * 4))
@@ -117,10 +115,10 @@ class TestCollectionFormat:
     def test_values_must_be_positive_and_finite(self, tmp_path):
         path = tmp_path / "c.bin"
         path.write_bytes(_raw_collection(1, 4, [0, 2], [0, 1], [1.0, 0.0]))
-        with pytest.raises(NonPositiveValueError):
+        with pytest.raises(ConsistencyError, match="^collection: values must be finite and strictly positive"):
             load_collection(path)
         path.write_bytes(_raw_collection(1, 4, [0, 1], [0], [np.inf]))
-        with pytest.raises(NonPositiveValueError):
+        with pytest.raises(ConsistencyError, match="^collection: values must be finite and strictly positive"):
             load_collection(path)
 
     def test_reads_from_a_pipe(self, small_set, tmp_path):

@@ -29,8 +29,7 @@ def _cmd_knn_graph(args):
     if args.exact:
         graph = build_exact_graph(index.forward, args.kappa)
     else:
-        sp = SearchParams(k=max(args.kappa + 1, 1), alpha_q=args.alpha_q, heap_factor=args.heap_factor)
-        graph = build_approx_graph(index, args.kappa, sp)
+        graph = build_approx_graph(index, args.kappa, args.alpha_q, args.heap_factor)
     save_graph(graph, args.output)
     print(f"graph: {len(graph)} nodes, kappa={graph.kappa}, width={graph.width}")
 

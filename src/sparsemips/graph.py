@@ -7,27 +7,28 @@ used at query time for one-hop candidate expansion.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluation import ground_truth
-from .query import search
+from .query import SearchParams, search
 from .storage import ConsistencyError, HeaderError, read_record, write_record
-from .vectors import VectorSet, as_unsigned, check_int
+from .vectors import VectorSet, as_unsigned, check_fraction, check_int
 
 
 @dataclass(frozen=True)
 class KnnGraph:
     """kappa and the (N, row_width(N, kappa)) uint32 neighbor table, every
-    id < N; ValueError on construction otherwise."""
+    id < N; ValueError on construction otherwise, SparseVectorError for ids
+    that are not u32 integers."""
 
     kappa: int
     neighbors: np.ndarray  # score-descending rows
 
     def __post_init__(self):
         kappa = check_kappa(self.kappa)
-        neighbors = as_unsigned(self.neighbors, np.uint32, "neighbor ids", ValueError)
+        neighbors = as_unsigned(self.neighbors, np.uint32, "neighbor ids")
         if neighbors.ndim != 2 or neighbors.shape[1] != row_width(len(neighbors), kappa):
             raise ValueError(f"neighbors of shape {neighbors.shape} are not (N, min(kappa, N-1)) for kappa={kappa}")
         if neighbors.size and int(neighbors.max()) >= len(neighbors):
@@ -81,18 +82,21 @@ def build_exact_graph(vset: VectorSet, kappa: int) -> KnnGraph:
     return _neighbor_graph(len(vset), kappa, lambda k: ground_truth(vset, vset, k)[0])
 
 
-def build_approx_graph(index, kappa: int, search_params) -> KnnGraph:
+def build_approx_graph(index, kappa: int, alpha_q=1.0, heap_factor=1.0) -> KnnGraph:
     """Neighbors found by querying the index with each data point.
 
-    Each point runs a top-(kappa+1) search (graph disabled); search returns
-    min(kappa+1, N) results, so none comes up short.  An empty point scores
-    0 with everything and gets the exact graph's row: the lowest ids other
-    than its own.
+    Each point runs a top-(width+1) search at alpha_q and heap_factor, graph
+    off; width + 1 <= N, so none comes up short.  An empty point scores 0
+    with everything and gets the exact graph's row: the lowest ids other
+    than its own.  ValueError, before any search and at any width, unless
+    both fractions lie in (0, 1].
     """
+    check_fraction("alpha_q", alpha_q)
+    check_fraction("heap_factor", heap_factor)
     forward = index.forward
 
     def best(k):
-        params = replace(search_params, k=k, use_graph=False)
+        params = SearchParams(k=k, alpha_q=alpha_q, heap_factor=heap_factor)
         found = np.empty((len(forward), k), dtype=np.uint32)
         for j in range(len(forward)):
             q = forward.vector(j)

@@ -62,11 +62,11 @@ class SearchParams:
 
 
 class ResultList:
-    """(id, score) pairs, score descending, ties by ascending id; ValueError
-    unless the ids are u32 integers."""
+    """(id, score) pairs, score descending, ties by ascending id;
+    SparseVectorError unless the ids are u32 integers."""
 
     def __init__(self, ids, scores):
-        self.ids = as_unsigned(ids, np.uint32, "result ids", ValueError)
+        self.ids = as_unsigned(ids, np.uint32, "result ids")
         self.scores = np.ascontiguousarray(scores, dtype=np.float32)
 
     def __len__(self):
@@ -269,7 +269,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     if params.use_graph and graph is not None and len(graph) != len(index):
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
     forward, k = index.forward, params.k
-    q_dense = q.to_dense(index.dim, dtype=np.float64)
+    q_dense = q.to_dense(index.dim)
     # the sketch's dims, high values first, to fill the top k early
     dim_order = q.dims[top_mass_order([0, q.dims.size], q.values, params.alpha_q)]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]

@@ -159,10 +159,8 @@ def largest_first(indptr, values):
     """
     # the flipped bits sort behind the segment in the key's high half; one
     # stable sort of the key keeps ties in position order
-    key = _flipped(values)
-    if len(indptr) > 2:
-        sizes = np.diff(np.asarray(indptr, dtype=np.int64))
-        key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | key
+    sizes = np.diff(np.asarray(indptr, dtype=np.int64))
+    key = np.arange(sizes.size, dtype=np.uint64).repeat(sizes) << np.uint64(32) | _flipped(values)
     return np.argsort(key, kind="stable")
 
 

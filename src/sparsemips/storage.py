@@ -109,8 +109,8 @@ def _ground_truth_layout(nq, k):
 
 def save_ground_truth(ids, scores, path):
     """ids/scores: (nq, k) arrays, rows sorted by (score desc, id asc).
-    ValueError, before the file is opened, unless the ids are u32 integers."""
-    ids, scores = as_unsigned(ids, np.uint32, "ground truth ids", ValueError), np.asarray(scores)
+    SparseVectorError, before the file is opened, unless the ids are u32 integers."""
+    ids, scores = as_unsigned(ids, np.uint32, "ground truth ids"), np.asarray(scores)
     if ids.shape != scores.shape or ids.ndim != 2:
         raise ValueError("ids and scores must be matching 2-d arrays")
     write_record(path, _GROUND_TRUTH.pack(*ids.shape), zip((ids, scores), _ground_truth_layout(*ids.shape)))

@@ -53,8 +53,8 @@ class SparseVector:
     def pairs(self):
         return list(zip(self.dims.tolist(), self.values.tolist()))
 
-    def to_dense(self, dim, dtype=np.float64):
-        out = np.zeros(dim, dtype=dtype)
+    def to_dense(self, dim):
+        out = np.zeros(dim)
         out[self.dims] = self.values
         return out
 
@@ -146,18 +146,19 @@ def check_csr(ptr, indices, bound, what, values=None):
         raise SparseVectorError(f"{what}: values must be finite and strictly positive")
 
 
-def as_unsigned(a, dtype, what, error=SparseVectorError):
+def as_unsigned(a, dtype, what):
     """`a` as a contiguous array of the unsigned integer `dtype`, its values
-    unchanged: `error` unless it is empty or holds integers in the dtype's
-    range.  A cast alone would wrap -1 to the largest value and truncate 2.7."""
+    unchanged: SparseVectorError unless it is empty or holds integers in the
+    dtype's range.  A cast alone would wrap -1 to the largest value and
+    truncate 2.7."""
     a = np.asarray(a)
     dtype = np.dtype(dtype)
     if a.size and not (a.dtype.kind == "u" and a.dtype.itemsize <= dtype.itemsize):
         if a.dtype.kind not in "iu":
-            raise error(f"{what} must be integers, not {a.dtype}")
+            raise SparseVectorError(f"{what} must be integers, not {a.dtype}")
         low, high = a.min(), a.max()
         if low < 0 or high >= 2 ** (8 * dtype.itemsize):
-            raise error(f"{what} must lie in [0, 2**{8 * dtype.itemsize}), not {low if low < 0 else high}")
+            raise SparseVectorError(f"{what} must lie in [0, 2**{8 * dtype.itemsize}), not {low if low < 0 else high}")
     return np.ascontiguousarray(a, dtype=dtype)
 
 
@@ -203,9 +204,7 @@ class VectorSet:
     @classmethod
     def from_vectors(cls, dim, vectors):
         vectors = list(vectors)
-        indptr = np.zeros(len(vectors) + 1, dtype=np.uint64)
-        for j, v in enumerate(vectors):
-            indptr[j + 1] = indptr[j] + v.dims.size
+        indptr = np.cumsum([0] + [v.dims.size for v in vectors], dtype=np.uint64)
         if vectors:
             indices = np.concatenate([v.dims for v in vectors])
             values = np.concatenate([v.values for v in vectors])

@@ -320,10 +320,10 @@ def test_criterion_09_neighbor_graph_oracle(corpus10k, tuned_index, exact_graph1
     small = random_collection(1000, 300, 25, seed=2)
     small_exact = build_exact_graph(small, 10)
     small_index = build_index(small, BuildParams(alpha=1.0, beta=0.05, gamma=1.0, quantize=False, seed=1))
-    small_approx = build_approx_graph(small_index, 10, SearchParams(k=11, alpha_q=1.0, heap_factor=1.0))
+    small_approx = build_approx_graph(small_index, 10)
     exact_equal = np.array_equal(small_exact.neighbors, small_approx.neighbors)
     # tuned mode at N=10k: >= 95% of true edges recovered
-    approx = build_approx_graph(tuned_index, 10, SearchParams(k=11, alpha_q=0.8, heap_factor=0.9))
+    approx = build_approx_graph(tuned_index, 10, alpha_q=0.8, heap_factor=0.9)
     n = len(exact_graph10k)
     agreement = sum(
         np.intersect1d(exact_graph10k.neighbors[i], approx.neighbors[i]).size

@@ -141,6 +141,21 @@ class TestErrorHandling:
         assert err.startswith("error: kappa=") and err.count("\n") == 1
         assert not (tmp_path / "g.bin").exists()
 
+    @pytest.mark.parametrize("kappa", ["0", "5"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha-q", "1.5"], "alpha_q=1.5 must lie in (0, 1]"),
+        (["--heap-factor", "0"], "heap_factor=0.0 must lie in (0, 1]"),
+    ], ids=["alpha-q", "heap-factor"])
+    def test_approx_graph_bad_fraction_is_named(self, tmp_path, capsys, kappa, argv, message):
+        save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), tmp_path / "idx.bin")
+        rc = run([
+            "knn-graph", "--index", tmp_path / "idx.bin", "--kappa", kappa, "--output", tmp_path / "g.bin",
+        ] + argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "g.bin").exists()
+
     def test_truncated_index_is_a_clean_failure(self, workspace, tmp_path, capsys):
         bad = tmp_path / "idx.bin"
         save_index(build_index(random_collection(50, 80, 10, seed=42), BuildParams(0.6, 0.2, 0.8)), bad)

@@ -1,4 +1,5 @@
-"""Each demo, and README's library quick start, runs to completion as a script."""
+"""Each demo, and README's library quick start, runs to completion as a script
+in dev mode with every warning an error, as CI's smoke runs do."""
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     args = [str(demo)] if demo.suffix == ".py" else ["-c", quick_start(demo)]
     proc = subprocess.run(
-        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

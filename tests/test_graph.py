@@ -8,7 +8,6 @@ import sparsemips.graph
 from sparsemips import (
     BuildParams,
     KnnGraph,
-    SearchParams,
     SparseVector,
     VectorSet,
     build_approx_graph,
@@ -51,7 +50,7 @@ class TestExactGraph:
         vset = VectorSet.from_vectors(25, vectors)
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
         exact = build_exact_graph(vset, 5)
-        approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
+        approx = build_approx_graph(index, 5)
         assert np.array_equal(exact.neighbors, naive_graph(vset, 5))
         assert np.array_equal(approx.neighbors, exact.neighbors)
         assert exact.neighbors[40].tolist() == [0, 1, 2, 3, 4]
@@ -71,7 +70,18 @@ class TestExactGraph:
         with pytest.raises(ValueError, match="^kappa="):
             build_exact_graph(small_set, kappa)
         with pytest.raises(ValueError, match="^kappa="):
-            build_approx_graph(index, kappa, SearchParams(k=1))
+            build_approx_graph(index, kappa)
+
+    @pytest.mark.parametrize("kappa", [0, 5])
+    @pytest.mark.parametrize("name, fractions", [("alpha_q", {"alpha_q": 1.5}), ("heap_factor", {"heap_factor": 0})])
+    def test_fraction_outside_zero_one_rejected_before_any_search(self, small_set, monkeypatch, kappa, name, fractions):
+        def no_search(*args):
+            raise AssertionError("searched before checking the fractions")
+
+        monkeypatch.setattr(sparsemips.graph, "search", no_search)
+        index = build_index(small_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0))
+        with pytest.raises(ValueError, match=rf"^{name}=\S+ must lie in \(0, 1\]$"):
+            build_approx_graph(index, kappa, **fractions)
 
     def test_width_capped_at_n_minus_one(self):
         vset = random_collection(4, 10, 3, seed=18)
@@ -102,7 +112,7 @@ class TestApproxGraph:
     def test_exact_mode_matches_exact_build(self):
         vset = random_collection(80, 30, 6, seed=20)
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
-        approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
+        approx = build_approx_graph(index, 5)
         exact = build_exact_graph(vset, 5)
         assert np.array_equal(approx.neighbors, exact.neighbors)
 
@@ -111,7 +121,7 @@ class TestApproxGraph:
         vectors[700] = EMPTY
         vset = VectorSet.from_vectors(60, vectors)
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
-        approx = build_approx_graph(index, 5, SearchParams(k=6, alpha_q=1.0, heap_factor=1.0))
+        approx = build_approx_graph(index, 5)
         exact = build_exact_graph(vset, 5)
         assert exact.neighbors[700].tolist() == [0, 1, 2, 3, 4]
         assert np.array_equal(approx.neighbors, exact.neighbors)
@@ -119,7 +129,7 @@ class TestApproxGraph:
     def test_kappa_zero(self):
         vset = random_collection(10, 10, 3, seed=21)
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.3, gamma=1.0))
-        g = build_approx_graph(index, 0, SearchParams(k=1))
+        g = build_approx_graph(index, 0)
         assert g.width == 0
 
 

@@ -136,7 +136,7 @@ class TestSummarize:
         members = [random_vector(rng, 40, 10) for _ in range(6)]
         [s] = summary_vectors(csr_rows(40, members), same(members))
         dense_max = np.max([m.to_dense(40) for m in members], axis=0)
-        np.testing.assert_array_equal(s.to_dense(40, dtype=np.float32), dense_max.astype(np.float32))
+        np.testing.assert_array_equal(s.to_dense(40).astype(np.float32), dense_max.astype(np.float32))
 
     def test_summary_score_dominates_members(self):
         rng = np.random.default_rng(13)

@@ -218,6 +218,16 @@ class TestPruning:
         with pytest.raises(ValueError, match="150"):
             search(index, graph, q, SearchParams(k=10, use_graph=True))
 
+    def test_graph_of_another_size_rejected_before_any_scoring(self, monkeypatch):
+        index = exact_build(random_collection(50, 30, 6, seed=54))
+        graph = build_exact_graph(random_collection(40, 30, 6, seed=55), 3)
+        q = random_vector(np.random.default_rng(56), 30, 6)
+        scored = []
+        monkeypatch.setattr(query, "_forward_scores", lambda forward, ids, q_dense: scored.append(ids))
+        with pytest.raises(ValueError, match=r"^graph has 40 nodes but the index holds 50 vectors$"):
+            search(index, graph, q, SearchParams(k=10, use_graph=True))
+        assert scored == []
+
     def test_deterministic(self, medium_set):
         index = build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=2))
         rng = np.random.default_rng(28)
@@ -285,7 +295,7 @@ class TestSummaryScores:
             if trial % 2:  # a query dim in no summary
                 dims = np.union1d(q.dims[1:], [50]).astype(np.uint32)
                 q = SparseVector(dims, rng.uniform(0.1, 1.0, dims.size))
-            q_dense = q.to_dense(index.dim, dtype=np.float64)
+            q_dense = q.to_dense(index.dim)
             # every block at once (each list once), then the query's own lists out of order
             for lists in (every, rng.permutation(q.dims)):
                 first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
@@ -383,7 +393,7 @@ def sorted_traversal(index, graph, q, params):
     np.unique and scores every batch with scipy's row gather and mat-vec.
     Returns the result, its SearchStats and the number of fill blocks."""
     forward, k = index.forward, params.k
-    q_dense = q.to_dense(index.dim, dtype=np.float64)
+    q_dense = q.to_dense(index.dim)
     q_sketch = alpha_mss(q, params.alpha_q)
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
@@ -523,7 +533,7 @@ class TestForwardScores:
     @staticmethod
     def batch(size, dtype):
         rng = np.random.default_rng(size)
-        q_dense = random_vector(rng, 80, 15).to_dense(80, dtype=np.float64)
+        q_dense = random_vector(rng, 80, 15).to_dense(80)
         ids = np.sort(rng.choice(TestForwardScores.N, size=size, replace=False)).astype(dtype)
         if size > 1:
             ids[0] = 0  # an empty row

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from sparsemips import (
     BuildParams,
     KnnGraph,
+    ResultList,
     SearchParams,
     SparseVector,
     VectorSet,
@@ -20,6 +21,7 @@ from sparsemips import (
     mass_curve,
     norm_ratio_cdf,
     restrict,
+    save_ground_truth,
     set_alpha_mss,
 )
 from sparsemips.graph import check_kappa
@@ -116,6 +118,18 @@ class TestVectorSet:
     def test_round_trip_through_vectors(self, small_set):
         rebuilt = VectorSet.from_vectors(small_set.dim, list(small_set))
         assert rebuilt == small_set
+
+    @pytest.mark.parametrize("rows, indptr", [
+        ([], [0]),
+        ([[]], [0, 0]),
+        ([[], [1, 3], [], [], [0], []], [0, 0, 2, 2, 2, 3, 3]),
+    ], ids=["no-rows", "one-empty-row", "empty-rows-between"])
+    def test_from_vectors_arrays(self, rows, indptr):
+        vectors = [SparseVector(dims, np.arange(1.0, len(dims) + 1)) for dims in rows]
+        vs = VectorSet.from_vectors(4, vectors)
+        assert vs.indptr.dtype == np.uint64 and vs.indptr.tolist() == indptr
+        assert vs.indices.dtype == np.uint32 and vs.indices.tolist() == [d for dims in rows for d in dims]
+        assert vs.values.dtype == np.float32 and list(vs) == vectors
 
     def test_scipy_round_trip(self, small_set):
         assert VectorSet.from_scipy(small_set.to_scipy()) == small_set
@@ -256,6 +270,17 @@ class TestInputRules:
     def test_fraction_outside_zero_one_named(self, small_set, name, call, value):
         with pytest.raises(ValueError, match=rf"^{name}={value} must lie in \(0, 1\]$"):
             call(small_set, value)
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2.7])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda v, path: ResultList([v], [1.0]), id="ResultList"),
+        pytest.param(lambda v, path: KnnGraph(kappa=1, neighbors=[[v], [0]]), id="KnnGraph"),
+        pytest.param(lambda v, path: save_ground_truth([[v]], [[1.0]], path), id="save_ground_truth"),
+    ])
+    def test_ids_that_are_not_u32_integers_raise_sparse_vector_error(self, tmp_path, call, bad):
+        # as_unsigned's rule, for every caller: a cast would wrap -1 and 2**32 and truncate 2.7
+        with pytest.raises(SparseVectorError, match=r"ids must (be integers|lie in \[0, 2\*\*32\))"):
+            call(bad, tmp_path / "gt.bin")
 
     @pytest.mark.parametrize("dim", [-1, 2**32 + 1])
     def test_vector_set_dim_outside_the_u32_dims_rejected(self, dim):

@@ -20,6 +20,9 @@ summaries dim-major, so a query reads only the columns of its own dims.
 Every index object, built or loaded, then derives the summary directory
 (see summary_directory): a sorted key d * dim + l and a run offset for each
 (column d, list l) pair that holds entries, 8 bytes a pair, never saved.
+Beside it, also never saved, the signed arrays that search's compiled
+kernels read (see SignedArrays): views of the u32 arrays, and one copy of
+block_ptr, while every count is below 2**31.
 The pieces are built on the thread pool of `parallel`, and appended in list
 order, so the index depends neither on the number of threads nor on where
 the pieces end.
@@ -187,6 +190,32 @@ def summary_directory(dim, list_ptr, summary_ptr, summary_blocks):
     return np.concatenate(keys), np.concatenate(starts + [np.array([nnz], dtype=rd)])
 
 
+def index_dtype(count):
+    """The signed index dtype of the compiled sparsetools kernels for arrays
+    whose values reach `count`: int32 while count < 2**31, int64 above.  A
+    kernel takes one index dtype for all the arrays of a call."""
+    return np.dtype(np.int32 if count < 2**31 else np.int64)
+
+
+def _as_signed(a, dtype):
+    """`a`, whose values fit `dtype`, in that dtype: a view when the widths
+    match and `a` is in native byte order, a copy otherwise."""
+    if a.dtype.itemsize == dtype.itemsize and a.dtype.isnative:
+        return a.view(dtype)
+    return a.astype(dtype)
+
+
+class SignedArrays(NamedTuple):
+    """The summary runs (the directory's run offsets as row pointers, the
+    summary entries' blocks as column indices) and the block members (block
+    pointers and member ids), in the one signed dtype that sparsetools reads."""
+
+    summary_runs: np.ndarray
+    summary_blocks: np.ndarray
+    block_ptr: np.ndarray
+    member_ids: np.ndarray
+
+
 @dataclass(eq=False)
 class BlockedIndex:
     """Flat CSR-style blocked lists, blocks numbered list by list, plus the
@@ -195,10 +224,12 @@ class BlockedIndex:
 
     The summaries are one CSC by dimension: the entries of dim d are
     summary_ptr[d]:summary_ptr[d+1], with their blocks ascending, so the
-    blocks of one list form a contiguous run of every column.  The last two
+    blocks of one list form a contiguous run of every column.  The next two
     fields, the summary directory (see summary_directory), find that run
-    with one lookup of d * dim + l; every index object, built or loaded,
-    derives them on construction, and they are never saved."""
+    with one lookup of d * dim + l.  The last, `signed`, holds the arrays
+    that the compiled kernels of search read, in index_dtype of the largest
+    count.  Every index object, built or loaded, derives these three on
+    construction, and they are never saved."""
 
     params: BuildParams
     forward: VectorSet
@@ -212,10 +243,14 @@ class BlockedIndex:
     delta: np.ndarray           # float32 per block; m=0 and delta=1 (exact) when unquantized
     summary_key: np.ndarray = field(init=False, repr=False)   # d * dim + l of each (column, list) pair, ascending
     summary_runs: np.ndarray = field(init=False, repr=False)  # entries of pair i: summary_runs[i]:summary_runs[i+1]
+    signed: SignedArrays = field(init=False, repr=False)
 
     def __post_init__(self):
         self.summary_key, self.summary_runs = summary_directory(
             self.dim, self.list_ptr, self.summary_ptr, self.summary_blocks)
+        dtype = index_dtype(max(self.summary_blocks.size, self.num_blocks, len(self), self.member_ids.size))
+        self.signed = SignedArrays(*(_as_signed(a, dtype) for a in (
+            self.summary_runs, self.summary_blocks, self.block_ptr, self.member_ids)))
 
     def __len__(self):
         return len(self.forward)

@@ -7,7 +7,8 @@ The summaries are stored dim-major, so scoring reads only the entries on
 the query's dims: the index's summary directory, a sorted key d * dim + l
 and a run offset per (column d, list l) pair that holds entries (8 bytes
 per pair, derived when the index object is made and never saved), finds
-every (query dim, sketched list) run with one binary search.  Then score
+every (query dim, sketched list) run with one binary search, and one copy
+and one mat-vec score the entries of those runs.  Then score
 documents exactly against the forward index in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
@@ -25,15 +26,21 @@ whose lists hold fewer than k docs falls back to scoring everything, and
 graph expansion optionally scores the unvisited neighbors of the top k in
 one more batch.
 
-Each batch is deduplicated against a visited bitmap and scored over the
-float64 CSR that exact_topk scores, by the two compiled routines behind
-scipy's row indexing and mat-vec (csr_row_index, then csr_matvec), called
-directly to skip the ~90 Python calls scipy makes around them.  They add a
-row's products in CSR order from 0.0, so every score equals the oracle's
-bit for bit.  They check no bounds and take index arrays of one dtype only,
-so evaluate_block and expand_with_graph reject an id outside [0, N) before
-any scoring, and every index array passed is cast to the CSR's own index
-dtype.
+The summary runs are copied and summed by two compiled sparsetools
+routines, csr_row_index and csc_matvec.  Each batch of candidates is copied
+from the block members by csr_row_index too, deduplicated by a sort and a
+neighbour diff and filtered through the visited bitmap, so only the
+bitmap's allocation and the fallback touch memory of size N.  The batch is
+scored over the float64 CSR that exact_topk scores, by the two routines
+behind scipy's row indexing and mat-vec (csr_row_index, then csr_matvec).
+All are called directly, to skip the ~90 Python calls scipy makes around
+them.  csr_matvec adds a row's products in CSR order from 0.0, so every
+score equals the oracle's bit for bit.  The routines check no bounds and
+take index arrays of one signed dtype per call, so evaluate_block and
+expand_with_graph check their ids, visited bitmap and k before any
+scoring, forward calls get the CSR's own index dtype, and the index's
+summary and member arrays come as its `signed` arrays (see
+index.SignedArrays).
 """
 from __future__ import annotations
 
@@ -179,11 +186,21 @@ def _check_batch(ids, forward, q_dense):
 
 
 def _unvisited(ids, visited):
-    """The distinct `ids` not yet visited, ascending, as intp."""
-    mark = np.zeros(visited.size, dtype=bool)
-    mark[ids] = True  # one scatter through `ids`, which may be uint32
-    np.greater(mark, visited, out=mark)  # marked and not visited
-    return mark.nonzero()[0]
+    """The distinct `ids` (of any shape) not yet visited, ascending, as intp:
+    a sort, a neighbour diff and one gather from `visited`, nothing of size N."""
+    ids = ids.astype(np.intp).ravel()
+    ids.sort()
+    keep = ~visited[ids]
+    np.logical_and(keep[1:], ids[1:] != ids[:-1], out=keep[1:])  # the first of equal ids
+    return ids[keep]
+
+
+def _check_visited(visited, n):
+    """Raise ValueError unless `visited` is a bool array of shape (n,): the
+    kernels trust the ids it lets through."""
+    if not (isinstance(visited, np.ndarray) and visited.dtype == bool and visited.shape == (n,)):
+        shape, dtype = np.shape(visited), getattr(visited, "dtype", type(visited).__name__)
+        raise ValueError(f"visited must be a bool array of shape ({n},), not {dtype} of shape {shape}")
 
 
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
@@ -191,20 +208,26 @@ def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
 
     `block.ids` are distinct; `top` is the running best k as an (ids, float64
     scores) pair, sorted.  Returns the best k of `top` and the new scores.
-    Raises ValueError, before scoring any, if an id lies outside [0, N).
+    Raises ValueError, before scoring any, if an id lies outside [0, N), if
+    `visited` is not a bool array of shape (N,) or if k is not an integer of
+    at least 1.
     """
     _check_batch(block.ids, forward, q_dense)
-    return _score_unvisited(block.ids, forward, q_dense, top, visited, k, stats)
+    _check_visited(visited, len(forward))
+    return _score_unvisited(block.ids, forward, q_dense, top, visited, check_k(k), stats)
 
 
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     """One-hop expansion: score the unvisited neighbors of the docs in `top`.
 
-    Raises ValueError, as evaluate_block does, before scoring any: for a
-    graph whose node count is not the length of `visited` (N in search),
-    which its ids index, and for a neighbor outside [0, N), which a
-    `visited` longer than N would let through.
+    Raises ValueError, as evaluate_block does, before scoring any: for an id
+    of `top` outside [0, N), which picks the graph rows, for a k that is not
+    an integer of at least 1, for a graph whose node count is not the length
+    of `visited` (N in search), which its ids index, and for a neighbor
+    outside [0, N), which a `visited` longer than N would let through.
     """
+    _check_batch(top[0], forward, q_dense)
+    k = check_k(k)
     if graph is None or graph.kappa == 0:
         return top
     if len(graph) != visited.size:
@@ -222,43 +245,60 @@ def _summary_scores(index, lists, q):
 
     The blocks of a list are a contiguous run of each dim's column, and the
     index's summary directory finds every (query dim, list) run with one
-    binary search over its keys d * dim + l; a needle not in the keys gets an
-    empty run.  Entries arrive dim by dim in ascending order and bincount
-    sums each block's in that order from 0.0, which is what a CSR mat-vec
-    over the whole summary computes: the products it adds beyond these are
-    +0.0.
+    binary search over its keys d * dim + l; a needle not in the keys has no
+    run.  csr_row_index copies the runs found, with the directory's run
+    offsets as row pointers, and csc_matvec, one run per column weighted by
+    its query value, sums each entry into its block's position among the
+    lists' blocks.  The runs arrive dim by dim in ascending order and each
+    block's sum starts from 0.0, which is what a CSR mat-vec over the whole
+    summary computes: the products it adds beyond these are +0.0.
     """
     first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
     blocks = _ranges(first, last)
-    key, runs = index.summary_key, index.summary_runs
+    key = index.summary_key
     if key.size == 0:  # no summary entries: every list is empty
         return blocks, np.zeros(blocks.size), 0
     # needles in the key's dtype: another makes searchsorted copy the keys
     kd = key.dtype.type
     needles = (q.dims.astype(kd, copy=False)[:, None] * kd(index.dim) + lists.astype(kd, copy=False)).ravel()
     pos = key.searchsorted(needles)
-    # row i: the runs of query dim i in each list; a missed needle's is empty
-    lo, hi = runs[pos], runs[pos + (key.take(pos, mode="clip") == needles)]
-    counts = (hi - lo).astype(np.intp).reshape(q.dims.size, lists.size)
-    hits = _ranges(lo, hi)
-    owner = index.summary_blocks[hits].astype(np.intp)  # the block of each entry read
-    weights = q.values.repeat(counts.sum(axis=1))
+    found = key.take(pos, mode="clip") == needles
+    pairs = pos[found]  # the runs, query dim by query dim, lists in order
+    signed = index.signed
+    ptr = signed.summary_runs
+    counts = ptr[pairs + 1] - ptr[pairs]
+    sub_ptr = np.zeros(pairs.size + 1, dtype=ptr.dtype)
+    counts.cumsum(out=sub_ptr[1:])
+    sub_blocks = np.empty(sub_ptr[-1], dtype=ptr.dtype)
+    sub_values = np.empty(sub_ptr[-1], dtype=index.summary_values.dtype)
+    _sparsetools.csr_row_index(pairs.size, pairs.astype(ptr.dtype), ptr, signed.summary_blocks,
+                               index.summary_values, sub_blocks, sub_values)
     if index.params.quantize:
-        values = dequantize(index.summary_values[hits], index.m[owner], index.delta[owner])
-        values *= weights
+        owner = sub_blocks.astype(np.intp)  # the block of each entry read
+        values = dequantize(sub_values, index.m[owner], index.delta[owner])
     else:  # m=0 and delta=1: dequantize would return the float64 cast
-        values = np.multiply(index.summary_values[hits], weights, dtype=np.float64)
+        values = sub_values.astype(np.float64)
     # a block's position in the concatenation of the lists' ranges
     sizes = last - first
     ends = sizes.cumsum()
-    owner += (ends - sizes - first)[None].repeat(q.dims.size, axis=0).repeat(counts.ravel())
-    return blocks, np.bincount(owner, values, ends[-1]), hits.size
+    shift = (ends - sizes - first).astype(ptr.dtype)[None].repeat(q.dims.size, axis=0)
+    sub_blocks += shift[found.reshape(shift.shape)].repeat(counts)
+    weights = q.values.astype(np.float64).repeat(lists.size)[found]
+    scores = np.zeros(ends[-1])
+    _sparsetools.csc_matvec(ends[-1], pairs.size, sub_ptr, sub_blocks, values, weights, scores)
+    return blocks, scores, sub_blocks.size
 
 
 def _members(index, blocks, visited):
-    """Distinct member ids of `blocks` not yet visited, ascending."""
-    members = _ranges(index.block_ptr[blocks], index.block_ptr[blocks + 1])
-    return _unvisited(index.member_ids[members], visited)
+    """Distinct member ids of `blocks` not yet visited, ascending: one
+    csr_row_index over the block pointers copies the blocks' members, with
+    the member ids as both the column indices and the data it copies."""
+    signed = index.signed
+    ptr, members = signed.block_ptr, signed.member_ids
+    size = int((ptr[blocks + 1] - ptr[blocks]).sum())
+    ids, copy = np.empty(size, dtype=ptr.dtype), np.empty(size, dtype=ptr.dtype)
+    _sparsetools.csr_row_index(blocks.size, blocks.astype(ptr.dtype), ptr, members, members, ids, copy)
+    return _unvisited(ids, visited)
 
 
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):

@@ -445,6 +445,21 @@ class TestSummaryDirectory:
         assert sparsemips.index.key_dtype(65536) == np.uint64
         assert sparsemips.index.key_dtype(2**32) == np.uint64
 
+    def test_index_dtype_widens_at_2_31(self):
+        assert sparsemips.index.index_dtype(0) == np.int32
+        assert sparsemips.index.index_dtype(2**31 - 1) == np.int32
+        assert sparsemips.index.index_dtype(2**31) == np.int64
+
+    def test_signed_arrays_view_the_u32_ones(self, index, tmp_path):
+        """Built or loaded, the kernels' int32 arrays view the u32 arrays,
+        and only block_ptr (i64) is copied."""
+        save_index(index, tmp_path / "index.bin")
+        for each in (index, load_index(tmp_path / "index.bin")):
+            for name in ("summary_runs", "summary_blocks", "block_ptr", "member_ids"):
+                got, want = getattr(each.signed, name), getattr(each, name)
+                assert got.dtype == np.int32 and np.array_equal(got, want), name
+                assert np.shares_memory(got, want) == (name != "block_ptr"), name
+
     def test_u64_keys_find_the_same_runs_and_results(self, index, monkeypatch):
         monkeypatch.setattr(sparsemips.index, "key_dtype", lambda dim: np.dtype(np.uint64))
         wide = build_index(index.forward, index.params)

@@ -3,6 +3,9 @@ import heapq
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+import sparsemips.index
 
 from sparsemips import (
     Block,
@@ -149,6 +152,80 @@ class TestEvaluateBlock:
         with pytest.raises(ValueError, match=f"graph has {nodes} nodes but visited has 30 entries"):
             expand_with_graph(top, graph, forward, np.ones(20), 5, visited, stats)
         assert not visited.any() and stats == SearchStats()
+
+
+class TestSeamInputs:
+    """evaluate_block and expand_with_graph check visited, k and the top ids
+    before any scoring: the compiled kernels trust every id they let through."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def forward(self):
+        return random_collection(self.N, 40, 6, seed=57)
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        scored = []
+        monkeypatch.setattr(query, "_forward_scores", lambda forward, ids, q_dense: scored.append(ids))
+        return scored
+
+    @pytest.mark.parametrize("visited", [np.zeros(100, bool), np.zeros(N + 1, bool), np.zeros(N, np.uint8),
+                                         np.zeros((N, 1), bool), [False] * N],
+                             ids=["shorter", "longer", "uint8", "2-d", "list"])
+    def test_visited_that_is_not_n_bools_rejected(self, forward, scored, visited):
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=rf"^visited must be a bool array of shape \({self.N},\)"):
+            evaluate_block(Block(np.arange(5)), forward, np.ones(40), empty_top(), visited, k=5, stats=stats)
+        assert scored == [] and not np.any(visited) and stats == SearchStats()
+
+    @pytest.mark.parametrize("k, message", [(2.5, "must be an integer"), (0, "must be at least 1"),
+                                            (True, "must be an integer"), (np.bool_(True), "must be an integer")])
+    def test_k_that_is_not_a_count_rejected(self, forward, scored, k, message):
+        visited, stats = np.zeros(self.N, bool), SearchStats()
+        with pytest.raises(ValueError, match=f"^k=.* {message}"):
+            evaluate_block(Block(np.arange(5)), forward, np.ones(40), empty_top(), visited, k=k, stats=stats)
+        graph = build_exact_graph(forward, 2)
+        top = (np.array([3, 7]), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match=f"^k=.* {message}"):
+            expand_with_graph(top, graph, forward, np.ones(40), k, visited, stats)
+        assert scored == [] and not visited.any() and stats == SearchStats()
+
+    @pytest.mark.parametrize("top_ids, message", [
+        (np.array([4, 500]), f"doc id 500 is out of range for {N} docs"),
+        (np.array([4, -1]), f"doc id -1 is out of range for {N} docs"),
+        (np.array([4.0, 5.0]), "doc ids must be integers, not float64"),
+    ], ids=["500", "-1", "float"])
+    def test_top_id_outside_the_collection_rejected(self, forward, scored, top_ids, message):
+        """A top id picks a graph row: 500 and a float would raise IndexError
+        there, and -1 would silently expand row N-1."""
+        graph = build_exact_graph(forward, 2)
+        visited, stats = np.zeros(self.N, bool), SearchStats()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expand_with_graph((top_ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
+        assert scored == [] and not visited.any() and stats == SearchStats()
+
+
+class TestUnvisited:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(), dtype=st.sampled_from([np.intp, np.uint32]), rows=st.booleans())
+    def test_equals_the_distinct_ids_less_the_visited(self, n, data, dtype, rows):
+        """Duplicates, both id dtypes that reach it, empty batches, visited
+        ids, and (rows) the 2-d table of graph neighbors."""
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=60)), dtype=dtype)
+        if rows and ids.size % 2 == 0:
+            ids = ids.reshape(-1, 2)
+        visited = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        before = visited.copy()
+        got = query._unvisited(ids, visited)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.setdiff1d(np.unique(ids), np.flatnonzero(visited)))
+        assert np.array_equal(visited, before)
+
+    @pytest.mark.parametrize("dtype", [np.intp, np.uint32])
+    def test_empty_batch(self, dtype):
+        got = query._unvisited(np.empty(0, dtype=dtype), np.zeros(5, bool))
+        assert got.dtype == np.intp and got.size == 0
 
 
 class TestExactModeEquivalence:
@@ -446,6 +523,11 @@ def assert_same_as_sorted_traversal(index, graph, q, params):
     return got, stats, nfill
 
 
+def force_int64_indices(monkeypatch):
+    """Make every index derive int64 copies for the compiled kernels."""
+    monkeypatch.setattr(sparsemips.index, "index_dtype", lambda count: np.dtype(np.int64))
+
+
 def with_vectors(entries):
     return [SparseVector(np.array(list(e)), np.array(list(e.values()), dtype=np.float32)) for e in entries]
 
@@ -482,6 +564,14 @@ class TestLowCallSearch:
                 heap_factor=(0.7, 1.0)[trial % 4 // 2], use_graph=trial % 5 == 0,
             )
             assert_same_as_sorted_traversal(index, graph, q, params)
+
+    def test_random_queries_with_int64_indices(self, vset, quantize, monkeypatch):
+        """The kernels' int64 index path, which otherwise only indexes of
+        2**31 or more entries take."""
+        force_int64_indices(monkeypatch)
+        index = build_index(vset, BuildParams(alpha=1.0, beta=0.3, gamma=1.0, quantize=quantize, seed=5))
+        assert all(a.dtype == np.int64 for a in index.signed)
+        self.test_random_queries(vset, index)
 
     def test_every_sketched_list_empty_falls_back(self, vset, index):
         # the sketch keeps only the two large dims, which no doc holds
@@ -555,29 +645,77 @@ class TestForwardScores:
     def test_every_index_array_has_the_csr_index_dtype(self, forward, dtype, monkeypatch):
         """sparsetools upcasts the whole forward index on every call when one
         index array is wider than the CSR's, and rejects narrower outputs."""
-        calls = []
-        kernels = query._sparsetools
-
-        class Recording:
-            def csr_row_index(self, *args):
-                calls.append(args)
-                return kernels.csr_row_index(*args)
-
-            def csr_matvec(self, *args):
-                calls.append(args)
-                return kernels.csr_matvec(*args)
-
-        monkeypatch.setattr(query, "_sparsetools", Recording())
+        calls = record_kernels(monkeypatch)
         ids, q_dense = self.batch(129, dtype)
         got = _forward_scores(forward, ids, q_dense)
         csr = forward.scipy64()
-        (n_rows, row_ids, ptr, indices, data, sub_indices, sub_data), \
-            (m_rows, n_cols, sub_ptr, mv_indices, mv_data, x, scores) = calls
+        (_, (n_rows, row_ids, ptr, indices, data, sub_indices, sub_data)), \
+            (_, (m_rows, n_cols, sub_ptr, mv_indices, mv_data, x, scores)) = calls
         assert ptr is csr.indptr and indices is csr.indices and data is csr.data  # no copies
         for array in (row_ids, sub_indices, sub_ptr):
             assert array.dtype == csr.indptr.dtype == csr.indices.dtype
         assert mv_indices is sub_indices and mv_data is sub_data and x is q_dense and scores is got
         assert n_rows == m_rows == ids.size and n_cols == forward.dim
+
+
+def record_kernels(monkeypatch):
+    """Replace query's sparsetools by a shim that records each call as
+    (name, args) and runs it; returns the list of calls."""
+    calls = []
+    kernels = query._sparsetools
+
+    class Recording:
+        def __getattr__(self, name):
+            def kernel(*args):
+                calls.append((name, args))
+                return getattr(kernels, name)(*args)
+            return kernel
+
+    monkeypatch.setattr(query, "_sparsetools", Recording())
+    return calls
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["derived", "int64"])
+@pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
+def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quantize, wide, monkeypatch):
+    """Each sparsetools call search makes gets index arrays of one signed
+    dtype, or sparsetools copies the index's arrays to a common one; and the
+    index's own arrays (summary runs and entries, block members, forward CSR)
+    arrive as they are, with no copy."""
+    if wide:
+        force_int64_indices(monkeypatch)
+    index = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=9))
+    graph = build_exact_graph(medium_set, 4)
+    signed, csr = index.signed, index.forward.scipy64()
+    assert all(a.dtype == (np.int64 if wide else np.int32) for a in signed)
+    if not wide:  # views of the u32 arrays; block_ptr is i64, so a copy
+        for name in ("summary_runs", "summary_blocks", "member_ids"):
+            assert np.shares_memory(getattr(signed, name), getattr(index, name)), name
+    sources = {
+        id(signed.summary_runs): (signed.summary_blocks, index.summary_values),
+        id(signed.block_ptr): (signed.member_ids, signed.member_ids),
+        id(csr.indptr): (csr.indices, csr.data),
+    }
+    calls = record_kernels(monkeypatch)
+    rng = np.random.default_rng(58)
+    for trial in range(12):
+        q = random_vector(rng, medium_set.dim, 10)
+        search(index, graph, q, SearchParams(k=10, alpha_q=0.8, heap_factor=0.9, use_graph=trial % 2 == 0))
+    gathered = set()
+    for name, args in calls:
+        if name == "csr_row_index":
+            _, rows, ptr, indices, data, sub_indices, _ = args
+            want_indices, want_data = sources[id(ptr)]
+            assert indices is want_indices and data is want_data
+            gathered.add(id(ptr))
+            index_arrays = (rows, ptr, indices, sub_indices)
+        else:
+            assert name in ("csr_matvec", "csc_matvec"), name
+            index_arrays = args[2:4]
+        dtypes = {a.dtype for a in index_arrays}
+        assert len(dtypes) == 1 and dtypes.pop().kind == "i", name
+    assert gathered == set(sources)
+    assert {name for name, _ in calls} == {"csr_row_index", "csr_matvec", "csc_matvec"}
 
 
 class TestRanges:
@@ -603,24 +741,46 @@ class TestSearchAfterReload:
     """The loaded copy of an index and graph holds buffer views in the file's
     dtypes; search on it must equal search on the built one."""
 
-    @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
-    def test_equal_to_the_built_index(self, medium_set, quantize, tmp_path):
+    @staticmethod
+    def build_and_reload(medium_set, quantize, tmp_path, reload=lambda: None):
+        """The built index and graph, and their copies loaded after `reload()`."""
         built = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=7))
         built_graph = build_exact_graph(medium_set, 6)
         save_index(built, tmp_path / "index.bin")
         save_graph(built_graph, tmp_path / "graph.bin")
+        reload()
         loaded, loaded_graph = load_index(tmp_path / "index.bin"), load_graph(tmp_path / "graph.bin")
         assert loaded.member_ids.base is not None and loaded.member_ids.dtype == loaded_graph.neighbors.dtype == np.uint32
+        return built, built_graph, loaded, loaded_graph
+
+    @staticmethod
+    def assert_same_search(got_index, got_graph, want_index, want_graph):
         rng = np.random.default_rng(47)
         for trial in range(30):
-            q = random_vector(rng, medium_set.dim, 12)
+            q = random_vector(rng, want_index.dim, 12)
             params = SearchParams(k=(5, 10, 40)[trial % 3], alpha_q=(0.7, 1.0)[trial % 2],
                                   heap_factor=(0.8, 1.0)[trial % 4 // 2], use_graph=trial % 5 < 2)
-            got, got_stats = search(loaded, loaded_graph, q, params, return_stats=True)
-            want, want_stats = search(built, built_graph, q, params, return_stats=True)
+            got, got_stats = search(got_index, got_graph, q, params, return_stats=True)
+            want, want_stats = search(want_index, want_graph, q, params, return_stats=True)
             assert np.array_equal(got.ids, want.ids)
             assert np.array_equal(got.scores.view(np.uint32), want.scores.view(np.uint32))
             assert got_stats == want_stats
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
+    def test_equal_to_the_built_index(self, medium_set, quantize, tmp_path):
+        built, built_graph, loaded, loaded_graph = self.build_and_reload(medium_set, quantize, tmp_path)
+        assert all(a.dtype == np.int32 for a in loaded.signed + built.signed)
+        self.assert_same_search(loaded, loaded_graph, built, built_graph)
+
+    @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
+    def test_int64_indices_equal_the_int32_ones(self, medium_set, quantize, tmp_path, monkeypatch):
+        """The int64 kernel path, which otherwise only indexes of 2**31 or
+        more entries take: a copy loaded with int64 indices searches as the
+        built one with int32 indices does."""
+        built, built_graph, loaded, loaded_graph = self.build_and_reload(
+            medium_set, quantize, tmp_path, lambda: force_int64_indices(monkeypatch))
+        assert all(a.dtype == np.int32 for a in built.signed) and all(a.dtype == np.int64 for a in loaded.signed)
+        self.assert_same_search(loaded, loaded_graph, built, built_graph)
 
 
 def test_evaluate_block_sees_every_doc_but_the_fallback_and_graph_ones(medium_set, monkeypatch):

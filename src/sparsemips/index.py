@@ -17,12 +17,11 @@ gathers its rows once, clusters each list from that list's own seed, and
 summarizes, truncates and quantizes all its blocks with one array call each,
 as CSR segments; once every piece is done, one transpose stores the
 summaries dim-major, so a query reads only the columns of its own dims.
-Every index object, built or loaded, then derives the summary directory
-(see summary_directory): a sorted key d * dim + l and a run offset for each
-(column d, list l) pair that holds entries, 8 bytes a pair, never saved.
-Beside it, also never saved, the signed arrays that search's compiled
-kernels read (see SignedArrays): views of the u32 arrays, and one copy of
-block_ptr, while every count is below 2**31.
+Every index object, built or loaded, holds the arrays that search's
+compiled kernels read in their signed dtype (see BlockedIndex), and derives
+the summary directory (see summary_directory): a sorted key d * dim + l and
+a run offset for each (column d, list l) pair that holds entries, 8 bytes a
+pair, never saved.
 The pieces are built on the thread pool of `parallel`, and appended in list
 order, so the index depends neither on the number of threads nor on where
 the pieces end.
@@ -171,14 +170,13 @@ def summary_directory(dim, list_ptr, summary_ptr, summary_blocks):
     """The (column d, list l) pairs that hold summary entries, as (key, runs).
 
     key[i] = d * dim + l ascends, in key_dtype(dim); the entries of pair i
-    are summary_blocks[runs[i]:runs[i+1]], and runs ends with the entry
-    count.  The pairs ascend in storage order (dim-major, blocks ascending
-    within a column, blocks numbered list by list), so each run ends where
-    the next pair's starts.  Derived one column at a time, so no temporary
-    spans more than one column.
+    are summary_blocks[runs[i]:runs[i+1]], and runs, in summary_blocks'
+    dtype, ends with the entry count.  The pairs ascend in storage order
+    (dim-major, blocks ascending within a column, blocks numbered list by
+    list), so each run ends where the next pair's starts.  Derived one column
+    at a time, so no temporary spans more than one column.
     """
-    kd, nnz = key_dtype(dim), summary_blocks.size
-    rd = np.dtype(np.uint32 if nnz < 2**32 else np.uint64)
+    kd, rd, nnz = key_dtype(dim), summary_blocks.dtype, summary_blocks.size
     list_of = np.arange(dim, dtype=kd).repeat(np.diff(list_ptr))  # the list of each block
     keys, starts = [np.empty(0, dtype=kd)], []
     for d in np.flatnonzero(np.diff(summary_ptr)).tolist():
@@ -205,17 +203,6 @@ def _as_signed(a, dtype):
     return a.astype(dtype)
 
 
-class SignedArrays(NamedTuple):
-    """The summary runs (the directory's run offsets as row pointers, the
-    summary entries' blocks as column indices) and the block members (block
-    pointers and member ids), in the one signed dtype that sparsetools reads."""
-
-    summary_runs: np.ndarray
-    summary_blocks: np.ndarray
-    block_ptr: np.ndarray
-    member_ids: np.ndarray
-
-
 @dataclass(eq=False)
 class BlockedIndex:
     """Flat CSR-style blocked lists, blocks numbered list by list, plus the
@@ -224,33 +211,36 @@ class BlockedIndex:
 
     The summaries are one CSC by dimension: the entries of dim d are
     summary_ptr[d]:summary_ptr[d+1], with their blocks ascending, so the
-    blocks of one list form a contiguous run of every column.  The next two
+    blocks of one list form a contiguous run of every column.  The last two
     fields, the summary directory (see summary_directory), find that run
-    with one lookup of d * dim + l.  The last, `signed`, holds the arrays
-    that the compiled kernels of search read, in index_dtype of the largest
-    count.  Every index object, built or loaded, derives these three on
-    construction, and they are never saved."""
+    with one lookup of d * dim + l; every index object, built or loaded,
+    derives them on construction, and they are never saved.
+
+    block_ptr, member_ids, summary_blocks and summary_runs are what search's
+    compiled kernels read, so construction holds them in index_dtype of the
+    largest count, whatever dtype they arrive in: int32 below 2**31, where
+    the file's u32 arrays become views and its i64 block_ptr one copy, and
+    int64 above."""
 
     params: BuildParams
     forward: VectorSet
     list_ptr: np.ndarray        # (dim+1,) blocks of dim i: list_ptr[i]:list_ptr[i+1]
     block_ptr: np.ndarray       # (nblocks+1,) members of b: member_ids[block_ptr[b]:block_ptr[b+1]]
-    member_ids: np.ndarray      # uint32, ascending within each block
+    member_ids: np.ndarray      # ascending within each block
     summary_ptr: np.ndarray     # (dim+1,) summary entries on dim d: summary_ptr[d]:summary_ptr[d+1]
-    summary_blocks: np.ndarray  # uint32 block of each entry, ascending within each dim
+    summary_blocks: np.ndarray  # block of each entry, ascending within each dim
     summary_values: np.ndarray  # uint8 codes when quantized, float32 values otherwise
     m: np.ndarray               # float32 per block; an entry's value is m + value * delta
     delta: np.ndarray           # float32 per block; m=0 and delta=1 (exact) when unquantized
     summary_key: np.ndarray = field(init=False, repr=False)   # d * dim + l of each (column, list) pair, ascending
     summary_runs: np.ndarray = field(init=False, repr=False)  # entries of pair i: summary_runs[i]:summary_runs[i+1]
-    signed: SignedArrays = field(init=False, repr=False)
 
     def __post_init__(self):
+        dtype = index_dtype(max(self.summary_blocks.size, self.num_blocks, len(self), self.member_ids.size))
+        self.block_ptr, self.member_ids, self.summary_blocks = (
+            _as_signed(a, dtype) for a in (self.block_ptr, self.member_ids, self.summary_blocks))
         self.summary_key, self.summary_runs = summary_directory(
             self.dim, self.list_ptr, self.summary_ptr, self.summary_blocks)
-        dtype = index_dtype(max(self.summary_blocks.size, self.num_blocks, len(self), self.member_ids.size))
-        self.signed = SignedArrays(*(_as_signed(a, dtype) for a in (
-            self.summary_runs, self.summary_blocks, self.block_ptr, self.member_ids)))
 
     def __len__(self):
         return len(self.forward)
@@ -325,7 +315,7 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     # scipy's transpose is a counting sort, so each dim's blocks stay ascending
     by_dim = by_block.tocsc()
     del by_block, summary_values
-    summary = (by_dim.indptr.astype(np.int64), by_dim.indices.astype(np.uint32), by_dim.data)
+    summary = (by_dim.indptr.astype(np.int64), by_dim.indices, by_dim.data)
     return BlockedIndex(params, vset, list_ptr, np.asarray(block_ptr), member_ids, *summary,
                         np.asarray(m), np.asarray(delta))
 

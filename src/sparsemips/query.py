@@ -39,8 +39,8 @@ score equals the oracle's bit for bit.  The routines check no bounds and
 take index arrays of one signed dtype per call, so evaluate_block and
 expand_with_graph check their ids, visited bitmap and k before any
 scoring, forward calls get the CSR's own index dtype, and the index's
-summary and member arrays come as its `signed` arrays (see
-index.SignedArrays).
+summary runs and block members come as the index holds them, in the one
+signed dtype it keeps them in (see index.BlockedIndex).
 """
 from __future__ import annotations
 
@@ -221,18 +221,23 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     """One-hop expansion: score the unvisited neighbors of the docs in `top`.
 
     Raises ValueError, as evaluate_block does, before scoring any: for an id
-    of `top` outside [0, N), which picks the graph rows, for a k that is not
-    an integer of at least 1, for a graph whose node count is not the length
-    of `visited` (N in search), which its ids index, and for a neighbor
-    outside [0, N), which a `visited` longer than N would let through.
+    of `top` outside [0, N), which picks the graph rows, for a `visited`
+    that is not a bool array of shape (N,), for a k that is not an integer
+    of at least 1, for a graph whose node count is not N, which its ids
+    index, and for a neighbor outside [0, N).
     """
     _check_batch(top[0], forward, q_dense)
+    _check_visited(visited, len(forward))
     k = check_k(k)
     if graph is None or graph.kappa == 0:
         return top
     if len(graph) != visited.size:
         raise ValueError(f"graph has {len(graph)} nodes but visited has {visited.size} entries")
-    neighbors = _unvisited(graph.neighbors[top[0]], visited)
+    rows = graph.neighbors[top[0]]
+    try:
+        neighbors = _unvisited(rows, visited)
+    except IndexError:  # an id past N, written into the table after the graph checked it
+        neighbors = rows
     _check_batch(neighbors, forward, q_dense)
     if stats is not None:
         stats.graph_docs += neighbors.size
@@ -264,14 +269,13 @@ def _summary_scores(index, lists, q):
     pos = key.searchsorted(needles)
     found = key.take(pos, mode="clip") == needles
     pairs = pos[found]  # the runs, query dim by query dim, lists in order
-    signed = index.signed
-    ptr = signed.summary_runs
+    ptr = index.summary_runs
     counts = ptr[pairs + 1] - ptr[pairs]
     sub_ptr = np.zeros(pairs.size + 1, dtype=ptr.dtype)
     counts.cumsum(out=sub_ptr[1:])
     sub_blocks = np.empty(sub_ptr[-1], dtype=ptr.dtype)
     sub_values = np.empty(sub_ptr[-1], dtype=index.summary_values.dtype)
-    _sparsetools.csr_row_index(pairs.size, pairs.astype(ptr.dtype), ptr, signed.summary_blocks,
+    _sparsetools.csr_row_index(pairs.size, pairs.astype(ptr.dtype), ptr, index.summary_blocks,
                                index.summary_values, sub_blocks, sub_values)
     if index.params.quantize:
         owner = sub_blocks.astype(np.intp)  # the block of each entry read
@@ -289,13 +293,14 @@ def _summary_scores(index, lists, q):
     return blocks, scores, sub_blocks.size
 
 
-def _members(index, blocks, visited):
+def _members(index, blocks, visited, size=None):
     """Distinct member ids of `blocks` not yet visited, ascending: one
     csr_row_index over the block pointers copies the blocks' members, with
-    the member ids as both the column indices and the data it copies."""
-    signed = index.signed
-    ptr, members = signed.block_ptr, signed.member_ids
-    size = int((ptr[blocks + 1] - ptr[blocks]).sum())
+    the member ids as both the column indices and the data it copies.
+    `size`, when the caller has it, is the blocks' member count."""
+    ptr, members = index.block_ptr, index.member_ids
+    if size is None:
+        size = int((ptr[blocks + 1] - ptr[blocks]).sum())
     ids, copy = np.empty(size, dtype=ptr.dtype), np.empty(size, dtype=ptr.dtype)
     _sparsetools.csr_row_index(blocks.size, blocks.astype(ptr.dtype), ptr, members, members, ids, copy)
     return _unvisited(ids, visited)
@@ -320,19 +325,23 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     # summary score descending, with k members, extended while their
     # distinct docs fall short of k (a doc can sit in several lists).  Only
     # the leading lists whose member counts reach the target are sorted.
+    # A target past the lists' member total moves no searchsorted position,
+    # so it is capped there, as a Python int: k may exceed every int64.
     block_ptr, list_blocks = index.block_ptr, last - first
     list_ends = list_blocks.cumsum()
     list_members = (block_ptr[last] - block_ptr[first]).cumsum()
-    needed, nfill, fill = k, 0, blocks[:0]
+    cap = int(list_members[-1]) + 1
+    needed, nfill, fill = min(k, cap), 0, blocks[:0]
     while fill.size < k and nfill < blocks.size:
         nlists = min(int(list_members.searchsorted(needed)) + 1, first.size)
         head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
         head_blocks = blocks[head]
         members_upto = (block_ptr[head_blocks + 1] - block_ptr[head_blocks]).cumsum()
         nfill = min(int(members_upto.searchsorted(needed)) + 1, head.size)
-        fill = _members(index, blocks[head[:nfill]], visited)
+        taken = int(members_upto[nfill - 1])  # the fill blocks' member count
+        fill = _members(index, head_blocks[:nfill], visited, taken)
         # each further block adds at most its size in new docs
-        needed = members_upto[nfill - 1] + k - fill.size
+        needed = min(taken + k - fill.size, cap)
 
     top = (np.empty(0, dtype=np.int64), np.empty(0))
     stats = SearchStats(dims_kept=dim_order.size, summary_entries=entries)

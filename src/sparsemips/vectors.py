@@ -246,14 +246,6 @@ class VectorSet:
     def nnz_per_row(self):
         return np.diff(self.indptr.astype(np.int64))
 
-    def density(self, i) -> float:
-        """Fraction of vectors with a nonzero i-th coordinate."""
-        if not 0 <= i < self.dim:
-            raise IndexError(f"dimension {i} out of range for ambient dim {self.dim}")
-        if len(self) == 0:
-            return 0.0
-        return float(np.count_nonzero(self.indices == i)) / len(self)
-
     def __eq__(self, other):
         if not isinstance(other, VectorSet):
             return NotImplemented

@@ -66,6 +66,14 @@ class TestPipeline:
         assert out.startswith("mean accuracy@10: ")
         assert float(out.split(": ")[1]) >= 0.8
 
+    def test_search_with_k_past_every_int64(self, workspace):
+        assert run([
+            "search", "--index", workspace / "idx.bin", "--queries", workspace / "queries.bin",
+            "--k", 2**63, "--alpha-q", "0.9", "--heap-factor", "0.9", "--output", workspace / "all.tsv",
+        ]) == 0
+        runs = read_results_tsv(workspace / "all.tsv")
+        assert len(runs) == 20 and all(len(r) == 300 for r in runs)
+
     def test_stats_modes(self, workspace, capsys):
         assert run(["stats", "--input", workspace / "docs.bin", "--mode", "mass", "--max-keep", "5"]) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -263,14 +263,16 @@ class TestBuildIndex:
     @pytest.mark.parametrize("alpha, gamma, quantize, piece",
                              with_piece_sizes([(0.5, 0.7, True), (0.5, 0.7, False), (1.0, 1.0, False)]))
     def test_build_matches_per_block_reference(self, piece_entries, alpha, gamma, quantize, piece):
-        """Piece boundaries never reach the index."""
+        """Piece boundaries never reach the index.  The arrays the kernels
+        read are held in index_dtype, int32 for every count here."""
         piece_entries(piece)
         params = BuildParams(alpha=alpha, beta=0.2, gamma=gamma, quantize=quantize, seed=2)
         index = build_index(hub_collection(), params)
         expected = hub_reference(params)
         for name, want in expected.items():
             got = getattr(index, name)
-            assert got.dtype == want.dtype, name
+            want_dtype = np.int32 if name in KERNEL_ARRAYS else want.dtype
+            assert got.dtype == want_dtype, name
             assert np.array_equal(got, want), name
 
     def test_builds_no_sparse_vector(self, medium_set, monkeypatch):
@@ -411,7 +413,7 @@ class TestSummaryDirectory:
         want = directory_reference(index)
         assert any(sum(d == e for d, _ in want) > 1 for e in range(index.dim))  # a column of several lists
         key, runs = index.summary_key, index.summary_runs
-        assert key.dtype == runs.dtype == np.uint32 and runs.size == key.size + 1
+        assert key.dtype == np.uint32 and runs.dtype == np.int32 and runs.size == key.size + 1
         assert np.all(np.diff(key.astype(np.int64)) > 0)
         assert runs[0] == 0 and runs[-1] == index.summary_blocks.size
         got = {divmod(int(k), index.dim): (int(s), int(e)) for k, s, e in zip(key, runs[:-1], runs[1:])}
@@ -450,15 +452,40 @@ class TestSummaryDirectory:
         assert sparsemips.index.index_dtype(2**31 - 1) == np.int32
         assert sparsemips.index.index_dtype(2**31) == np.int64
 
-    def test_signed_arrays_view_the_u32_ones(self, index, tmp_path):
-        """Built or loaded, the kernels' int32 arrays view the u32 arrays,
-        and only block_ptr (i64) is copied."""
+    def test_loaded_kernel_arrays_view_the_u32_file_arrays(self, index, tmp_path, monkeypatch):
+        """Built or loaded, the index holds each array the kernels read once,
+        as int32: the file's u32 arrays are viewed, and only block_ptr (i64)
+        is copied."""
         save_index(index, tmp_path / "index.bin")
-        for each in (index, load_index(tmp_path / "index.bin")):
-            for name in ("summary_runs", "summary_blocks", "block_ptr", "member_ids"):
-                got, want = getattr(each.signed, name), getattr(each, name)
-                assert got.dtype == np.int32 and np.array_equal(got, want), name
-                assert np.shares_memory(got, want) == (name != "block_ptr"), name
+        read = file_arrays(monkeypatch)
+        loaded = load_index(tmp_path / "index.bin")
+        for each in (index, loaded):
+            assert all(getattr(each, name).dtype == np.int32 for name in KERNEL_ARRAYS)
+        for name in ("block_ptr", "member_ids", "summary_blocks"):
+            got, want = getattr(loaded, name), read[name]
+            assert np.array_equal(got, want), name
+            assert np.shares_memory(got, want) == (name != "block_ptr"), name
+
+    def test_int64_indices_leave_no_u32_twin(self, index, tmp_path, monkeypatch):
+        """An index of 2**31 or more entries holds int64 copies in place of
+        the file's u32 arrays, not beside them."""
+        save_index(index, tmp_path / "index.bin")
+        monkeypatch.setattr(sparsemips.index, "index_dtype", lambda count: np.dtype(np.int64))
+        read = file_arrays(monkeypatch)
+        loaded = load_index(tmp_path / "index.bin")
+        for name in KERNEL_ARRAYS:
+            got = getattr(loaded, name)
+            assert got.dtype == np.int64 and np.array_equal(got, getattr(index, name)), name
+        for name in ("member_ids", "summary_blocks"):
+            assert not np.shares_memory(getattr(loaded, name), read[name]), name
+        u32 = {name for name, a in vars(loaded).items() if getattr(a, "dtype", None) == np.uint32}
+        assert u32 == {"summary_key"}  # the directory's keys, which no kernel reads
+
+    def test_as_signed_copies_a_big_endian_array(self):
+        a = np.array([0, 7, 2**31 - 1], dtype=">u4")
+        got = sparsemips.index._as_signed(a, np.dtype(np.int32))
+        assert got.dtype == np.int32 and got.dtype.isnative
+        assert not np.shares_memory(got, a) and got.tolist() == a.tolist()
 
     def test_u64_keys_find_the_same_runs_and_results(self, index, monkeypatch):
         monkeypatch.setattr(sparsemips.index, "key_dtype", lambda dim: np.dtype(np.uint64))
@@ -484,6 +511,24 @@ class TestSummaryDirectory:
         assert index.summary_runs.tolist() == [0]
         q = SparseVector(np.array([2, 7]), np.array([0.5, 1.0]))
         assert search(index, None, q, SearchParams(k=3)) == exact_topk(index.forward, q, 3)
+
+
+# the index arrays that search's compiled kernels read
+KERNEL_ARRAYS = ("block_ptr", "member_ids", "summary_blocks", "summary_runs")
+
+
+def file_arrays(monkeypatch):
+    """Record the arrays that load_index reads from its file, by section
+    name, in the dict returned."""
+    read, original = {}, sparsemips.index.read_record
+
+    def recording(*args):
+        head, arrays = original(*args)
+        read.update(zip(SECTIONS, arrays))
+        return head, arrays
+
+    monkeypatch.setattr(sparsemips.index, "read_record", recording)
+    return read
 
 
 SECTIONS = [

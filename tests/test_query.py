@@ -130,13 +130,17 @@ class TestEvaluateBlock:
                            np.zeros(len(small_set), dtype=bool), k=5)
 
     def test_graph_neighbor_outside_the_collection_rejected(self, small_set):
-        """A visited bitmap longer than N lets a neighbor id of N or more
-        through the dedupe; it must not reach the kernel."""
+        """A neighbor id of N or more, written into the table after the graph
+        checked it, fails with ValueError, not IndexError, and never reaches
+        the kernel."""
         n = len(small_set)
-        graph = KnnGraph(kappa=1, neighbors=np.full((n + 1, 1), n, dtype=np.uint32))
+        graph = KnnGraph(kappa=1, neighbors=np.ones((n, 1), dtype=np.uint32))
+        graph.neighbors[0, 0] = n
         top = (np.array([0]), np.array([1.0]))
+        visited, stats = np.zeros(n, dtype=bool), SearchStats()
         with pytest.raises(ValueError, match=f"doc id {n} is out of range for {n} docs"):
-            expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, np.zeros(n + 1, dtype=bool))
+            expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, visited, stats)
+        assert not visited.any() and stats == SearchStats()
 
     @pytest.mark.parametrize("nodes", [29, 31])
     def test_graph_of_another_size_rejected(self, nodes):
@@ -171,12 +175,19 @@ class TestSeamInputs:
         return scored
 
     @pytest.mark.parametrize("visited", [np.zeros(100, bool), np.zeros(N + 1, bool), np.zeros(N, np.uint8),
-                                         np.zeros((N, 1), bool), [False] * N],
-                             ids=["shorter", "longer", "uint8", "2-d", "list"])
+                                         np.zeros(N, np.int64), np.zeros(N, np.float64), np.zeros((N, 1), bool),
+                                         np.zeros((N // 2, 2), bool), [False] * N],
+                             ids=["shorter", "longer", "uint8", "int64", "float", "2-d", "halves", "list"])
     def test_visited_that_is_not_n_bools_rejected(self, forward, scored, visited):
+        """An int64 bitmap would let duplicates through expand_with_graph's
+        dedupe, and the others raise TypeError, IndexError or AttributeError."""
         stats = SearchStats()
         with pytest.raises(ValueError, match=rf"^visited must be a bool array of shape \({self.N},\)"):
             evaluate_block(Block(np.arange(5)), forward, np.ones(40), empty_top(), visited, k=5, stats=stats)
+        graph = build_exact_graph(forward, 2)
+        top = (np.array([0, 1, 2]), np.array([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match=rf"^visited must be a bool array of shape \({self.N},\)"):
+            expand_with_graph(top, graph, forward, np.ones(40), 5, visited, stats)
         assert scored == [] and not np.any(visited) and stats == SearchStats()
 
     @pytest.mark.parametrize("k, message", [(2.5, "must be an integer"), (0, "must be at least 1"),
@@ -497,7 +508,7 @@ def sorted_traversal(index, graph, q, params):
     nfill = min(int(np.searchsorted(members_upto, k)) + 1, blocks.size)
     fill = members(blocks[:nfill])
     while fill.size < k and nfill < blocks.size:
-        needed = members_upto[nfill - 1] + k - fill.size
+        needed = int(members_upto[nfill - 1]) + k - fill.size  # a Python int: k may pass every int64
         nfill = min(int(np.searchsorted(members_upto, needed)) + 1, blocks.size)
         fill = members(blocks[:nfill])
     score(fill)
@@ -524,8 +535,13 @@ def assert_same_as_sorted_traversal(index, graph, q, params):
 
 
 def force_int64_indices(monkeypatch):
-    """Make every index derive int64 copies for the compiled kernels."""
+    """Make every index hold the arrays the compiled kernels read as int64."""
     monkeypatch.setattr(sparsemips.index, "index_dtype", lambda count: np.dtype(np.int64))
+
+
+def kernel_dtypes(index):
+    """The dtypes of the index arrays that search's compiled kernels read."""
+    return {getattr(index, name).dtype for name in ("summary_runs", "summary_blocks", "block_ptr", "member_ids")}
 
 
 def with_vectors(entries):
@@ -570,7 +586,7 @@ class TestLowCallSearch:
         2**31 or more entries take."""
         force_int64_indices(monkeypatch)
         index = build_index(vset, BuildParams(alpha=1.0, beta=0.3, gamma=1.0, quantize=quantize, seed=5))
-        assert all(a.dtype == np.int64 for a in index.signed)
+        assert kernel_dtypes(index) == {np.dtype(np.int64)}
         self.test_random_queries(vset, index)
 
     def test_every_sketched_list_empty_falls_back(self, vset, index):
@@ -596,6 +612,16 @@ class TestLowCallSearch:
             got, stats, _ = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=k, alpha_q=0.6))
             assert got == exact_topk(vset, q, k)
             assert stats.fallback_docs > 0
+
+    @pytest.mark.parametrize("k", [2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64])
+    def test_k_of_any_size_returns_every_doc(self, vset, index, k):
+        """k past every int32 or int64: the fill targets never overflow."""
+        graph = build_exact_graph(vset, 3)
+        q = random_vector(np.random.default_rng(48), 50, 6)
+        for alpha_q, use_graph in ((0.6, False), (1.0, True)):
+            params = SearchParams(k=k, alpha_q=alpha_q, use_graph=use_graph)
+            got, _, _ = assert_same_as_sorted_traversal(index, graph, q, params)
+            assert got == exact_topk(vset, q, k) and len(got) == len(vset)
 
     def test_small_heap_factor_with_a_graph(self, vset, index):
         graph = build_exact_graph(vset, 6)
@@ -686,14 +712,11 @@ def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quan
         force_int64_indices(monkeypatch)
     index = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=9))
     graph = build_exact_graph(medium_set, 4)
-    signed, csr = index.signed, index.forward.scipy64()
-    assert all(a.dtype == (np.int64 if wide else np.int32) for a in signed)
-    if not wide:  # views of the u32 arrays; block_ptr is i64, so a copy
-        for name in ("summary_runs", "summary_blocks", "member_ids"):
-            assert np.shares_memory(getattr(signed, name), getattr(index, name)), name
+    csr = index.forward.scipy64()
+    assert kernel_dtypes(index) == {np.dtype(np.int64 if wide else np.int32)}
     sources = {
-        id(signed.summary_runs): (signed.summary_blocks, index.summary_values),
-        id(signed.block_ptr): (signed.member_ids, signed.member_ids),
+        id(index.summary_runs): (index.summary_blocks, index.summary_values),
+        id(index.block_ptr): (index.member_ids, index.member_ids),
         id(csr.indptr): (csr.indices, csr.data),
     }
     calls = record_kernels(monkeypatch)
@@ -738,8 +761,9 @@ class TestRanges:
 
 
 class TestSearchAfterReload:
-    """The loaded copy of an index and graph holds buffer views in the file's
-    dtypes; search on it must equal search on the built one."""
+    """The loaded copy of an index and graph holds views of the file's
+    buffers (the index's u32 arrays as int32); search on it must equal
+    search on the built one."""
 
     @staticmethod
     def build_and_reload(medium_set, quantize, tmp_path, reload=lambda: None):
@@ -750,7 +774,7 @@ class TestSearchAfterReload:
         save_graph(built_graph, tmp_path / "graph.bin")
         reload()
         loaded, loaded_graph = load_index(tmp_path / "index.bin"), load_graph(tmp_path / "graph.bin")
-        assert loaded.member_ids.base is not None and loaded.member_ids.dtype == loaded_graph.neighbors.dtype == np.uint32
+        assert loaded_graph.neighbors.base is not None and loaded_graph.neighbors.dtype == np.uint32
         return built, built_graph, loaded, loaded_graph
 
     @staticmethod
@@ -769,7 +793,8 @@ class TestSearchAfterReload:
     @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
     def test_equal_to_the_built_index(self, medium_set, quantize, tmp_path):
         built, built_graph, loaded, loaded_graph = self.build_and_reload(medium_set, quantize, tmp_path)
-        assert all(a.dtype == np.int32 for a in loaded.signed + built.signed)
+        assert kernel_dtypes(loaded) == kernel_dtypes(built) == {np.dtype(np.int32)}
+        assert loaded.member_ids.base is not None and loaded.summary_blocks.base is not None
         self.assert_same_search(loaded, loaded_graph, built, built_graph)
 
     @pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "float32"])
@@ -779,7 +804,7 @@ class TestSearchAfterReload:
         built one with int32 indices does."""
         built, built_graph, loaded, loaded_graph = self.build_and_reload(
             medium_set, quantize, tmp_path, lambda: force_int64_indices(monkeypatch))
-        assert all(a.dtype == np.int32 for a in built.signed) and all(a.dtype == np.int64 for a in loaded.signed)
+        assert kernel_dtypes(built) == {np.dtype(np.int32)} and kernel_dtypes(loaded) == {np.dtype(np.int64)}
         self.assert_same_search(loaded, loaded_graph, built, built_graph)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import threading
@@ -34,7 +35,7 @@ from sparsemips.storage import (
     read_results_tsv,
     write_results_tsv,
 )
-from sparsemips.synth import random_collection
+from sparsemips.synth import random_collection, zipfian_clustered_collection
 from sparsemips.vectors import check_csr
 
 
@@ -306,3 +307,30 @@ class TestCorruptFiles:
         except StorageError:
             return
         use(got)
+
+
+class TestPinnedFileBytes:
+    """The bytes of each binary index and graph file, pinned by sha256: a
+    change in what the build computes, or in how it is saved, fails here."""
+
+    HASHES = {
+        "tuned index": "1be9321922836e7da4c26ce5ee56cb1d3f4ec0941b7eb2d387075f7b8737f26b",
+        "exact index": "4de97d39f26967581bb37a6324ac8ac5abbfb68999cec2b44f7b1f069bc40928",
+        "exact graph": "f3afb13361455801634777accaf99e86d79eae12c5815394b7909edab674692f",
+    }
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return zipfian_clustered_collection(2000, 300, 20, n_clusters=20, seed=[3, 0])[0]
+
+    @pytest.mark.parametrize("name, params", [
+        ("tuned index", BuildParams(alpha=0.4, beta=0.2, gamma=0.6, quantize=True, seed=4)),
+        ("exact index", BuildParams(alpha=1.0, beta=0.1, gamma=1.0, quantize=False, seed=4)),
+    ])
+    def test_index(self, docs, name, params, tmp_path):
+        save_index(build_index(docs, params), tmp_path / "index.bin")
+        assert hashlib.sha256((tmp_path / "index.bin").read_bytes()).hexdigest() == self.HASHES[name]
+
+    def test_exact_graph(self, docs, tmp_path):
+        save_graph(build_exact_graph(docs, 10), tmp_path / "graph.bin")
+        assert hashlib.sha256((tmp_path / "graph.bin").read_bytes()).hexdigest() == self.HASHES["exact graph"]

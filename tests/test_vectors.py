@@ -134,17 +134,6 @@ class TestVectorSet:
     def test_scipy_round_trip(self, small_set):
         assert VectorSet.from_scipy(small_set.to_scipy()) == small_set
 
-    def test_density(self):
-        vs = VectorSet.from_vectors(3, [
-            SparseVector(np.array([0]), np.array([1.0])),
-            SparseVector(np.array([0, 2]), np.array([1.0, 1.0])),
-        ])
-        assert vs.density(0) == 1.0
-        assert vs.density(1) == 0.0
-        assert vs.density(2) == 0.5
-        with pytest.raises(IndexError):
-            vs.density(3)
-
     def test_rejects_inconsistent_arrays(self):
         with pytest.raises(SparseVectorError):
             VectorSet(4, np.array([0, 2]), np.array([0]), np.array([1.0]))

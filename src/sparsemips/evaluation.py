@@ -18,7 +18,7 @@ PIECE_ENTRIES = 2**17
 
 
 def _csr64(vset: VectorSet, width: int):
-    """vset's cached float64 CSR arrays, shared, viewed at `width` columns."""
+    """vset's own float64 CSR arrays, shared, viewed at `width` columns."""
     mat = vset.scipy64()
     return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(len(vset), width))
 
@@ -68,7 +68,7 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
     if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
-    cols, qmat = vset.scipy64().tocsc(), queries.scipy64()  # for the graph, one cached CSR
+    cols, qmat = vset.scipy64().tocsc(), queries.scipy64()
     q_ptr, q_dims = qmat.indptr, qmat.indices
     all_ids = np.arange(len(vset))
     ids = np.empty((len(queries), k), dtype=np.uint32)
@@ -125,9 +125,9 @@ def mass_curve(vset: VectorSet, max_keep: int):
     if counted == 0:
         raise ValueError("collection holds only empty vectors")
     rows = np.repeat(np.arange(len(vset)), lengths)
-    values = vset.values[largest_first(vset.indptr, vset.values)].astype(np.float64)
+    values = vset.values[largest_first(vset.indptr, vset.values)]
     shares = values / np.bincount(rows, weights=values)[rows]
-    rank = np.arange(values.size) - np.repeat(vset.indptr[:-1].astype(np.int64), lengths)
+    rank = np.arange(values.size) - np.repeat(vset.indptr[:-1], lengths)
     # a row shorter than j already counts all of its mass at j
     fractions = np.cumsum(np.bincount(rank, weights=shares, minlength=max_keep)[:max_keep]) / counted
     return [(j + 1, fractions[j]) for j in range(max_keep)]

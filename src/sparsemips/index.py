@@ -40,7 +40,8 @@ from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import SparseVectorError, VectorSet, _gathered, _ranges, check_csr, check_fraction
+from .vectors import (SparseVectorError, VectorSet, _as_signed, _gathered, _ranges, check_csr, check_fraction,
+                      index_dtype)
 
 INDEX_MAGIC = b"SPMIDX03"
 # a piece of the build is a run of consecutive lists whose member rows hold
@@ -186,21 +187,6 @@ def summary_directory(dim, list_ptr, summary_ptr, summary_blocks):
         keys.append(lists[at] + kd.type(d * dim))
         starts.append((at + s).astype(rd))
     return np.concatenate(keys), np.concatenate(starts + [np.array([nnz], dtype=rd)])
-
-
-def index_dtype(count):
-    """The signed index dtype of the compiled sparsetools kernels for arrays
-    whose values reach `count`: int32 while count < 2**31, int64 above.  A
-    kernel takes one index dtype for all the arrays of a call."""
-    return np.dtype(np.int32 if count < 2**31 else np.int64)
-
-
-def _as_signed(a, dtype):
-    """`a`, whose values fit `dtype`, in that dtype: a view when the widths
-    match and `a` is in native byte order, a copy otherwise."""
-    if a.dtype.itemsize == dtype.itemsize and a.dtype.isnative:
-        return a.view(dtype)
-    return a.astype(dtype)
 
 
 @dataclass(eq=False)

@@ -149,9 +149,10 @@ def _forward_scores(forward, ids, q_dense):
     """Exact float64 scores of rows `ids` of the forward index against q_dense.
 
     The two compiled routines behind scipy's row indexing and mat-vec,
-    called directly: csr_row_index gathers the rows, and csr_matvec sums
-    each row's products in CSR order from 0.0 over the float64 CSR that
-    exact_topk scores, so each score is bit-identical to the oracle's.
+    called directly: csr_row_index gathers the rows from the forward
+    index's own CSR (scipy64(), the matrix exact_topk scores), and
+    csr_matvec sums each row's products in CSR order from 0.0, so each
+    score is bit-identical to the oracle's.
     Neither checks bounds, so every id must lie in [0, N).
     """
     csr = forward.scipy64()

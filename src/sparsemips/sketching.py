@@ -238,7 +238,7 @@ def set_alpha_mss(vset: VectorSet, alpha: float) -> VectorSet:
     check_fraction("alpha", alpha)
     if alpha == 1:
         return vset
-    csc = vset.to_scipy().tocsc()  # rows ascending within each column
+    csc = vset.scipy64().tocsc()  # rows ascending within each column
     starts = csc.indptr[:-1]
     kept_per_dim = np.ceil(alpha * np.diff(csc.indptr)).astype(np.int64)
     keep = np.zeros(csc.nnz, dtype=bool)

@@ -3,9 +3,11 @@ input rules of the whole package: check_csr, as_unsigned for caller
 integer arrays, check_int for counts and check_fraction for (0, 1]
 parameters, each the one place its rule is written.
 
-Vectors are stored as parallel arrays of strictly increasing dimension
-indices (uint32) and strictly positive values (float32).  Inner products
-accumulate in float64.
+A SparseVector stores parallel arrays of strictly increasing dimension
+indices (uint32) and strictly positive values (float32).  A VectorSet holds
+its rows once, as the CSR that scipy and the compiled sparsetools kernels
+read: signed indices in index_dtype, float64 values rounded through float32.
+Inner products accumulate in float64.
 """
 from __future__ import annotations
 
@@ -184,22 +186,48 @@ def check_fraction(name, value):
 EMPTY = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))
 
 
+def index_dtype(count):
+    """The signed index dtype of the compiled sparsetools kernels for arrays
+    whose values reach `count`: int32 while count < 2**31, int64 above.  A
+    kernel takes one index dtype for all the arrays of a call."""
+    return np.dtype(np.int32 if count < 2**31 else np.int64)
+
+
+def _as_signed(a, dtype):
+    """`a`, whose values fit `dtype`, in that dtype: a view when the widths
+    match and `a` is in native byte order, a copy otherwise."""
+    if a.dtype.itemsize == dtype.itemsize and a.dtype.isnative:
+        return a.view(dtype)
+    return a.astype(dtype)
+
+
 class VectorSet:
     """Ordered collection of SparseVectors sharing an ambient dimensionality.
 
-    Backed by CSR arrays; positions are the implicit 0-based ids.  Immutable
-    after construction.
+    Positions are the implicit 0-based ids.  The rows are held once, as one
+    read-only scipy CSR (scipy64()) whose arrays are indptr, indices and
+    values: indptr and indices in index_dtype(max(dim, N, nnz)), int32
+    below 2**31 (uint32 indices given are viewed, not copied), and values
+    in float64, each rounded through float32 first: 12 bytes per entry
+    below 2**31, read as they are by search, exact_topk, ground_truth and
+    the build.
     """
 
     def __init__(self, dim, indptr, indices, values, *, what="vector set"):
         """`what` names the set in the SparseVectorError of a bad CSR."""
         self.dim = check_int("dim", dim, 0, 2**32 + 1)
-        self.indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers"))
-        self.indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices"))
-        self.values = _as_readonly(np.ascontiguousarray(values, dtype=np.float32))
-        if self.indptr.size == 0 or self.indices.size != self.values.size:
+        indptr = _as_readonly(as_unsigned(indptr, np.uint64, f"{what}: pointers"))
+        indices = _as_readonly(as_unsigned(indices, np.uint32, f"{what}: indices"))
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        if indptr.size == 0 or indices.size != values.size:
             raise SparseVectorError("indptr/indices/values are inconsistent")
-        check_csr(self.indptr, self.indices, self.dim, what, self.values)
+        check_csr(indptr, indices, self.dim, what, values)
+        dtype = index_dtype(max(self.dim, indptr.size - 1, indices.size))
+        self._csr = sp.csr_matrix((values.astype(np.float64), _as_signed(indices, dtype), _as_signed(indptr, dtype)),
+                                  shape=(indptr.size - 1, self.dim), copy=False)
+        # scipy may rewrap the arrays as views, so these are its own
+        self.indptr, self.indices, self.values = (
+            _as_readonly(a) for a in (self._csr.indptr, self._csr.indices, self._csr.data))
 
     @classmethod
     def from_vectors(cls, dim, vectors):
@@ -215,36 +243,34 @@ class VectorSet:
 
     @classmethod
     def from_scipy(cls, mat):
-        mat = sp.csr_matrix(mat)
+        """The rows of any scipy matrix or dense array, explicit zeros
+        dropped; `mat` itself is left as it is."""
+        mat = sp.csr_matrix(mat, copy=True)  # canonicalised in place below
         mat.sort_indices()
         mat.eliminate_zeros()
         return cls(mat.shape[1], mat.indptr, mat.indices, mat.data)
 
-    def to_scipy(self, dtype=np.float32):
-        return sp.csr_matrix(
-            (self.values.astype(dtype), self.indices.astype(np.int64), self.indptr.astype(np.int64)),
-            shape=(len(self), self.dim),
-        )
-
     def scipy64(self):
-        """Cached float64 CSR view for exact scoring."""
-        if not hasattr(self, "_scipy64"):
-            self._scipy64 = self.to_scipy(dtype=np.float64)
-        return self._scipy64
+        """The set itself as a read-only float64 scipy CSR: no copy."""
+        return self._csr
 
     def __len__(self):
         return self.indptr.size - 1
 
     def vector(self, j) -> SparseVector:
-        s, e = int(self.indptr[j]), int(self.indptr[j + 1])
-        return SparseVector(self.indices[s:e], self.values[s:e])
+        """Row j, for j in [0, N); IndexError otherwise."""
+        if not 0 <= j < len(self):
+            raise IndexError(f"vector {j} is out of range for {len(self)} vectors")
+        s, e = self.indptr[j:j + 2].tolist()
+        dims = self.indices[s:e]
+        return SparseVector(dims.view(np.uint32) if dims.itemsize == 4 else dims, self.values[s:e])
 
     def __iter__(self):
         for j in range(len(self)):
             yield self.vector(j)
 
     def nnz_per_row(self):
-        return np.diff(self.indptr.astype(np.int64))
+        return np.diff(self.indptr)
 
     def __eq__(self, other):
         if not isinstance(other, VectorSet):

@@ -138,7 +138,7 @@ def hub_collection() -> VectorSet:
 def list_weights(vset):
     """Per dim, the entries of the rows in its inverted list: what the list
     weighs in the pieces of the build."""
-    rows = vset.to_scipy()
+    rows = vset.scipy64()
     row_entries = np.diff(rows.indptr)
     return np.bincount(rows.indices, weights=row_entries.repeat(row_entries), minlength=vset.dim)
 

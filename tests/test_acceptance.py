@@ -92,7 +92,7 @@ def test_criterion_01_golden_set_sketch_example(golden_set):
     Column 6 is excluded as a documented anomaly in the example itself.
     """
     t0 = time.perf_counter()
-    got = set_alpha_mss(golden_set, 0.4).to_scipy().toarray()
+    got = set_alpha_mss(golden_set, 0.4).scipy64().toarray()
     expected = golden_expected_dense()
     strict_cols = [
         c for c in range(expected.shape[1])
@@ -108,9 +108,9 @@ def test_criterion_01_golden_set_sketch_example(golden_set):
         tie_ok &= sorted(got[kept_got, c].tolist()) == sorted(expected[kept_exp, c].tolist())
         # any positional disagreement is confined to an equal-value tie group
         for r in set(kept_got.tolist()) ^ set(kept_exp.tolist()):
-            value = golden_set.to_scipy().toarray()[r, c]
+            value = golden_set.scipy64().toarray()[r, c]
             tied = [x for x in set(kept_got.tolist()) ^ set(kept_exp.tolist())]
-            tie_ok &= all(golden_set.to_scipy().toarray()[x, c] == value for x in tied)
+            tie_ok &= all(golden_set.scipy64().toarray()[x, c] == value for x in tied)
     elapsed = time.perf_counter() - t0
     ok = strict_ok and tie_ok and elapsed < 1.0
     report(1, ok, (

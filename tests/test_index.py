@@ -32,7 +32,7 @@ from conftest import hub_collection, list_weights, members_of, summary_of, with_
 
 
 def csr_rows(dim, vectors):
-    return VectorSet.from_vectors(dim, vectors).to_scipy()
+    return VectorSet.from_vectors(dim, vectors).scipy64()
 
 
 def clusters_of(rows, beta, seed):
@@ -203,7 +203,7 @@ class TestClustering:
         """Rows scored one at a time, a few at a time, and in the module's
         blocks, which split hub_collection's list of every row (dim 110) in
         three, against all rows at once."""
-        rows = hub_collection().to_scipy(dtype=np.float64)
+        rows = hub_collection().scipy64()
         csc = rows.tocsc()
         csc.sort_indices()
 
@@ -225,7 +225,7 @@ class TestBuildIndex:
 
     def test_full_alpha_lists_cover_all_nonzeros(self, small_set):
         index = build_index(small_set, BuildParams(alpha=1.0, beta=0.2, gamma=1.0, quantize=False))
-        csc = small_set.to_scipy().tocsc()
+        csc = small_set.scipy64().tocsc()
         for i in range(small_set.dim):
             expected = sorted(csc.indices[csc.indptr[i]:csc.indptr[i + 1]].tolist())
             assert list_members(index, i) == expected
@@ -295,7 +295,7 @@ def hub_reference(params):
 
 def per_block_build(vset, params):
     """The index arrays built one summary SparseVector per block: max, top mass, 8 bits."""
-    sketched = set_alpha_mss(vset, params.alpha).to_scipy(dtype=np.float64)
+    sketched = set_alpha_mss(vset, params.alpha).scipy64()
     csc = sketched.tocsc()
     csc.sort_indices()
     blocks_per_list, members, summaries, quantized = [], [], [], []
@@ -448,9 +448,9 @@ class TestSummaryDirectory:
         assert sparsemips.index.key_dtype(2**32) == np.uint64
 
     def test_index_dtype_widens_at_2_31(self):
-        assert sparsemips.index.index_dtype(0) == np.int32
-        assert sparsemips.index.index_dtype(2**31 - 1) == np.int32
-        assert sparsemips.index.index_dtype(2**31) == np.int64
+        assert sparsemips.vectors.index_dtype(0) == np.int32
+        assert sparsemips.vectors.index_dtype(2**31 - 1) == np.int32
+        assert sparsemips.vectors.index_dtype(2**31) == np.int64
 
     def test_loaded_kernel_arrays_view_the_u32_file_arrays(self, index, tmp_path, monkeypatch):
         """Built or loaded, the index holds each array the kernels read once,
@@ -483,7 +483,7 @@ class TestSummaryDirectory:
 
     def test_as_signed_copies_a_big_endian_array(self):
         a = np.array([0, 7, 2**31 - 1], dtype=">u4")
-        got = sparsemips.index._as_signed(a, np.dtype(np.int32))
+        got = sparsemips.vectors._as_signed(a, np.dtype(np.int32))
         assert got.dtype == np.int32 and got.dtype.isnative
         assert not np.shares_memory(got, a) and got.tolist() == a.tolist()
 

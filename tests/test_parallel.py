@@ -83,7 +83,7 @@ class TestPoolSizeInvariance:
     def test_wide_collection_spans_the_piece_cases(self):
         """One piece, pieces of a few queries, and one query per piece."""
         docs, queries = wide_collection()
-        lengths = np.diff(docs.to_scipy().tocsc().indptr)
+        lengths = np.diff(docs.scipy64().tocsc().indptr)
         weights = _gathered(queries.indptr, queries.indices, lengths) + 1
         counts = [len(list(pieces(weights, piece))) for piece in GROUND_TRUTH_PIECES]
         assert counts[0] == 1 < counts[1] < counts[2] == len(queries)

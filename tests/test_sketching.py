@@ -283,7 +283,7 @@ class TestLargestFirst:
 def looped_set_alpha_mss(vset, alpha):
     """set_alpha_mss as one stable argsort per column, then a zeroed copy
     pruned of its zeros: the reference the one-order version must match."""
-    csc = vset.to_scipy().tocsc()
+    csc = vset.scipy64().tocsc()
     csc.sort_indices()
     keep_mask = np.zeros(csc.data.size, dtype=bool)
     for i in range(csc.shape[1]):
@@ -307,8 +307,8 @@ class TestSetLevelSketch:
 
     def test_column_cardinality_law(self, golden_set):
         for alpha in (0.2, 0.4, 0.7, 1.0):
-            pruned = set_alpha_mss(golden_set, alpha).to_scipy().tocsc()
-            original = golden_set.to_scipy().tocsc()
+            pruned = set_alpha_mss(golden_set, alpha).scipy64().tocsc()
+            original = golden_set.scipy64().tocsc()
             for i in range(golden_set.dim):
                 n = original.indptr[i + 1] - original.indptr[i]
                 kept = pruned.indptr[i + 1] - pruned.indptr[i]
@@ -318,7 +318,7 @@ class TestSetLevelSketch:
         assert set_alpha_mss(golden_set, 1.0) == golden_set
 
     def test_golden_matrix_unambiguous_columns(self, golden_set):
-        pruned = set_alpha_mss(golden_set, 0.4).to_scipy().toarray()
+        pruned = set_alpha_mss(golden_set, 0.4).scipy64().toarray()
         # columns whose value ranking has no ties at the cutoff
         assert np.flatnonzero(pruned[:, 0]).tolist() == [1, 4]
         assert np.flatnonzero(pruned[:, 1]).tolist() == [0, 2]
@@ -331,7 +331,7 @@ class TestSetLevelSketch:
         dense[:, 0] = 0.25
         dense[0, 1] = 0.1
         vset = dense_to_vectorset(dense)
-        pruned = set_alpha_mss(vset, 0.5).to_scipy().toarray()
+        pruned = set_alpha_mss(vset, 0.5).scipy64().toarray()
         assert np.flatnonzero(pruned[:, 0]).tolist() == [0, 1]
 
     def test_outputs_are_subvectors(self, small_set):
@@ -352,7 +352,7 @@ class TestSetLevelSketch:
             pruned = set_alpha_mss(vset, alpha)
             assert len(pruned) == 4
             assert pruned.nnz_per_row()[2:].tolist() == [0, 0]
-            assert pruned.to_scipy().shape == (4, 3)
+            assert pruned.scipy64().shape == (4, 3)
 
     def test_kept_count_fraction_tracks_alpha(self):
         # on i.i.d. data the *count* of kept entries per vector averages to

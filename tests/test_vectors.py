@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from sparsemips import (
@@ -17,11 +18,15 @@ from sparsemips import (
     dot,
     graph_size_bits,
     ip_preservation,
+    load_collection,
+    load_index,
     lp_norm,
     mass_curve,
     norm_ratio_cdf,
     restrict,
+    save_collection,
     save_ground_truth,
+    save_index,
     set_alpha_mss,
 )
 from sparsemips.graph import check_kappa
@@ -127,12 +132,12 @@ class TestVectorSet:
     def test_from_vectors_arrays(self, rows, indptr):
         vectors = [SparseVector(dims, np.arange(1.0, len(dims) + 1)) for dims in rows]
         vs = VectorSet.from_vectors(4, vectors)
-        assert vs.indptr.dtype == np.uint64 and vs.indptr.tolist() == indptr
-        assert vs.indices.dtype == np.uint32 and vs.indices.tolist() == [d for dims in rows for d in dims]
-        assert vs.values.dtype == np.float32 and list(vs) == vectors
+        assert vs.indptr.dtype == np.int32 and vs.indptr.tolist() == indptr
+        assert vs.indices.dtype == np.int32 and vs.indices.tolist() == [d for dims in rows for d in dims]
+        assert vs.values.dtype == np.float64 and list(vs) == vectors
 
     def test_scipy_round_trip(self, small_set):
-        assert VectorSet.from_scipy(small_set.to_scipy()) == small_set
+        assert VectorSet.from_scipy(small_set.scipy64()) == small_set
 
     def test_rejects_inconsistent_arrays(self):
         with pytest.raises(SparseVectorError):
@@ -160,6 +165,73 @@ class TestVectorSet:
     def test_nnz_per_row(self):
         vs = random_collection(10, 30, 6, seed=9)
         assert vs.nnz_per_row().tolist() == [v.nnz for v in vs]
+
+    def test_from_scipy_leaves_the_callers_matrix_alone(self):
+        mat = sp.csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([3, 1, 0]), np.array([0, 3])), shape=(1, 4))
+        vs = VectorSet.from_scipy(mat)
+        assert mat.indices.tolist() == [3, 1, 0] and mat.data.tolist() == [2.0, 0.0, 1.0] and mat.nnz == 3
+        assert vs.vector(0).pairs() == [(0, 1.0), (3, 2.0)]
+
+    @pytest.mark.parametrize("j", [-1, -2, 2, 3])
+    def test_vector_outside_the_ids_raises_index_error(self, j):
+        vs = VectorSet(4, [0, 1, 2], [0, 3], [1.0, 2.0])
+        with pytest.raises(IndexError, match=f"^vector {j} is out of range for 2 vectors$"):
+            vs.vector(j)
+
+
+class TestOneCopy:
+    """A VectorSet holds its rows once: scipy64() is the set itself."""
+
+    @staticmethod
+    def assert_one_copy(vs):
+        csr = vs.scipy64()
+        assert np.shares_memory(csr.indptr, vs.indptr)
+        assert np.shares_memory(csr.indices, vs.indices) and np.shares_memory(csr.data, vs.values)
+        assert csr.shape == (len(vs), vs.dim) and csr.dtype == np.float64
+
+    def test_built_set(self, small_set):
+        self.assert_one_copy(small_set)
+        assert small_set.indices.dtype == small_set.indptr.dtype == np.int32
+
+    def test_loaded_collection(self, small_set, tmp_path):
+        save_collection(small_set, tmp_path / "docs.bin")
+        loaded = load_collection(tmp_path / "docs.bin")
+        self.assert_one_copy(loaded)
+        assert loaded == small_set
+
+    def test_loaded_forward_index(self, small_set, tmp_path):
+        save_index(_tiny_index(small_set), tmp_path / "index.bin")
+        forward = load_index(tmp_path / "index.bin").forward
+        self.assert_one_copy(forward)
+        assert forward == small_set
+
+    def test_uint32_indices_are_viewed(self):
+        indices = np.array([0, 3, 1], dtype=np.uint32)
+        vs = VectorSet(4, [0, 2, 3], indices, [1.0, 2.0, 3.0])
+        assert np.shares_memory(vs.indices, indices) and vs.indices.dtype == np.int32
+
+    def test_int64_past_2_31(self, tmp_path):
+        vs = VectorSet(2**32, [0, 1], [2**32 - 1], [1.5])
+        assert vs.indptr.dtype == vs.indices.dtype == np.int64
+        self.assert_one_copy(vs)
+        assert vs.vector(0).pairs() == [(2**32 - 1, 1.5)]
+        save_collection(vs, tmp_path / "wide.bin")
+        loaded = load_collection(tmp_path / "wide.bin")
+        assert loaded == vs and loaded.indices.dtype == np.int64
+
+    def test_float64_values_are_rounded_through_float32(self):
+        vs = VectorSet(2, [0, 1], [1], np.array([0.1]))
+        assert vs.values.dtype == np.float64 and vs.values[0] == np.float64(np.float32(0.1))
+        assert vs.values[0] != 0.1
+
+    def test_value_that_rounds_to_zero_rejected(self):
+        with pytest.raises(SparseVectorError):
+            VectorSet(2, [0, 1], [1], np.array([1e-50]))
+
+    def test_arrays_and_matrix_are_read_only(self, small_set):
+        csr = small_set.scipy64()
+        for a in (small_set.indptr, small_set.indices, small_set.values, csr.indptr, csr.indices, csr.data):
+            assert not a.flags.writeable
 
 
 _VALUE = st.one_of(

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import parallel
-from .query import ResultList, SearchParams, _gather_rows, check_k, check_query_dims, search, top_k
+from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
 from .vectors import SparseVector, VectorSet, _gathered, check_fraction, check_int
 
@@ -35,6 +35,24 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     check_query_dims(q.dims, vset.dim)
     scores = vset.scipy64() @ q.to_dense(vset.dim)
     return ResultList(*top_k(np.arange(len(vset), dtype=np.uint32), scores, k))
+
+
+def _gather_rows(csr, rows):
+    """Rows `rows` of a scipy CSR as the arrays (ptr, indices, data) of a
+    new CSR, by the compiled routine behind scipy's row indexing.
+
+    It checks no bounds, so every row must lie in range.  `rows` is cast to
+    the CSR's index dtype, which the new ptr and indices share: sparsetools
+    would otherwise upcast the whole CSR on every call.
+    """
+    ptr = csr.indptr
+    rows = rows.astype(ptr.dtype, copy=False)
+    sub_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
+    (ptr[rows + 1] - ptr[rows]).cumsum(out=sub_ptr[1:])
+    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
+    sub_data = np.empty(sub_ptr[-1])
+    _sparsetools.csr_row_index(rows.size, rows, ptr, csr.indices, csr.data, sub_indices, sub_data)
+    return sub_ptr, sub_indices, sub_data
 
 
 def _column_scores(cols, ptr, dims, values):

@@ -31,12 +31,15 @@ routines, csr_row_index and csc_matvec.  Each batch of candidates is copied
 from the block members by csr_row_index too, deduplicated by a sort and a
 neighbour diff and filtered through the visited bitmap, so only the
 bitmap's allocation and the fallback touch memory of size N.  The batch is
-scored over the float64 CSR that exact_topk scores, by the two routines
-behind scipy's row indexing and mat-vec (csr_row_index, then csr_matvec).
-All are called directly, to skip the ~90 Python calls scipy makes around
-them.  csr_matvec adds a row's products in CSR order from 0.0, so every
-score equals the oracle's bit for bit.  The routines check no bounds and
-take index arrays of one signed dtype per call, so evaluate_block and
+scored in place, with no row copied, over the float64 CSR that exact_topk
+scores: one call of csr_matvec, the routine behind scipy's mat-vec, reads
+the CSR's own entries through row pointers made of the bounds of the
+batch's rows (see _forward_scores).  All are called directly, to skip the
+~90 Python calls scipy makes around them.  csr_matvec adds a row's
+products in CSR order from 0.0, so every score equals the oracle's bit for
+bit, for ids in any order; only ascending ids, the order of every batch
+search builds, skip the rows between them.  The routines check no bounds
+and take index arrays of one signed dtype per call, so evaluate_block and
 expand_with_graph check their ids, visited bitmap and k before any
 scoring, forward calls get the CSR's own index dtype, and the index's
 summary runs and block members come as the index holds them, in the one
@@ -44,6 +47,7 @@ signed dtype it keeps them in (see index.BlockedIndex).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,39 +131,31 @@ def top_k(ids, scores, k):
     return ids[order], scores[order]
 
 
-def _gather_rows(csr, rows):
-    """Rows `rows` of a scipy CSR as the arrays (ptr, indices, data) of a
-    new CSR, by the compiled routine behind scipy's row indexing.
-
-    It checks no bounds, so every row must lie in range.  `rows` is cast to
-    the CSR's index dtype, which the new ptr and indices share: sparsetools
-    would otherwise upcast the whole CSR on every call.
-    """
-    ptr = csr.indptr
-    rows = rows.astype(ptr.dtype, copy=False)
-    sub_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
-    (ptr[rows + 1] - ptr[rows]).cumsum(out=sub_ptr[1:])
-    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
-    sub_data = np.empty(sub_ptr[-1])
-    _sparsetools.csr_row_index(rows.size, rows, ptr, csr.indices, csr.data, sub_indices, sub_data)
-    return sub_ptr, sub_indices, sub_data
-
-
 def _forward_scores(forward, ids, q_dense):
-    """Exact float64 scores of rows `ids` of the forward index against q_dense.
+    """Exact float64 scores of rows `ids` of the forward index against
+    q_dense, in the order of `ids`, which may be any order.
 
-    The two compiled routines behind scipy's row indexing and mat-vec,
-    called directly: csr_row_index gathers the rows from the forward
-    index's own CSR (scipy64(), the matrix exact_topk scores), and
-    csr_matvec sums each row's products in CSR order from 0.0, so each
-    score is bit-identical to the oracle's.
-    Neither checks bounds, so every id must lie in [0, N).
+    One csr_matvec, the compiled routine behind scipy's mat-vec, reads the
+    forward index's own CSR (scipy64(), the matrix exact_topk scores), with
+    no row copied.  Its row pointers are the ids' row bounds, last id first,
+    [ptr[r], ptr[r+1]] for each row r: 2m - 1 rows, the m ids' rows and,
+    between each pair, one whose score is dropped.  csr_matvec sums each
+    row's products in CSR order from 0.0, so every score is bit-identical to
+    the oracle's.  Only ascending ids skip the rows between: each then ends
+    before it starts and reads nothing, while where ids descend, the row
+    between two reads every forward row between them.  No bounds are
+    checked, so every id must lie in [0, N).
     """
     csr = forward.scipy64()
-    sub_ptr, sub_indices, sub_data = _gather_rows(csr, ids)
-    scores = np.zeros(ids.size)
-    _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
-    return scores
+    rows = np.empty(2 * ids.size, dtype=np.intp)
+    rows[::2] = ids[::-1]
+    np.add(rows[::2], 1, out=rows[1::2])
+    bounds = csr.indptr[rows]
+    if bounds.size > 2**31:  # past int32 rows: sparsetools takes the row count in the pointers' dtype
+        bounds = bounds.astype(np.int64)
+    scores = np.zeros(bounds.size - 1 if ids.size else 0)
+    _sparsetools.csr_matvec(scores.size, q_dense.size, bounds, csr.indices, csr.data, q_dense, scores)
+    return scores[::-2]
 
 
 def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
@@ -171,18 +167,36 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     if stats is not None:
         stats.forward_evaluations += ids.size
     scores = _forward_scores(forward, ids, q_dense)
-    return top_k(np.concatenate((top[0], ids)), np.concatenate((top[1], scores)), k)
+    if top[0].size:
+        ids, scores = np.concatenate((top[0], ids)), np.concatenate((top[1], scores))
+    return top_k(ids, scores, k)
+
+
+@functools.cache
+def _unsigned(dtype):
+    """The unsigned dtype of an integer `dtype`'s width and byte order, and
+    the bound below which a value read through it is not negative in `dtype`."""
+    bits = 8 * dtype.itemsize
+    return np.dtype(dtype.str.replace("i", "u")), 2 ** (bits - 1 if dtype.kind == "i" else bits)
 
 
 def _check_batch(ids, forward, q_dense):
     """Raise ValueError unless q_dense has one entry per dim and the ids are
-    integers in [0, N): the compiled kernels read both without bounds checks."""
+    integers in [0, N): the compiled kernels read both without bounds checks.
+
+    One reduction checks the ids: viewed as unsigned of the same width and
+    byte order, a negative id reads as 2**(bits - 1) or more, so ids below
+    both that and N are the ids in [0, N)."""
     if q_dense.shape != (forward.dim,):
         raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
     if ids.dtype.kind not in "iu":
         raise ValueError(f"doc ids must be integers, not {ids.dtype}")
+    if ids.size == 0:
+        return
     n = len(forward)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    unsigned, limit = _unsigned(ids.dtype)
+    high = ids.view(unsigned).max()
+    if high >= n or high >= limit:
         raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
 
 
@@ -207,8 +221,10 @@ def _check_visited(visited, n):
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     """Exactly score the unvisited members of a block, or of a batch of blocks.
 
-    `block.ids` are distinct; `top` is the running best k as an (ids, float64
-    scores) pair, sorted.  Returns the best k of `top` and the new scores.
+    `block.ids` are distinct, in any order; ascending ids, as search passes
+    them, read only their own forward rows (see _forward_scores).  `top` is
+    the running best k as an (ids, float64 scores) pair, sorted.  Returns
+    the best k of `top` and the new scores.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
     `visited` is not a bool array of shape (N,) or if k is not an integer of
     at least 1.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import _sparsetools
 
 import sparsemips.index
 
@@ -215,6 +216,33 @@ class TestSeamInputs:
         with pytest.raises(ValueError, match=f"^{message}$"):
             expand_with_graph((top_ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
         assert scored == [] and not visited.any() and stats == SearchStats()
+
+    # one id array of each signed layout the one-reduction check must read right
+    LAYOUTS = {"int8": lambda ids: np.array(ids, np.int8), "int16": lambda ids: np.array(ids, np.int16),
+               "big-endian int64": lambda ids: np.array(ids, ">i8"),
+               "strided int64": lambda ids: np.array(ids, np.int64).repeat(2)[::2]}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_negative_id_of_any_signed_layout_rejected(self, forward, scored, layout):
+        """The ids are checked by one reduction over their unsigned view: a
+        narrow -1 reads as 255 or 65535, below or above N, and a big-endian
+        or strided one must be read in its own layout."""
+        ids = self.LAYOUTS[layout]([4, -1])
+        graph = build_exact_graph(forward, 2)
+        visited, stats = np.zeros(self.N, bool), SearchStats()
+        message = f"^doc id -1 is out of range for {self.N} docs$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_block(Block(ids), forward, np.ones(40), empty_top(), visited, k=5, stats=stats)
+        with pytest.raises(ValueError, match=message):
+            expand_with_graph((ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
+        assert scored == [] and not visited.any() and stats == SearchStats()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ids_in_range_of_any_signed_layout_scored(self, forward, layout):
+        ids, q_dense = self.LAYOUTS[layout]([4, 127]), np.ones(40)
+        got = evaluate_block(Block(ids), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=5)
+        want = evaluate_block(Block(np.array([4, 127])), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestUnvisited:
@@ -667,21 +695,65 @@ class TestForwardScores:
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), data=st.data(), order=st.sampled_from(["ascending", "descending", "shuffled"]),
+           dtype=st.sampled_from([np.int32, np.int64, np.uint32, np.uint64]))
+    def test_ids_in_any_order_equal_the_scipy_mat_vec_bit_for_bit(self, n, data, order, dtype):
+        """Only ascending ids skip the rows between them; the others read
+        forward rows there, which must not reach their own scores."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = list(random_collection(n, 20, 6, seed=seed))
+        for j in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):  # rows with no entries
+            rows[j] = SparseVector(np.empty(0, np.uint32), np.empty(0, np.float32))
+        forward = VectorSet.from_vectors(20, rows)
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)), dtype=dtype)
+        if order != "shuffled":
+            ids.sort()
+        if order == "descending":
+            ids = ids[::-1]
+        q_dense = random_vector(np.random.default_rng(seed), 20, 8).to_dense(20)
+        got = _forward_scores(forward, ids, q_dense)
+        want = forward.scipy64()[ids] @ q_dense
+        assert got.dtype == np.float64 and got.shape == ids.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_collection_of_one_doc(self):
+        q_dense = np.array([0.0, 0.5, 2.0])
+        for row, want in (({1: 3.0, 2: 0.25}, 2.0), ({}, 0.0)):
+            forward = VectorSet.from_vectors(3, with_vectors([row]))
+            got = _forward_scores(forward, np.array([0]), q_dense)
+            assert got.tolist() == [want] == (forward.scipy64() @ q_dense).tolist()
+            assert _forward_scores(forward, np.array([], dtype=np.intp), q_dense).size == 0
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint32])
     def test_every_index_array_has_the_csr_index_dtype(self, forward, dtype, monkeypatch):
-        """sparsetools upcasts the whole forward index on every call when one
-        index array is wider than the CSR's, and rejects narrower outputs."""
+        """One csr_matvec over the forward CSR's own indices and data, no row
+        copied, with row pointers in the CSR's index dtype whatever the ids'
+        dtype: sparsetools upcasts the whole forward index on every call when
+        one index array is wider than the CSR's."""
         calls = record_kernels(monkeypatch)
         ids, q_dense = self.batch(129, dtype)
         got = _forward_scores(forward, ids, q_dense)
         csr = forward.scipy64()
-        (_, (n_rows, row_ids, ptr, indices, data, sub_indices, sub_data)), \
-            (_, (m_rows, n_cols, sub_ptr, mv_indices, mv_data, x, scores)) = calls
-        assert ptr is csr.indptr and indices is csr.indices and data is csr.data  # no copies
-        for array in (row_ids, sub_indices, sub_ptr):
-            assert array.dtype == csr.indptr.dtype == csr.indices.dtype
-        assert mv_indices is sub_indices and mv_data is sub_data and x is q_dense and scores is got
-        assert n_rows == m_rows == ids.size and n_cols == forward.dim
+        [(name, (n_rows, n_cols, ptr, indices, data, x, scores))] = calls
+        assert name == "csr_matvec"
+        assert indices is csr.indices and data is csr.data  # no copies
+        assert ptr.dtype == csr.indptr.dtype == csr.indices.dtype
+        assert x is q_dense and got.base is scores
+        assert n_rows == 2 * ids.size - 1 and n_cols == forward.dim
+        assert (ptr[2::2] <= ptr[1:-1:2]).all()  # the ids ascend, so each row between reads nothing
+
+
+def test_csr_matvec_reads_nothing_in_a_row_that_ends_before_it_starts():
+    """_forward_scores rests on this contract of scipy's compiled kernel:
+    such a row reads no entry (each entry it could reach is NaN here) and
+    scores 0.0, as an empty row does."""
+    indices = np.arange(4, dtype=np.int32)
+    data = np.array([np.nan, 2.0, np.nan, 4.0])
+    ptr = np.array([3, 4, 3, 1, 2, 0], dtype=np.int32)  # rows [3, 4), [4, 3), [3, 1), [1, 2), [2, 0)
+    scores = np.zeros(5)
+    _sparsetools.csr_matvec(5, 4, ptr, indices, data, np.ones(4), scores)
+    assert scores.tolist() == [4.0, 0.0, 0.0, 2.0, 0.0]
 
 
 def record_kernels(monkeypatch):
@@ -706,8 +778,9 @@ def record_kernels(monkeypatch):
 def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quantize, wide, monkeypatch):
     """Each sparsetools call search makes gets index arrays of one signed
     dtype, or sparsetools copies the index's arrays to a common one; and the
-    index's own arrays (summary runs and entries, block members, forward CSR)
-    arrive as they are, with no copy."""
+    index's own arrays (summary runs and entries, block members, the forward
+    CSR's indices and data) arrive as they are, with no copy.  No forward
+    row is gathered: every forward csr_matvec reads the CSR itself."""
     if wide:
         force_int64_indices(monkeypatch)
     index = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=9))
@@ -717,14 +790,13 @@ def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quan
     sources = {
         id(index.summary_runs): (index.summary_blocks, index.summary_values),
         id(index.block_ptr): (index.member_ids, index.member_ids),
-        id(csr.indptr): (csr.indices, csr.data),
     }
     calls = record_kernels(monkeypatch)
     rng = np.random.default_rng(58)
     for trial in range(12):
         q = random_vector(rng, medium_set.dim, 10)
         search(index, graph, q, SearchParams(k=10, alpha_q=0.8, heap_factor=0.9, use_graph=trial % 2 == 0))
-    gathered = set()
+    gathered, forward_calls = set(), 0
     for name, args in calls:
         if name == "csr_row_index":
             _, rows, ptr, indices, data, sub_indices, _ = args
@@ -735,9 +807,12 @@ def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quan
         else:
             assert name in ("csr_matvec", "csc_matvec"), name
             index_arrays = args[2:4]
+            if name == "csr_matvec":  # forward scoring
+                assert args[3] is csr.indices and args[4] is csr.data
+                forward_calls += 1
         dtypes = {a.dtype for a in index_arrays}
         assert len(dtypes) == 1 and dtypes.pop().kind == "i", name
-    assert gathered == set(sources)
+    assert gathered == set(sources) and forward_calls >= 12
     assert {name for name, _ in calls} == {"csr_row_index", "csr_matvec", "csc_matvec"}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import struct
@@ -35,7 +36,7 @@ from sparsemips.storage import (
     read_results_tsv,
     write_results_tsv,
 )
-from sparsemips.synth import random_collection, zipfian_clustered_collection
+from sparsemips.synth import random_collection, zipfian_clustered_collection, zipfian_queries
 from sparsemips.vectors import check_csr
 
 
@@ -334,3 +335,36 @@ class TestPinnedFileBytes:
     def test_exact_graph(self, docs, tmp_path):
         save_graph(build_exact_graph(docs, 10), tmp_path / "graph.bin")
         assert hashlib.sha256((tmp_path / "graph.bin").read_bytes()).hexdigest() == self.HASHES["exact graph"]
+
+
+class TestPinnedSearchResults:
+    """The ids, float32 score bits and every SearchStats field of 200 seeded
+    queries, pinned by sha256: a change in what search returns, or in the
+    work it counts, fails here."""
+
+    HASHES = {
+        "tuned index": "ade8ba112fa9416b38a2c8bfe4c6daa107348eda67fc69f0be700d9ea7739227",
+        "exact index": "883c98f0c4d57825d969b0862f91c7dd4afe072dbae190b2d187bab84f21e510",
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        docs, _, info = zipfian_clustered_collection(2000, 300, 20, n_clusters=20, seed=[3, 0])
+        return docs, list(zipfian_queries(info, 200, 300, 10, seed=[3, 1]))
+
+    @pytest.mark.parametrize("name, build, params, kappa", [
+        ("tuned index", BuildParams(alpha=0.4, beta=0.2, gamma=0.6, quantize=True, seed=4),
+         SearchParams(k=10, alpha_q=0.8, heap_factor=0.9, use_graph=True), 5),
+        ("exact index", BuildParams(alpha=1.0, beta=0.1, gamma=1.0, quantize=False, seed=4),
+         SearchParams(k=10), 0),
+    ])
+    def test_search(self, corpus, name, build, params, kappa):
+        docs, queries = corpus
+        index = build_index(docs, build)
+        graph = build_exact_graph(docs, kappa) if kappa else None
+        digest = hashlib.sha256()
+        for q in queries:
+            res, stats = search(index, graph, q, params, return_stats=True)
+            digest.update(res.ids.astype("<u4").tobytes() + res.scores.astype("<f4").tobytes())
+            digest.update(np.array(dataclasses.astuple(stats), dtype="<i8").tobytes())
+        assert digest.hexdigest() == self.HASHES[name]

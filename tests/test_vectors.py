@@ -179,6 +179,21 @@ class TestVectorSet:
             vs.vector(j)
 
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+    def test_vector_equals_the_checked_vector_of_its_row(self, wide):
+        """vector(j) skips SparseVector's checks, which the set's own already
+        made: it must still be the vector they would have made of the row."""
+        vs = random_collection(300, 2**32 if wide else 50, 8, seed=10)
+        rows = vs.scipy64()
+        assert vs.indices.dtype == (np.int64 if wide else np.int32)
+        for j in np.random.default_rng(11).integers(0, len(vs), 40).tolist():
+            s, e = rows.indptr[j], rows.indptr[j + 1]
+            got, want = vs.vector(j), SparseVector(rows.indices[s:e], rows.data[s:e])
+            assert got == want
+            for a, b in ((got.dims, want.dims), (got.values, want.values)):
+                assert a.dtype == b.dtype and a.flags.c_contiguous and not a.flags.writeable
+
+
 class TestOneCopy:
     """A VectorSet holds its rows once: scipy64() is the set itself."""
 

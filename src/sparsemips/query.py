@@ -38,7 +38,8 @@ batch's rows (see _forward_scores).  All are called directly, to skip the
 ~90 Python calls scipy makes around them.  csr_matvec adds a row's
 products in CSR order from 0.0, so every score equals the oracle's bit for
 bit, for ids in any order; only ascending ids, the order of every batch
-search builds, skip the rows between them.  The routines check no bounds
+search builds, skip the rows between them, so the seams sort any other
+batch before scoring it.  The routines check no bounds
 and take index arrays of one signed dtype per call, so evaluate_block and
 expand_with_graph check their ids, visited bitmap and k before any
 scoring, forward calls get the CSR's own index dtype, and the index's
@@ -47,7 +48,6 @@ signed dtype it keeps them in (see index.BlockedIndex).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +143,9 @@ def _forward_scores(forward, ids, q_dense):
     row's products in CSR order from 0.0, so every score is bit-identical to
     the oracle's.  Only ascending ids skip the rows between: each then ends
     before it starts and reads nothing, while where ids descend, the row
-    between two reads every forward row between them.  No bounds are
-    checked, so every id must lie in [0, N).
+    between two reads every forward row between them.  Every batch reaches
+    it ascending: search builds them so and _check_batch sorts the others.
+    No bounds are checked, so every id must lie in [0, N).
     """
     csr = forward.scipy64()
     rows = np.empty(2 * ids.size, dtype=np.intp)
@@ -160,7 +161,7 @@ def _forward_scores(forward, ids, q_dense):
 
 def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     """Score the distinct `ids` not yet visited; return the best k of them and `top`."""
-    ids = ids[~visited[ids]]
+    ids = ids[~visited[ids]].astype(np.int64, copy=False)
     if ids.size == 0:
         return top
     visited[ids] = True
@@ -172,32 +173,23 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     return top_k(ids, scores, k)
 
 
-@functools.cache
-def _unsigned(dtype):
-    """The unsigned dtype of an integer `dtype`'s width and byte order, and
-    the bound below which a value read through it is not negative in `dtype`."""
-    bits = 8 * dtype.itemsize
-    return np.dtype(dtype.str.replace("i", "u")), 2 ** (bits - 1 if dtype.kind == "i" else bits)
-
-
 def _check_batch(ids, forward, q_dense):
     """Raise ValueError unless q_dense has one entry per dim and the ids are
     integers in [0, N): the compiled kernels read both without bounds checks.
 
-    One reduction checks the ids: viewed as unsigned of the same width and
-    byte order, a negative id reads as 2**(bits - 1) or more, so ids below
-    both that and N are the ids in [0, N)."""
+    Returns the ids flattened and ascending, sorted only if they are not
+    already, so that _forward_scores reads no row but theirs; their ends are
+    then the smallest and largest id."""
     if q_dense.shape != (forward.dim,):
         raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
     if ids.dtype.kind not in "iu":
         raise ValueError(f"doc ids must be integers, not {ids.dtype}")
-    if ids.size == 0:
-        return
+    ids = ids.ravel()
+    ascending = np.sort(ids) if ids.size > 1 and (ids[1:] < ids[:-1]).any() else ids
     n = len(forward)
-    unsigned, limit = _unsigned(ids.dtype)
-    high = ids.view(unsigned).max()
-    if high >= n or high >= limit:
+    if ids.size and (ascending[0] < 0 or ascending[-1] >= n):
         raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
+    return ascending
 
 
 def _unvisited(ids, visited):
@@ -221,17 +213,18 @@ def _check_visited(visited, n):
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     """Exactly score the unvisited members of a block, or of a batch of blocks.
 
-    `block.ids` are distinct, in any order; ascending ids, as search passes
-    them, read only their own forward rows (see _forward_scores).  `top` is
-    the running best k as an (ids, float64 scores) pair, sorted.  Returns
-    the best k of `top` and the new scores.
+    `block.ids` are distinct, in any order: ids that do not ascend, as
+    search's do, are sorted first, so only their own forward rows are read
+    (see _forward_scores).  `top` is the running best k as an (ids, float64
+    scores) pair, sorted.  Returns the best k of `top` and the new scores,
+    the ids as int64.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
     `visited` is not a bool array of shape (N,) or if k is not an integer of
     at least 1.
     """
-    _check_batch(block.ids, forward, q_dense)
+    ids = _check_batch(block.ids, forward, q_dense)
     _check_visited(visited, len(forward))
-    return _score_unvisited(block.ids, forward, q_dense, top, visited, check_k(k), stats)
+    return _score_unvisited(ids, forward, q_dense, top, visited, check_k(k), stats)
 
 
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
@@ -255,7 +248,7 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
         neighbors = _unvisited(rows, visited)
     except IndexError:  # an id past N, written into the table after the graph checked it
         neighbors = rows
-    _check_batch(neighbors, forward, q_dense)
+    neighbors = _check_batch(neighbors, forward, q_dense)
     if stats is not None:
         stats.graph_docs += neighbors.size
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)

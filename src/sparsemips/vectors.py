@@ -44,15 +44,6 @@ class SparseVector:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _checked(cls, dims, values):
-        """A vector of arrays that already hold to __post_init__'s rules, as
-        it leaves them: read-only, uint32 dims and float32 values."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "dims", dims)
-        object.__setattr__(vector, "values", values)
-        return vector
-
-    @classmethod
     def from_pairs(cls, pairs):
         pairs = sorted(pairs)
         return cls([d for d, _ in pairs], [v for _, v in pairs])
@@ -267,14 +258,12 @@ class VectorSet:
         return self.indptr.size - 1
 
     def vector(self, j) -> SparseVector:
-        """Row j, for j in [0, N); IndexError otherwise.  The set checked
-        its rows when it was made, so the row is not checked again."""
+        """Row j, for j in [0, N); IndexError otherwise."""
         if not 0 <= j < len(self):
             raise IndexError(f"vector {j} is out of range for {len(self)} vectors")
         s, e = self.indptr[j:j + 2].tolist()
-        dims = self.indices[s:e]  # read-only, as a view of the set's
-        dims = dims.view(np.uint32) if dims.itemsize == 4 else _as_readonly(dims.astype(np.uint32))
-        return SparseVector._checked(dims, _as_readonly(self.values[s:e].astype(np.float32)))
+        dims = self.indices[s:e]
+        return SparseVector(dims.view(np.uint32) if dims.itemsize == 4 else dims, self.values[s:e])
 
     def __iter__(self):
         for j in range(len(self)):

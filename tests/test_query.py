@@ -130,14 +130,15 @@ class TestEvaluateBlock:
             evaluate_block(Block(np.arange(3)), small_set, np.ones(shape), empty_top(),
                            np.zeros(len(small_set), dtype=bool), k=5)
 
-    def test_graph_neighbor_outside_the_collection_rejected(self, small_set):
+    @pytest.mark.parametrize("kappa, m", [(1, 1), (3, 4)])
+    def test_graph_neighbor_outside_the_collection_rejected(self, small_set, kappa, m):
         """A neighbor id of N or more, written into the table after the graph
         checked it, fails with ValueError, not IndexError, and never reaches
-        the kernel."""
+        the kernel: the check reads the (m, kappa) rows of the top m flat."""
         n = len(small_set)
-        graph = KnnGraph(kappa=1, neighbors=np.ones((n, 1), dtype=np.uint32))
+        graph = KnnGraph(kappa=kappa, neighbors=np.ones((n, kappa), dtype=np.uint32))
         graph.neighbors[0, 0] = n
-        top = (np.array([0]), np.array([1.0]))
+        top = (np.arange(m)[::-1], np.ones(m))
         visited, stats = np.zeros(n, dtype=bool), SearchStats()
         with pytest.raises(ValueError, match=f"doc id {n} is out of range for {n} docs"):
             expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, visited, stats)
@@ -217,32 +218,26 @@ class TestSeamInputs:
             expand_with_graph((top_ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
         assert scored == [] and not visited.any() and stats == SearchStats()
 
-    # one id array of each signed layout the one-reduction check must read right
+    # one id array of each integer layout a caller may pass
     LAYOUTS = {"int8": lambda ids: np.array(ids, np.int8), "int16": lambda ids: np.array(ids, np.int16),
                "big-endian int64": lambda ids: np.array(ids, ">i8"),
-               "strided int64": lambda ids: np.array(ids, np.int64).repeat(2)[::2]}
+               "strided int64": lambda ids: np.array(ids, np.int64).repeat(2)[::2],
+               "uint32": lambda ids: np.array(ids, np.uint32), "uint64": lambda ids: np.array(ids, np.uint64)}
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_negative_id_of_any_signed_layout_rejected(self, forward, scored, layout):
-        """The ids are checked by one reduction over their unsigned view: a
-        narrow -1 reads as 255 or 65535, below or above N, and a big-endian
-        or strided one must be read in its own layout."""
-        ids = self.LAYOUTS[layout]([4, -1])
-        graph = build_exact_graph(forward, 2)
-        visited, stats = np.zeros(self.N, bool), SearchStats()
-        message = f"^doc id -1 is out of range for {self.N} docs$"
-        with pytest.raises(ValueError, match=message):
-            evaluate_block(Block(ids), forward, np.ones(40), empty_top(), visited, k=5, stats=stats)
-        with pytest.raises(ValueError, match=message):
-            expand_with_graph((ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
-        assert scored == [] and not visited.any() and stats == SearchStats()
-
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_ids_in_range_of_any_signed_layout_scored(self, forward, layout):
-        ids, q_dense = self.LAYOUTS[layout]([4, 127]), np.ones(40)
-        got = evaluate_block(Block(ids), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=5)
-        want = evaluate_block(Block(np.array([4, 127])), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=5)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    def test_ids_of_any_integer_layout_come_back_int64(self, forward, layout):
+        """Onto an empty top or not, and in any order, the ids come back as
+        int64 with the scores of intp ids: int64 and uint64 ids concatenated
+        as they are would make float64 ones."""
+        q_dense = np.ones(40)
+        for first, then in (([127, 4], [9, 100]), ([4, 127], [100, 9])):
+            got, want = empty_top(), empty_top()
+            visited_got, visited_want = np.zeros(self.N, bool), np.zeros(self.N, bool)
+            for ids in (first, then):
+                got = evaluate_block(Block(self.LAYOUTS[layout](ids)), forward, q_dense, got, visited_got, k=3)
+                want = evaluate_block(Block(np.array(ids)), forward, q_dense, want, visited_want, k=3)
+                assert got[0].dtype == np.int64
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestUnvisited:
@@ -742,6 +737,24 @@ class TestForwardScores:
         assert x is q_dense and got.base is scores
         assert n_rows == 2 * ids.size - 1 and n_cols == forward.dim
         assert (ptr[2::2] <= ptr[1:-1:2]).all()  # the ids ascend, so each row between reads nothing
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_a_batch_in_any_order_reads_only_its_own_rows(self, forward, order, monkeypatch):
+        """evaluate_block sorts ids that do not ascend, so in any order the
+        one csr_matvec's rows between two ids end before they start: the
+        call reads the batch's own entries and no others."""
+        ids, q_dense = self.batch(129, np.intp)
+        ids = {"ascending": ids, "descending": ids[::-1],
+               "shuffled": np.random.default_rng(3).permutation(ids)}[order]
+        calls = record_kernels(monkeypatch)
+        got = evaluate_block(Block(ids), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=self.N)
+        [(name, (n_rows, _, ptr, *_))] = calls
+        assert name == "csr_matvec" and n_rows == 2 * ids.size - 1
+        assert (ptr[2::2] <= ptr[1:-1:2]).all()
+        csr = forward.scipy64()
+        assert (ptr[1::2] - ptr[::2]).sum() == (csr.indptr[ids + 1] - csr.indptr[ids]).sum()
+        want = top_k(ids, csr[ids] @ q_dense, self.N)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
 
 def test_csr_matvec_reads_nothing_in_a_row_that_ends_before_it_starts():

@@ -181,8 +181,8 @@ class TestVectorSet:
 
     @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
     def test_vector_equals_the_checked_vector_of_its_row(self, wide):
-        """vector(j) skips SparseVector's checks, which the set's own already
-        made: it must still be the vector they would have made of the row."""
+        """vector(j) is the vector SparseVector makes of the set's row: uint32
+        dims, a view of int32 indices, float32 values, read-only."""
         vs = random_collection(300, 2**32 if wide else 50, 8, seed=10)
         rows = vs.scipy64()
         assert vs.indices.dtype == (np.int64 if wide else np.int32)

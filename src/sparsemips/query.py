@@ -7,13 +7,15 @@ The summaries are stored dim-major, so scoring reads only the entries on
 the query's dims: the index's summary directory, a sorted key d * dim + l
 and a run offset per (column d, list l) pair that holds entries (8 bytes
 per pair, derived when the index object is made and never saved), finds
-every (query dim, sketched list) run with one binary search, and one copy
-and one mat-vec score the entries of those runs.  Then score
+every (query dim, sketched list) run with one binary search over needles
+that ascend, the lists sorted for it, and one copy in storage order and one
+mat-vec score the entries of those runs.  Then score
 documents exactly against the forward index in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
   k-th best of their scores is the threshold t, fixed from here on.  Only
-  the leading lists whose member counts reach k are sorted to find it;
+  the leading lists whose member counts reach k are sorted to find it,
+  usually the first list alone, by one stable argsort;
 - main: every other block, in any sketched list, whose summary score is
   at least t / heap_factor; the union of its unvisited members is scored
   at once.
@@ -24,7 +26,7 @@ batches score a superset of its docs and never find a worse top k.  The
 result is the top k of every scored doc by (score desc, id asc); a query
 whose lists hold fewer than k docs falls back to scoring everything, and
 graph expansion optionally scores the unvisited neighbors of the top k in
-one more batch.
+one more batch, and returns at once when none is left.
 
 The summary runs are copied and summed by two compiled sparsetools
 routines, csr_row_index and csc_matvec.  Each batch of candidates is copied
@@ -38,13 +40,14 @@ batch's rows (see _forward_scores).  All are called directly, to skip the
 ~90 Python calls scipy makes around them.  csr_matvec adds a row's
 products in CSR order from 0.0, so every score equals the oracle's bit for
 bit, for ids in any order; only ascending ids, the order of every batch
-search builds, skip the rows between them, so the seams sort any other
-batch before scoring it.  The routines check no bounds
-and take index arrays of one signed dtype per call, so evaluate_block and
-expand_with_graph check their ids, visited bitmap and k before any
-scoring, forward calls get the CSR's own index dtype, and the index's
-summary runs and block members come as the index holds them, in the one
-signed dtype it keeps them in (see index.BlockedIndex).
+search builds, skip the rows between them, so the seams dedupe and sort
+any batch whose ids do not strictly ascend before scoring it.  The
+routines check no bounds and take index arrays of one signed dtype per
+call, so evaluate_block and expand_with_graph check their ids, visited
+bitmap and k before any scoring, forward calls get the CSR's own index
+dtype, and the index's summary runs and block members come as the index
+holds them, in the one signed dtype it keeps them in (see
+index.BlockedIndex).
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ from scipy.sparse import _sparsetools
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
 from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector, _ranges, as_unsigned, check_fraction, check_int
+from .vectors import SparseVector, as_unsigned, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,9 @@ def _forward_scores(forward, ids, q_dense):
     the oracle's.  Only ascending ids skip the rows between: each then ends
     before it starts and reads nothing, while where ids descend, the row
     between two reads every forward row between them.  Every batch reaches
-    it ascending: search builds them so and _check_batch sorts the others.
-    No bounds are checked, so every id must lie in [0, N).
+    it strictly ascending: search builds them so, and _check_batch dedupes
+    and sorts the others.  No bounds are checked, so every id must lie in
+    [0, N).
     """
     csr = forward.scipy64()
     rows = np.empty(2 * ids.size, dtype=np.intp)
@@ -173,23 +177,37 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     return top_k(ids, scores, k)
 
 
-def _check_batch(ids, forward, q_dense):
+def _check_ids(ids, forward, q_dense):
     """Raise ValueError unless q_dense has one entry per dim and the ids are
-    integers in [0, N): the compiled kernels read both without bounds checks.
-
-    Returns the ids flattened and ascending, sorted only if they are not
-    already, so that _forward_scores reads no row but theirs; their ends are
-    then the smallest and largest id."""
+    integers; returns the ids flattened."""
     if q_dense.shape != (forward.dim,):
         raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
     if ids.dtype.kind not in "iu":
         raise ValueError(f"doc ids must be integers, not {ids.dtype}")
-    ids = ids.ravel()
-    ascending = np.sort(ids) if ids.size > 1 and (ids[1:] < ids[:-1]).any() else ids
-    n = len(forward)
-    if ids.size and (ascending[0] < 0 or ascending[-1] >= n):
+    return ids.ravel()
+
+
+def _check_range(ids, low, high, n):
+    """Raise ValueError, naming the first id of `ids` outside [0, n), unless
+    `low`, their smallest, and `high`, their largest, both lie in it."""
+    if low < 0 or high >= n:
         raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
-    return ascending
+
+
+def _check_batch(ids, forward, q_dense):
+    """Raise ValueError unless q_dense has one entry per dim and the ids are
+    integers in [0, N): the compiled kernels read both without bounds checks.
+
+    Returns the distinct ids, flattened and ascending.  A batch whose ids
+    strictly ascend, as every batch search builds does, is used as it is;
+    any other goes through np.unique, so _forward_scores reads no row but
+    theirs and scores each once.  The ends are then the smallest and
+    largest id, the only ones compared with 0 and N."""
+    ids = _check_ids(ids, forward, q_dense)
+    batch = np.unique(ids) if ids.size > 1 and (ids[1:] <= ids[:-1]).any() else ids
+    if ids.size:
+        _check_range(ids, batch[0], batch[-1], len(forward))
+    return batch
 
 
 def _unvisited(ids, visited):
@@ -213,9 +231,10 @@ def _check_visited(visited, n):
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     """Exactly score the unvisited members of a block, or of a batch of blocks.
 
-    `block.ids` are distinct, in any order: ids that do not ascend, as
-    search's do, are sorted first, so only their own forward rows are read
-    (see _forward_scores).  `top` is the running best k as an (ids, float64
+    `block.ids` may come in any order and repeat: ids that do not strictly
+    ascend, as search's do, go through np.unique first, so each doc is
+    scored and counted once and only its own forward rows are read (see
+    _forward_scores).  `top` is the running best k as an (ids, float64
     scores) pair, sorted.  Returns the best k of `top` and the new scores,
     the ids as int64.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
@@ -234,10 +253,16 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     of `top` outside [0, N), which picks the graph rows, for a `visited`
     that is not a bool array of shape (N,), for a k that is not an integer
     of at least 1, for a graph whose node count is not N, which its ids
-    index, and for a neighbor outside [0, N).
+    index, and for a neighbor outside [0, N).  The top ids are compared
+    with 0 and N through their min and max, not sorted.  Once every check
+    has passed and the visited filter leaves no neighbor, `top` comes back
+    as it is, with nothing scored.
     """
-    _check_batch(top[0], forward, q_dense)
-    _check_visited(visited, len(forward))
+    ids = _check_ids(top[0], forward, q_dense)
+    n = len(forward)
+    if ids.size:
+        _check_range(ids, ids.min(), ids.max(), n)
+    _check_visited(visited, n)
     k = check_k(k)
     if graph is None or graph.kappa == 0:
         return top
@@ -248,6 +273,8 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
         neighbors = _unvisited(rows, visited)
     except IndexError:  # an id past N, written into the table after the graph checked it
         neighbors = rows
+    if neighbors.size == 0:
+        return top
     neighbors = _check_batch(neighbors, forward, q_dense)
     if stats is not None:
         stats.graph_docs += neighbors.size
@@ -261,24 +288,36 @@ def _summary_scores(index, lists, q):
     The blocks of a list are a contiguous run of each dim's column, and the
     index's summary directory finds every (query dim, list) run with one
     binary search over its keys d * dim + l; a needle not in the keys has no
-    run.  csr_row_index copies the runs found, with the directory's run
-    offsets as row pointers, and csc_matvec, one run per column weighted by
-    its query value, sums each entry into its block's position among the
-    lists' blocks.  The runs arrive dim by dim in ascending order and each
-    block's sum starts from 0.0, which is what a CSR mat-vec over the whole
-    summary computes: the products it adds beyond these are +0.0.
+    run.  The lists are sorted first, so the needles ascend: the search
+    sweeps the keys in order and csr_row_index copies the runs found in
+    storage order, with the directory's run offsets as row pointers.  One
+    nonzero of the found mask gives each found pair's flat position, whose
+    quotient and remainder by the list count pick its query weight and the
+    shift that moves its blocks to their position among the lists' blocks,
+    which keep the caller's list order.  csc_matvec, one run per column
+    weighted by its query value, sums each entry there.  A block belongs to
+    one list, so its runs still arrive dim by dim in ascending order and its
+    sum starts from 0.0, which is what a CSR mat-vec over the whole summary
+    computes: the products it adds beyond these are +0.0.
     """
     first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
-    blocks = _ranges(first, last)
+    sizes = last - first
+    ends = sizes.cumsum()
+    # block b of list i sits at position b - back[i] among the lists' blocks
+    back = last - ends
+    blocks = back.repeat(sizes)
+    blocks += np.arange(blocks.size)
     key = index.summary_key
     if key.size == 0:  # no summary entries: every list is empty
         return blocks, np.zeros(blocks.size), 0
+    order = lists.argsort()
     # needles in the key's dtype: another makes searchsorted copy the keys
     kd = key.dtype.type
-    needles = (q.dims.astype(kd, copy=False)[:, None] * kd(index.dim) + lists.astype(kd, copy=False)).ravel()
+    needles = (q.dims.astype(kd, copy=False)[:, None] * kd(index.dim) + lists[order].astype(kd, copy=False)).ravel()
     pos = key.searchsorted(needles)
-    found = key.take(pos, mode="clip") == needles
-    pairs = pos[found]  # the runs, query dim by query dim, lists in order
+    found = (key.take(pos, mode="clip") == needles).nonzero()[0]
+    pairs = pos[found]  # the runs in storage order
+    dim_at, list_at = np.divmod(found, lists.size)
     ptr = index.summary_runs
     counts = ptr[pairs + 1] - ptr[pairs]
     sub_ptr = np.zeros(pairs.size + 1, dtype=ptr.dtype)
@@ -292,12 +331,8 @@ def _summary_scores(index, lists, q):
         values = dequantize(sub_values, index.m[owner], index.delta[owner])
     else:  # m=0 and delta=1: dequantize would return the float64 cast
         values = sub_values.astype(np.float64)
-    # a block's position in the concatenation of the lists' ranges
-    sizes = last - first
-    ends = sizes.cumsum()
-    shift = (ends - sizes - first).astype(ptr.dtype)[None].repeat(q.dims.size, axis=0)
-    sub_blocks += shift[found.reshape(shift.shape)].repeat(counts)
-    weights = q.values.astype(np.float64).repeat(lists.size)[found]
+    sub_blocks -= back[order].astype(ptr.dtype)[list_at].repeat(counts)
+    weights = q.values[dim_at].astype(np.float64)
     scores = np.zeros(ends[-1])
     _sparsetools.csc_matvec(ends[-1], pairs.size, sub_ptr, sub_blocks, values, weights, scores)
     return blocks, scores, sub_blocks.size
@@ -344,7 +379,10 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     needed, nfill, fill = min(k, cap), 0, blocks[:0]
     while fill.size < k and nfill < blocks.size:
         nlists = min(int(list_members.searchsorted(needed)) + 1, first.size)
-        head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
+        if nlists == 1:  # the usual case: a stable sort orders one list as the lexsort would
+            head = (-r[:list_ends[0]]).argsort(kind="stable")
+        else:
+            head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
         head_blocks = blocks[head]
         members_upto = (block_ptr[head_blocks + 1] - block_ptr[head_blocks]).cumsum()
         nfill = min(int(members_upto.searchsorted(needed)) + 1, head.size)

@@ -1,4 +1,5 @@
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import _sparsetools
 
 import sparsemips.index
+import sparsemips.vectors
 
 from sparsemips import (
     Block,
@@ -29,7 +31,7 @@ from sparsemips import (
 )
 from sparsemips import query
 from sparsemips.query import SearchStats, _forward_scores, _summary_scores, evaluate_block, expand_with_graph, top_k
-from sparsemips.sketching import alpha_mss
+from sparsemips.sketching import alpha_mss, top_mass_order
 from sparsemips.synth import random_collection, random_vector
 
 from conftest import members_of, summaries_by_block, summary_of
@@ -117,6 +119,19 @@ class TestEvaluateBlock:
         with pytest.raises(ValueError, match=f"doc id {bad} is out of range for {n} docs"):
             evaluate_block(Block(ids), small_set, q_dense, empty_top(), visited, k=5, stats=stats)
         assert not visited.any() and stats == SearchStats()
+
+    @pytest.mark.parametrize("ids", [[3, 3, 7], [9, 3, 7, 3, 0, 9, 9]], ids=["repeated", "unsorted"])
+    def test_repeated_ids_are_scored_once(self, small_set, ids):
+        """A batch with repeats, ascending or not, scores each distinct doc
+        once, and forward_evaluations counts the distinct docs."""
+        q_dense = random_vector(np.random.default_rng(60), small_set.dim, 10).to_dense(small_set.dim)
+        visited, stats = np.zeros(len(small_set), dtype=bool), SearchStats()
+        got = evaluate_block(Block(np.array(ids)), small_set, q_dense, empty_top(), visited, k=10, stats=stats)
+        distinct = np.unique(ids)
+        assert stats.forward_evaluations == distinct.size
+        assert np.array_equal(np.flatnonzero(visited), distinct)
+        want = top_k(distinct, small_set.scipy64()[distinct] @ q_dense, 10)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
     @pytest.mark.parametrize("ids", [np.array([0.0, 1.0]), np.array([True, False])])
     def test_ids_that_are_not_integers_rejected(self, small_set, ids):
@@ -217,6 +232,52 @@ class TestSeamInputs:
         with pytest.raises(ValueError, match=f"^{message}$"):
             expand_with_graph((top_ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), 5, visited, stats)
         assert scored == [] and not visited.any() and stats == SearchStats()
+
+    @pytest.fixture
+    def unscored(self, monkeypatch):
+        def fail(forward, ids, q_dense):
+            raise AssertionError(f"scored {ids}")
+        monkeypatch.setattr(query, "_forward_scores", fail)
+
+    def test_no_neighbor_left_returns_top_unscored(self, forward, unscored):
+        """Once the visited filter leaves no neighbor of the top docs,
+        expansion returns `top` itself and calls no kernel."""
+        graph = build_exact_graph(forward, 3)
+        top = (np.array([12, 5, 40]), np.array([3.0, 2.0, 1.0]))
+        visited = np.zeros(self.N, bool)
+        visited[top[0]] = visited[graph.neighbors[top[0]].ravel()] = True
+        before, stats = visited.copy(), SearchStats(graph_docs=4, forward_evaluations=9)
+        assert expand_with_graph(top, graph, forward, np.ones(40), 5, visited, stats) is top
+        assert np.array_equal(visited, before) and stats == SearchStats(graph_docs=4, forward_evaluations=9)
+
+    @pytest.mark.parametrize("case, message", [
+        ("top -1 int8", f"doc id -1 is out of range for {N} docs"),
+        ("top -1 int64", f"doc id -1 is out of range for {N} docs"),
+        ("top -1 >i8", f"doc id -1 is out of range for {N} docs"),
+        (f"top {N} int16", f"doc id {N} is out of range for {N} docs"),
+        (f"top {N} int64", f"doc id {N} is out of range for {N} docs"),
+        (f"top {N} uint32", f"doc id {N} is out of range for {N} docs"),
+        (f"top {N} uint64", f"doc id {N} is out of range for {N} docs"),
+        ("visited", rf"visited must be a bool array of shape \({N},\)"),
+        ("k", "k=0 must be at least 1"),
+        ("graph", f"graph has {N + 1} nodes but visited has {N} entries"),
+    ])
+    def test_bad_input_rejected_when_no_neighbor_is_left(self, forward, unscored, case, message):
+        """With every doc visited, so no neighbor would be left, each bad
+        input still raises its own error before expansion returns."""
+        graph, top_ids, k = build_exact_graph(forward, 2), np.array([7, 3]), 5
+        visited = np.ones(self.N + (case == "visited"), bool)
+        if case.startswith("top"):
+            _, bad, dtype = case.split()
+            top_ids = np.array([7, int(bad)], dtype=dtype)
+        elif case == "k":
+            k = 0
+        elif case == "graph":
+            graph = KnnGraph(kappa=2, neighbors=np.zeros((self.N + 1, 2), dtype=np.uint32) + [1, 2])
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=f"^{message}"):
+            expand_with_graph((top_ids, np.array([2.0, 1.0])), graph, forward, np.ones(40), k, visited, stats)
+        assert stats == SearchStats()
 
     # one id array of each integer layout a caller may pass
     LAYOUTS = {"int8": lambda ids: np.array(ids, np.int8), "int16": lambda ids: np.array(ids, np.int16),
@@ -419,6 +480,40 @@ class TestSummaryScores:
                 on_query = np.repeat(np.isin(every, q.dims), np.diff(index.summary_ptr))
                 assert entries == np.count_nonzero(in_lists & on_query)
 
+    def test_sketch_order_equals_the_block_major_mat_vec_bit_for_bit(self, index, monkeypatch):
+        """The lists in search's own order, largest query value first (so not
+        by dim), with empty lists (dims 48..55) and columns that lack some
+        of the lists: the runs are copied in storage order, and the blocks
+        come back in the lists' order, each score bit for bit, with every
+        entry on the query's dims counted."""
+        calls = record_kernels(monkeypatch)
+        rng = np.random.default_rng(59)
+        every = np.arange(index.dim)
+        unordered = partial = empty = 0
+        for trial in range(40):
+            dims = np.union1d(rng.choice(40, 8, replace=False), rng.choice(np.arange(40, 56), 3, replace=False))
+            q = SparseVector(dims.astype(np.uint32), rng.uniform(0.1, 1.0, dims.size).astype(np.float32))
+            lists = q.dims[top_mass_order([0, q.dims.size], q.values, (0.5, 0.7, 0.9)[trial % 3])]
+            first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
+            calls.clear()
+            blocks, scores, entries = _summary_scores(index, lists, q)
+            [(_, (_, runs, *_))] = [call for call in calls if call[0] == "csr_row_index"]
+            assert (np.diff(runs) > 0).all()
+            want_blocks, want = block_major_summary_scores(index, first, last, q.to_dense(index.dim))
+            assert np.array_equal(blocks, want_blocks)
+            assert np.array_equal(scores.view(np.uint64), want.view(np.uint64))
+            in_lists = np.isin(index.summary_blocks, blocks)
+            on_query = np.repeat(np.isin(every, q.dims), np.diff(index.summary_ptr))
+            assert entries == np.count_nonzero(in_lists & on_query)
+            # which (query dim, list) pairs hold a run
+            key = q.dims.astype(np.uint64)[:, None] * index.dim + lists.astype(np.uint64)
+            held = np.isin(key, index.summary_key.astype(np.uint64))
+            nonempty = held[:, first < last]
+            unordered += (np.diff(lists.astype(np.int64)) < 0).any()
+            partial += (nonempty.any(axis=1) & ~nonempty.all(axis=1)).any()
+            empty += (first == last).any()
+        assert unordered and partial and empty
+
     def test_search_reports_the_entries_read(self, index):
         rng = np.random.default_rng(23)
         params = SearchParams(k=5, alpha_q=0.7, heap_factor=0.9)
@@ -502,7 +597,8 @@ def sorted_traversal(index, graph, q, params):
     """Reference: the traversal that sorts every block of the sketched lists
     (lists in sketch order, blocks by summary score descending), dedupes with
     np.unique and scores every batch with scipy's row gather and mat-vec.
-    Returns the result, its SearchStats and the number of fill blocks."""
+    Returns the result, its SearchStats, the number of fill blocks and the
+    fill's docs."""
     forward, k = index.forward, params.k
     q_dense = q.to_dense(index.dim)
     q_sketch = alpha_mss(q, params.alpha_q)
@@ -545,12 +641,24 @@ def sorted_traversal(index, graph, q, params):
         stats.fallback_docs = score(np.flatnonzero(~visited))
     if params.use_graph and graph is not None and graph.kappa > 0:
         stats.graph_docs = score(np.unique(graph.neighbors[top[0]]))
-    return ResultList(*top), stats, nfill
+    return ResultList(*top), stats, nfill, fill
 
 
 def assert_same_as_sorted_traversal(index, graph, q, params):
-    got, stats = search(index, graph, q, params, return_stats=True)
-    want, want_stats, nfill = sorted_traversal(index, graph, q, params)
+    """search equals the reference in its result, its SearchStats and its
+    fill batch (the first batch it scores), whose k-th score sets the main
+    batch's threshold."""
+    batches = []
+    evaluate = query.evaluate_block
+
+    def spy(block, *args, **kwargs):
+        batches.append(block.ids)
+        return evaluate(block, *args, **kwargs)
+
+    with mock.patch.object(query, "evaluate_block", spy):
+        got, stats = search(index, graph, q, params, return_stats=True)
+    want, want_stats, nfill, fill = sorted_traversal(index, graph, q, params)
+    assert np.array_equal(batches[0], fill)
     assert np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.scores.view(np.uint32), want.scores.view(np.uint32))
     assert stats == want_stats
@@ -628,6 +736,17 @@ class TestLowCallSearch:
         _, stats, nfill = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=10))
         assert nfill > index.list_ptr[2] - index.list_ptr[0]
         assert stats.forward_evaluations >= 10 and stats.fallback_docs == 0
+
+    def test_fill_takes_the_lists_in_sketch_order(self, index):
+        """List 1 holds 8 docs, too few for k=10, so the fill sorts lists 1
+        and 2.  Dim 30 lifts list 2's best blocks above list 1's, yet the
+        fill takes all of list 1 first."""
+        q = SparseVector(np.array([1, 2, 30]), np.array([0.9, 0.8, 0.7]))
+        _, r, _ = _summary_scores(index, q.dims[:2], q)
+        list1_blocks = int(index.list_ptr[2] - index.list_ptr[1])
+        assert r[:list1_blocks].min() < r[list1_blocks:].max()
+        _, _, nfill = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=10))
+        assert nfill > list1_blocks
 
     def test_k_at_least_collection_size(self, vset, index):
         q = random_vector(np.random.default_rng(43), 50, 6)
@@ -843,7 +962,7 @@ class TestRanges:
             cases.append((starts, starts + rng.integers(0, 6, starts.size)))
         for starts, stops in cases:
             starts, stops = np.asarray(starts, dtype=dtype), np.asarray(stops, dtype=dtype)
-            got = query._ranges(starts, stops)
+            got = sparsemips.vectors._ranges(starts, stops)
             assert got.dtype == np.intp
             assert np.array_equal(got, self.reference(starts, stops))
 

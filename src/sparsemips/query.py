@@ -14,8 +14,7 @@ documents exactly against the forward index in two batches:
 
 - fill: the shortest prefix of that order holding k distinct docs; the
   k-th best of their scores is the threshold t, fixed from here on.  Only
-  the leading lists whose member counts reach k are sorted to find it,
-  usually the first list alone, by one stable argsort;
+  the leading lists whose member counts reach k are sorted to find it;
 - main: every other block, in any sketched list, whose summary score is
   at least t / heap_factor; the union of its unvisited members is scored
   at once.
@@ -281,9 +280,18 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
 
 
-def _summary_scores(index, lists, q):
+def _list_ranges(index, lists):
+    """The first and past-the-last block of each of `lists`, their block
+    counts and the running total of those counts."""
+    first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
+    sizes = last - first
+    return first, last, sizes, sizes.cumsum()
+
+
+def _summary_scores(index, lists, q, last, sizes, ends):
     """The blocks of `lists` (at least one), list by list, their summary
     scores against the query q, and the number of summary entries read.
+    `last`, `sizes` and `ends` are the lists' ranges from _list_ranges.
 
     The blocks of a list are a contiguous run of each dim's column, and the
     index's summary directory finds every (query dim, list) run with one
@@ -300,9 +308,6 @@ def _summary_scores(index, lists, q):
     sum starts from 0.0, which is what a CSR mat-vec over the whole summary
     computes: the products it adds beyond these are +0.0.
     """
-    first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
-    sizes = last - first
-    ends = sizes.cumsum()
     # block b of list i sits at position b - back[i] among the lists' blocks
     back = last - ends
     blocks = back.repeat(sizes)
@@ -362,8 +367,8 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     q_dense = q.to_dense(index.dim)
     # the sketch's dims, high values first, to fill the top k early
     dim_order = q.dims[top_mass_order([0, q.dims.size], q.values, params.alpha_q)]
-    first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    blocks, r, entries = _summary_scores(index, dim_order, q)
+    first, last, list_blocks, list_ends = _list_ranges(index, dim_order)
+    blocks, r, entries = _summary_scores(index, dim_order, q, last, list_blocks, list_ends)
     visited = np.zeros(len(forward), dtype=bool)
 
     # fill: the fewest leading blocks, lists in sketch order and blocks by
@@ -372,17 +377,13 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     # the leading lists whose member counts reach the target are sorted.
     # A target past the lists' member total moves no searchsorted position,
     # so it is capped there, as a Python int: k may exceed every int64.
-    block_ptr, list_blocks = index.block_ptr, last - first
-    list_ends = list_blocks.cumsum()
+    block_ptr = index.block_ptr
     list_members = (block_ptr[last] - block_ptr[first]).cumsum()
     cap = int(list_members[-1]) + 1
     needed, nfill, fill = min(k, cap), 0, blocks[:0]
     while fill.size < k and nfill < blocks.size:
         nlists = min(int(list_members.searchsorted(needed)) + 1, first.size)
-        if nlists == 1:  # the usual case: a stable sort orders one list as the lexsort would
-            head = (-r[:list_ends[0]]).argsort(kind="stable")
-        else:
-            head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
+        head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
         head_blocks = blocks[head]
         members_upto = (block_ptr[head_blocks + 1] - block_ptr[head_blocks]).cumsum()
         nfill = min(int(members_upto.searchsorted(needed)) + 1, head.size)

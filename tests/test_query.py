@@ -30,7 +30,8 @@ from sparsemips import (
     search,
 )
 from sparsemips import query
-from sparsemips.query import SearchStats, _forward_scores, _summary_scores, evaluate_block, expand_with_graph, top_k
+from sparsemips.query import (SearchStats, _forward_scores, _list_ranges, _summary_scores, evaluate_block, expand_with_graph,
+                              top_k)
 from sparsemips.sketching import alpha_mss, top_mass_order
 from sparsemips.synth import random_collection, random_vector
 
@@ -427,6 +428,12 @@ class TestPruning:
             assert evals[0] <= evals[1]
 
 
+def summary_scores(index, lists, q):
+    """_summary_scores over the ranges of `lists`, as search calls it."""
+    _, last, sizes, ends = _list_ranges(index, lists)
+    return _summary_scores(index, lists, q, last, sizes, ends)
+
+
 def block_major_summary_scores(index, first, last, q_dense):
     """Reference: blocks first[i]:last[i] for each i, concatenated, scored as
     one block-major summary CSR, dequantized, times the dense query."""
@@ -471,7 +478,7 @@ class TestSummaryScores:
             # every block at once (each list once), then the query's own lists out of order
             for lists in (every, rng.permutation(q.dims)):
                 first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
-                blocks, scores, entries = _summary_scores(index, lists, q)
+                blocks, scores, entries = summary_scores(index, lists, q)
                 want_blocks, want = block_major_summary_scores(index, first, last, q_dense)
                 assert np.array_equal(blocks, want_blocks)
                 assert scores.dtype == np.float64
@@ -496,7 +503,7 @@ class TestSummaryScores:
             lists = q.dims[top_mass_order([0, q.dims.size], q.values, (0.5, 0.7, 0.9)[trial % 3])]
             first, last = index.list_ptr[lists], index.list_ptr[lists + 1]
             calls.clear()
-            blocks, scores, entries = _summary_scores(index, lists, q)
+            blocks, scores, entries = summary_scores(index, lists, q)
             [(_, (_, runs, *_))] = [call for call in calls if call[0] == "csr_row_index"]
             assert (np.diff(runs) > 0).all()
             want_blocks, want = block_major_summary_scores(index, first, last, q.to_dense(index.dim))
@@ -521,7 +528,7 @@ class TestSummaryScores:
             q = random_vector(rng, index.dim, 12)
             _, stats = search(index, None, q, params, return_stats=True)
             kept = alpha_mss(q, params.alpha_q).dims
-            _, _, entries = _summary_scores(index, kept, q)
+            _, _, entries = summary_scores(index, kept, q)
             assert stats.summary_entries == entries > 0
             assert stats.summary_entries < index.summary_blocks.size
 
@@ -604,7 +611,7 @@ def sorted_traversal(index, graph, q, params):
     q_sketch = alpha_mss(q, params.alpha_q)
     dim_order = q_sketch.dims[np.argsort(-q_sketch.values, kind="stable")]
     first, last = index.list_ptr[dim_order], index.list_ptr[dim_order + 1]
-    blocks, r, entries = _summary_scores(index, dim_order, q)
+    blocks, r, entries = summary_scores(index, dim_order, q)
     order = np.lexsort((-r, np.repeat(np.arange(first.size), last - first)))
     blocks, r = blocks[order], r[order]
     stats = SearchStats(dims_kept=dim_order.size, summary_entries=entries)
@@ -742,7 +749,7 @@ class TestLowCallSearch:
         and 2.  Dim 30 lifts list 2's best blocks above list 1's, yet the
         fill takes all of list 1 first."""
         q = SparseVector(np.array([1, 2, 30]), np.array([0.9, 0.8, 0.7]))
-        _, r, _ = _summary_scores(index, q.dims[:2], q)
+        _, r, _ = summary_scores(index, q.dims[:2], q)
         list1_blocks = int(index.list_ptr[2] - index.list_ptr[1])
         assert r[:list1_blocks].min() < r[list1_blocks:].max()
         _, _, nfill = assert_same_as_sorted_traversal(index, None, q, SearchParams(k=10))

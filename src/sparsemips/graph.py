@@ -14,21 +14,28 @@ import numpy as np
 from .evaluation import ground_truth
 from .query import SearchParams, search
 from .storage import ConsistencyError, HeaderError, read_record, write_record
-from .vectors import VectorSet, as_unsigned, check_fraction, check_int
+from .vectors import VectorSet, _as_readonly, as_unsigned, check_fraction, check_int
 
 
 @dataclass(frozen=True)
 class KnnGraph:
     """kappa and the (N, row_width(N, kappa)) uint32 neighbor table, every
     id < N; ValueError on construction otherwise, SparseVectorError for ids
-    that are not u32 integers."""
+    that are not u32 integers.
+
+    The table is checked once and then held read-only, through
+    vectors._as_readonly: a table that owns its memory is flagged in place,
+    and a view of memory the caller can still write (a slice, a reshape) is
+    copied first.  So expand_with_graph scores the neighbors it reads
+    without checking them again.
+    """
 
     kappa: int
     neighbors: np.ndarray  # score-descending rows
 
     def __post_init__(self):
         kappa = check_kappa(self.kappa)
-        neighbors = as_unsigned(self.neighbors, np.uint32, "neighbor ids")
+        neighbors = _as_readonly(as_unsigned(self.neighbors, np.uint32, "neighbor ids"))
         if neighbors.ndim != 2 or neighbors.shape[1] != row_width(len(neighbors), kappa):
             raise ValueError(f"neighbors of shape {neighbors.shape} are not (N, min(kappa, N-1)) for kappa={kappa}")
         if neighbors.size and int(neighbors.max()) >= len(neighbors):
@@ -125,8 +132,11 @@ def save_graph(graph: KnnGraph, path):
 
 def load_graph(path) -> KnnGraph:
     (n, kappa, byte_width), [packed] = read_record(path, _HEADER, _layout)
-    ids = np.pad(packed.reshape(-1, byte_width), [(0, 0), (0, 4 - byte_width)]).view("<u4")
+    # each id's low byte_width bytes into its little-endian u4, the rest zero:
+    # filled in place, so the graph holds this array and copies none
+    ids = np.zeros((n, row_width(n, kappa)), dtype="<u4")
+    ids.view(np.uint8).reshape(-1, 4)[:, :byte_width] = packed.reshape(-1, byte_width)
     try:
-        return KnnGraph(kappa=kappa, neighbors=ids.reshape(n, row_width(n, kappa)))
+        return KnnGraph(kappa=kappa, neighbors=ids)
     except ValueError as exc:
         raise ConsistencyError(f"graph: {exc}") from None

@@ -39,13 +39,18 @@ batch's rows (see _forward_scores).  All are called directly, to skip the
 ~90 Python calls scipy makes around them.  csr_matvec adds a row's
 products in CSR order from 0.0, so every score equals the oracle's bit for
 bit, for ids in any order; only ascending ids, the order of every batch
-search builds, skip the rows between them, so the seams dedupe and sort
-any batch whose ids do not strictly ascend before scoring it.  The
-routines check no bounds and take index arrays of one signed dtype per
-call, so evaluate_block and expand_with_graph check their ids, visited
-bitmap and k before any scoring, forward calls get the CSR's own index
-dtype, and the index's summary runs and block members come as the index
-holds them, in the one signed dtype it keeps them in (see
+search builds, skip the rows between them, so evaluate_block dedupes and
+sorts any batch whose ids do not strictly ascend before scoring it.
+
+Every batch of candidates is scored by one function, _score, which trusts
+its ids to be distinct, ascending, unvisited and in [0, N): the routines
+check no bounds.  So each input is checked once, where it enters:
+evaluate_block and expand_with_graph check their ids, visited bitmap and k
+before any scoring and filter their batch through the bitmap once, and a
+graph holds the neighbors it checked read-only (vectors._as_readonly).
+The routines take index arrays of one signed dtype per call: forward calls
+get the CSR's own index dtype, and the index's summary runs and block
+members come in the one signed dtype the index keeps them in (see
 index.BlockedIndex).
 """
 from __future__ import annotations
@@ -146,7 +151,7 @@ def _forward_scores(forward, ids, q_dense):
     the oracle's.  Only ascending ids skip the rows between: each then ends
     before it starts and reads nothing, while where ids descend, the row
     between two reads every forward row between them.  Every batch reaches
-    it strictly ascending: search builds them so, and _check_batch dedupes
+    it strictly ascending: search builds them so, and evaluate_block dedupes
     and sorts the others.  No bounds are checked, so every id must lie in
     [0, N).
     """
@@ -162,11 +167,12 @@ def _forward_scores(forward, ids, q_dense):
     return scores[::-2]
 
 
-def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
-    """Score the distinct `ids` not yet visited; return the best k of them and `top`."""
-    ids = ids[~visited[ids]].astype(np.int64, copy=False)
+def _score(ids, forward, q_dense, top, visited, k, stats):
+    """Score `ids`, which are distinct, ascending, unvisited and in [0, N),
+    and mark them visited; return the best k of them and `top`."""
     if ids.size == 0:
         return top
+    ids = ids.astype(np.int64, copy=False)
     visited[ids] = True
     if stats is not None:
         stats.forward_evaluations += ids.size
@@ -176,14 +182,21 @@ def _score_unvisited(ids, forward, q_dense, top, visited, k, stats):
     return top_k(ids, scores, k)
 
 
-def _check_ids(ids, forward, q_dense):
-    """Raise ValueError unless q_dense has one entry per dim and the ids are
-    integers; returns the ids flattened."""
+def _check_seam(ids, forward, q_dense, visited, k):
+    """Raise ValueError unless q_dense has one entry per dim, the ids are
+    integers, `visited` is a bool array of shape (N,) and k is an integer
+    of at least 1: the compiled kernels read q_dense and the ids the
+    bitmap lets through without bounds checks.  Returns the ids flattened
+    and k as an int; the caller checks the ids' range."""
     if q_dense.shape != (forward.dim,):
         raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
     if ids.dtype.kind not in "iu":
         raise ValueError(f"doc ids must be integers, not {ids.dtype}")
-    return ids.ravel()
+    n = len(forward)
+    if not (isinstance(visited, np.ndarray) and visited.dtype == bool and visited.shape == (n,)):
+        shape, dtype = np.shape(visited), getattr(visited, "dtype", type(visited).__name__)
+        raise ValueError(f"visited must be a bool array of shape ({n},), not {dtype} of shape {shape}")
+    return ids.ravel(), check_k(k)
 
 
 def _check_range(ids, low, high, n):
@@ -191,22 +204,6 @@ def _check_range(ids, low, high, n):
     `low`, their smallest, and `high`, their largest, both lie in it."""
     if low < 0 or high >= n:
         raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
-
-
-def _check_batch(ids, forward, q_dense):
-    """Raise ValueError unless q_dense has one entry per dim and the ids are
-    integers in [0, N): the compiled kernels read both without bounds checks.
-
-    Returns the distinct ids, flattened and ascending.  A batch whose ids
-    strictly ascend, as every batch search builds does, is used as it is;
-    any other goes through np.unique, so _forward_scores reads no row but
-    theirs and scores each once.  The ends are then the smallest and
-    largest id, the only ones compared with 0 and N."""
-    ids = _check_ids(ids, forward, q_dense)
-    batch = np.unique(ids) if ids.size > 1 and (ids[1:] <= ids[:-1]).any() else ids
-    if ids.size:
-        _check_range(ids, batch[0], batch[-1], len(forward))
-    return batch
 
 
 def _unvisited(ids, visited):
@@ -219,30 +216,25 @@ def _unvisited(ids, visited):
     return ids[keep]
 
 
-def _check_visited(visited, n):
-    """Raise ValueError unless `visited` is a bool array of shape (n,): the
-    kernels trust the ids it lets through."""
-    if not (isinstance(visited, np.ndarray) and visited.dtype == bool and visited.shape == (n,)):
-        shape, dtype = np.shape(visited), getattr(visited, "dtype", type(visited).__name__)
-        raise ValueError(f"visited must be a bool array of shape ({n},), not {dtype} of shape {shape}")
-
-
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     """Exactly score the unvisited members of a block, or of a batch of blocks.
 
     `block.ids` may come in any order and repeat: ids that do not strictly
     ascend, as search's do, go through np.unique first, so each doc is
     scored and counted once and only its own forward rows are read (see
-    _forward_scores).  `top` is the running best k as an (ids, float64
-    scores) pair, sorted.  Returns the best k of `top` and the new scores,
-    the ids as int64.
+    _forward_scores); the test that they ascend leaves the smallest and
+    largest id at the ends, the only ones compared with 0 and N.  `top` is
+    the running best k as an (ids, float64 scores) pair, sorted.  Returns
+    the best k of `top` and the new scores, the ids as int64.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
     `visited` is not a bool array of shape (N,) or if k is not an integer of
     at least 1.
     """
-    ids = _check_batch(block.ids, forward, q_dense)
-    _check_visited(visited, len(forward))
-    return _score_unvisited(ids, forward, q_dense, top, visited, check_k(k), stats)
+    ids, k = _check_seam(block.ids, forward, q_dense, visited, k)
+    batch = np.unique(ids) if ids.size > 1 and (ids[1:] <= ids[:-1]).any() else ids
+    if ids.size:
+        _check_range(ids, batch[0], batch[-1], len(forward))
+    return _score(batch[~visited[batch]], forward, q_dense, top, visited, k, stats)
 
 
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
@@ -251,33 +243,26 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     Raises ValueError, as evaluate_block does, before scoring any: for an id
     of `top` outside [0, N), which picks the graph rows, for a `visited`
     that is not a bool array of shape (N,), for a k that is not an integer
-    of at least 1, for a graph whose node count is not N, which its ids
-    index, and for a neighbor outside [0, N).  The top ids are compared
-    with 0 and N through their min and max, not sorted.  Once every check
-    has passed and the visited filter leaves no neighbor, `top` comes back
-    as it is, with nothing scored.
+    of at least 1, and for a graph whose node count is not N, which its ids
+    index.  The top ids are compared with 0 and N through their min and
+    max, not sorted.  The neighbors themselves are not checked again: the
+    graph checked them against its node count and holds them read-only
+    (see KnnGraph).  Once every check has passed and the visited filter
+    leaves no neighbor, `top` comes back as it is, with nothing scored.
     """
-    ids = _check_ids(top[0], forward, q_dense)
-    n = len(forward)
+    ids, k = _check_seam(top[0], forward, q_dense, visited, k)
     if ids.size:
-        _check_range(ids, ids.min(), ids.max(), n)
-    _check_visited(visited, n)
-    k = check_k(k)
+        _check_range(ids, ids.min(), ids.max(), len(forward))
     if graph is None or graph.kappa == 0:
         return top
     if len(graph) != visited.size:
         raise ValueError(f"graph has {len(graph)} nodes but visited has {visited.size} entries")
-    rows = graph.neighbors[top[0]]
-    try:
-        neighbors = _unvisited(rows, visited)
-    except IndexError:  # an id past N, written into the table after the graph checked it
-        neighbors = rows
+    neighbors = _unvisited(graph.neighbors[ids], visited)
     if neighbors.size == 0:
         return top
-    neighbors = _check_batch(neighbors, forward, q_dense)
     if stats is not None:
         stats.graph_docs += neighbors.size
-    return _score_unvisited(neighbors, forward, q_dense, top, visited, k, stats)
+    return _score(neighbors, forward, q_dense, top, visited, k, stats)
 
 
 def _list_ranges(index, lists):
@@ -413,7 +398,7 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         # fall back to exact evaluation of everything not yet seen
         rest = np.flatnonzero(~visited)
         stats.fallback_docs = rest.size
-        top = _score_unvisited(rest, forward, q_dense, top, visited, k, stats)
+        top = _score(rest, forward, q_dense, top, visited, k, stats)
 
     if params.use_graph:
         top = expand_with_graph(top, graph, forward, q_dense, k, visited, stats)

@@ -71,13 +71,18 @@ class ThresholdSketch:
     seed: int
 
 
+def _check_d_target(d_target):
+    """ValueError unless d_target, the expected sketch size, is positive; NaN is not."""
+    if not d_target > 0:
+        raise ValueError(f"d_target={d_target} must be positive")
+
+
 def l1_threshold_sample(u: SparseVector, d_target: float, seed: int) -> ThresholdSketch:
     """Keep entry i with probability min(1, d_target * u_i / ||u||_1)."""
     l1 = lp_norm(u, 1)
     if l1 == 0.0:
         raise ZeroVectorError("cannot sketch a zero vector")
-    if d_target <= 0:
-        raise ValueError("d_target must be positive")
+    _check_d_target(d_target)
     thresholds = d_target * u.values.astype(np.float64) / l1
     keep = hash_unit(u.dims, seed) <= np.minimum(1.0, thresholds)
     return ThresholdSketch(
@@ -112,6 +117,7 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     l1u, l1v = lp_norm(u, 1), lp_norm(v, 1)
     if l1u == 0.0 or l1v == 0.0:
         raise ZeroVectorError("cannot sketch a zero vector")
+    _check_d_target(d_target)
     seeds = np.asarray(seeds, dtype=np.uint64)
     common, iu, iv = np.intersect1d(u.dims, v.dims, assume_unique=True, return_indices=True)
     if common.size == 0:

@@ -22,9 +22,38 @@ class SparseVectorError(ValueError):
 
 
 def _as_readonly(a):
+    """`a` as an array flagged read-only whose memory nothing else can write,
+    so a check made on it holds for as long as it lives.
+
+    An array that owns its memory is flagged in place, not copied.  One
+    that views memory it does not own is copied first when that memory can
+    still be written: through the view itself, through an array under it,
+    or through the buffer at the bottom (a bytearray, a writable mmap).  A
+    slice of a caller's array is copied; a read-only view of read-only
+    memory, such as an array read from a file's bytes, is not.  numpy
+    cannot see the views of an owning array made before the call, so those
+    stay writable.
+    """
     a = np.asarray(a)
+    if not a.flags.owndata and _writable_below(a):
+        a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _writable_below(a):
+    """Whether the memory that the view `a` reads can be written through it,
+    an array under it, or the object at the bottom of its bases."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        if a.flags.owndata:
+            return False
+        a = a.base
+    try:
+        return not memoryview(a).readonly
+    except TypeError:  # no base, or no buffer to ask
+        return True
 
 
 @dataclass(frozen=True)
@@ -207,7 +236,8 @@ class VectorSet:
     Positions are the implicit 0-based ids.  The rows are held once, as one
     read-only scipy CSR (scipy64()) whose arrays are indptr, indices and
     values: indptr and indices in index_dtype(max(dim, N, nnz)), int32
-    below 2**31 (uint32 indices given are viewed, not copied), and values
+    below 2**31 (uint32 indices given are viewed, not copied, unless they
+    view memory the caller can still write: see _as_readonly), and values
     in float64, each rounded through float32 first: 12 bytes per entry
     below 2**31, read as they are by search, exact_topk, ground_truth and
     the build.
@@ -223,9 +253,11 @@ class VectorSet:
             raise SparseVectorError("indptr/indices/values are inconsistent")
         check_csr(indptr, indices, self.dim, what, values)
         dtype = index_dtype(max(self.dim, indptr.size - 1, indices.size))
-        self._csr = sp.csr_matrix((values.astype(np.float64), _as_signed(indices, dtype), _as_signed(indptr, dtype)),
-                                  shape=(indptr.size - 1, self.dim), copy=False)
-        # scipy may rewrap the arrays as views, so these are its own
+        data, indices, indptr = (_as_readonly(a) for a in (values.astype(np.float64), _as_signed(indices, dtype),
+                                                           _as_signed(indptr, dtype)))
+        self._csr = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.dim), copy=False)
+        # scipy rewraps some arrays as views, so these are its own: views of
+        # memory already read-only, which _as_readonly does not copy
         self.indptr, self.indices, self.values = (
             _as_readonly(a) for a in (self._csr.indptr, self._csr.indices, self._csr.data))
 

@@ -147,6 +147,27 @@ class TestSizeFormula:
         assert graph_size_bits(1025, 1) == 11 * 1025
 
 
+class TestReadOnlyTable:
+    """A graph checks its table once and holds it read-only, so expansion
+    scores its neighbors without checking them again."""
+
+    def test_built_and_loaded_tables_are_read_only(self, small_set, tmp_path):
+        built = build_exact_graph(small_set, 4)
+        save_graph(built, tmp_path / "g.bin")
+        for g in (built, load_graph(tmp_path / "g.bin")):
+            assert not g.neighbors.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.neighbors[0, 0] = len(small_set)
+
+    @pytest.mark.parametrize("view", [lambda table: table[:3], lambda table: table.ravel()[:3].reshape(3, 1)],
+                             ids=["slice", "reshape"])
+    def test_table_from_a_view_does_not_change_when_the_array_is_written(self, view):
+        table = np.array([[1], [2], [0], [1]], dtype=np.uint32)
+        g = KnnGraph(kappa=1, neighbors=view(table))
+        table[0, 0] = 3
+        assert g.neighbors.ravel().tolist() == [1, 2, 0]
+
+
 class TestGraphSerialization:
     @pytest.mark.parametrize("kappa", [-1, 2**32])
     def test_kappa_outside_the_file_field_rejected_on_construction(self, kappa):

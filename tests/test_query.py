@@ -148,17 +148,18 @@ class TestEvaluateBlock:
 
     @pytest.mark.parametrize("kappa, m", [(1, 1), (3, 4)])
     def test_graph_neighbor_outside_the_collection_rejected(self, small_set, kappa, m):
-        """A neighbor id of N or more, written into the table after the graph
-        checked it, fails with ValueError, not IndexError, and never reaches
-        the kernel: the check reads the (m, kappa) rows of the top m flat."""
+        """A neighbor id of N or more cannot be written into the table after
+        the graph checked it: the table is read-only, so the write fails with
+        ValueError, and expansion reads the (m, kappa) rows of the top m as
+        the graph checked them."""
         n = len(small_set)
         graph = KnnGraph(kappa=kappa, neighbors=np.ones((n, kappa), dtype=np.uint32))
-        graph.neighbors[0, 0] = n
+        with pytest.raises(ValueError, match="read-only"):
+            graph.neighbors[0, 0] = n
         top = (np.arange(m)[::-1], np.ones(m))
         visited, stats = np.zeros(n, dtype=bool), SearchStats()
-        with pytest.raises(ValueError, match=f"doc id {n} is out of range for {n} docs"):
-            expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, visited, stats)
-        assert not visited.any() and stats == SearchStats()
+        expand_with_graph(top, graph, small_set, np.ones(small_set.dim), 5, visited, stats)
+        assert np.array_equal(np.flatnonzero(visited), [1]) and stats.graph_docs == 1
 
     @pytest.mark.parametrize("nodes", [29, 31])
     def test_graph_of_another_size_rejected(self, nodes):
@@ -975,9 +976,9 @@ class TestRanges:
 
 
 class TestSearchAfterReload:
-    """The loaded copy of an index and graph holds views of the file's
-    buffers (the index's u32 arrays as int32); search on it must equal
-    search on the built one."""
+    """The loaded copy of an index holds views of the file's buffers (its
+    u32 arrays as int32), and the loaded graph a read-only table; search on
+    them must equal search on the built ones."""
 
     @staticmethod
     def build_and_reload(medium_set, quantize, tmp_path, reload=lambda: None):
@@ -988,7 +989,7 @@ class TestSearchAfterReload:
         save_graph(built_graph, tmp_path / "graph.bin")
         reload()
         loaded, loaded_graph = load_index(tmp_path / "index.bin"), load_graph(tmp_path / "graph.bin")
-        assert loaded_graph.neighbors.base is not None and loaded_graph.neighbors.dtype == np.uint32
+        assert not loaded_graph.neighbors.flags.writeable and loaded_graph.neighbors.dtype == np.uint32
         return built, built_graph, loaded, loaded_graph
 
     @staticmethod

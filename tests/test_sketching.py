@@ -15,6 +15,7 @@ from sparsemips import (
     ts_estimate,
     ts_estimate_trials,
 )
+from sparsemips import sketching
 from sparsemips.sketching import hash_unit, largest_first, top_mass, top_mass_order
 from sparsemips.synth import bernoulli_collection, random_vector
 from conftest import TIED_VALUES, dense_to_vectorset, tied_sets
@@ -82,6 +83,20 @@ class TestThresholdSampling:
         u = SparseVector(np.array([1]), np.array([0.5]))
         with pytest.raises(ValueError):
             l1_threshold_sample(u, 0.0, seed=0)
+
+    @pytest.mark.parametrize("d_target", [0.0, -1.0, np.nan, -np.inf])
+    @pytest.mark.parametrize("sketch", [
+        lambda u, d: l1_threshold_sample(u, d, seed=3),
+        lambda u, d: ts_estimate_trials(u, u, d, np.arange(4)),
+    ], ids=["l1_threshold_sample", "ts_estimate_trials"])
+    def test_target_that_is_not_positive_rejected_before_hashing(self, sketch, d_target, monkeypatch):
+        """Both sketches take d_target through one check, before any
+        hashing: unchecked, a NaN would give an empty sketch with tau=nan or
+        NaN estimates, -1 estimates of 0, and 0 a divide-by-zero warning."""
+        monkeypatch.setattr(sketching, "hash_unit", lambda *args: pytest.fail("hashed"))
+        u = SparseVector(np.array([1, 4]), np.array([0.5, 0.25]))
+        with pytest.raises(ValueError, match=f"^d_target={d_target} must be positive$"):
+            sketch(u, d_target)
 
 
 class TestEstimator:

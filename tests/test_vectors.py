@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -247,6 +252,69 @@ class TestOneCopy:
         csr = small_set.scipy64()
         for a in (small_set.indptr, small_set.indices, small_set.values, csr.indptr, csr.indices, csr.data):
             assert not a.flags.writeable
+
+
+class TestCheckedOnceThenReadOnly:
+    """vectors._as_readonly holds no memory that the caller can still write:
+    an input that owns its memory is flagged read-only in place, and a view
+    of writable memory is copied first, so a check made on construction
+    holds for the object's life."""
+
+    def test_vector_set_from_slices_does_not_change_when_they_are_written(self):
+        indptr, indices = np.array([0, 2, 4, 7], dtype=np.uint64), np.array([1, 3, 2, 4, 0], dtype=np.uint32)
+        vs = VectorSet(5, indptr[:3], indices[:4], np.array([0.5, 0.25, 1.0, 1.0], dtype=np.float32))
+        want = [v.pairs() for v in vs]
+        indptr[1], indices[1] = 9, 4_000_000
+        assert [v.pairs() for v in vs] == want
+        assert not np.shares_memory(vs.indptr, indptr) and not np.shares_memory(vs.indices, indices)
+
+    def test_sparse_vector_from_slices_does_not_change_when_they_are_written(self):
+        dims, values = np.array([1, 3, 7], dtype=np.uint32), np.array([0.5, 0.25, 1.0], dtype=np.float32)
+        v = SparseVector(dims[:2], values[:2])
+        dims[1], values[1] = 0, -1.0
+        assert v.pairs() == [(1, 0.5), (3, 0.25)]
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        base = np.array([0, 1, 1], dtype=np.uint32)
+        view = base[:2]
+        view.setflags(write=False)
+        vs = VectorSet(2, [0, 2], view, [1.0, 2.0])
+        base[0] = 1
+        assert vs.indices.tolist() == [0, 1]
+
+    def test_view_of_a_bytearray_is_copied_and_one_of_bytes_is_not(self):
+        raw = np.array([0, 1], dtype=np.uint32).tobytes()
+        for buf, copied in ((bytearray(raw), True), (raw, False)):
+            indices = np.frombuffer(buf, dtype=np.uint32)
+            vs = VectorSet(2, [0, 2], indices, [1.0, 2.0])
+            assert np.shares_memory(vs.indices, indices) is not copied
+            assert not vs.indices.flags.writeable
+
+    def test_owning_input_is_flagged_in_place_not_copied(self):
+        dims = np.array([2, 5], dtype=np.uint32)
+        v = SparseVector(dims, [1.0, 2.0])
+        assert v.dims is dims and not dims.flags.writeable
+
+    def test_writing_a_sliced_array_after_the_check_cannot_crash_exact_topk(self):
+        """Unchecked indices reach the compiled kernel, which reads whatever
+        they point at: run in a subprocess, so a crash fails this test
+        instead of ending the run."""
+        code = """if True:
+            import numpy as np
+            from sparsemips import SparseVector, VectorSet, exact_topk
+            base = np.array([1, 3, 2, 4], dtype=np.uint32)
+            vs = VectorSet(5, np.array([0, 2, 4], dtype=np.uint64), base[:4],
+                           np.array([0.5, 0.25, 1.0, 1.0], dtype=np.float32))
+            q = SparseVector([1, 3], [1.0, 1.0])
+            before = exact_topk(vs, q, 2).pairs()
+            base[1] = 4_000_000
+            print(before, exact_topk(vs, q, 2).pairs())
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[(0,", "0.75),", "(1,", "0.0)]"] * 2
 
 
 _VALUE = st.one_of(

@@ -10,7 +10,7 @@ from scipy.sparse import _sparsetools
 from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
-from .vectors import SparseVector, VectorSet, _gathered, check_fraction, check_int
+from .vectors import SparseVector, VectorSet, _gather_rows, _gathered, check_fraction, check_int
 
 # a piece of ground_truth is a run of consecutive queries whose dims' columns
 # hold about this many entries in all, or one query with more
@@ -37,24 +37,6 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     return ResultList(*top_k(np.arange(len(vset), dtype=np.uint32), scores, k))
 
 
-def _gather_rows(csr, rows):
-    """Rows `rows` of a scipy CSR as the arrays (ptr, indices, data) of a
-    new CSR, by the compiled routine behind scipy's row indexing.
-
-    It checks no bounds, so every row must lie in range.  `rows` is cast to
-    the CSR's index dtype, which the new ptr and indices share: sparsetools
-    would otherwise upcast the whole CSR on every call.
-    """
-    ptr = csr.indptr
-    rows = rows.astype(ptr.dtype, copy=False)
-    sub_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
-    (ptr[rows + 1] - ptr[rows]).cumsum(out=sub_ptr[1:])
-    sub_indices = np.empty(sub_ptr[-1], dtype=ptr.dtype)
-    sub_data = np.empty(sub_ptr[-1])
-    _sparsetools.csr_row_index(rows.size, rows, ptr, csr.indices, csr.data, sub_indices, sub_data)
-    return sub_ptr, sub_indices, sub_data
-
-
 def _column_scores(cols, ptr, dims, values):
     """Each query's float64 scores against every doc, in query order: the
     queries are the CSR (ptr, dims, float64 values), and `cols` is the
@@ -66,7 +48,7 @@ def _column_scores(cols, ptr, dims, values):
     other terms are all +0.0, and every score equals the oracle's bit for
     bit.  The dims must lie below the collection's dim.
     """
-    sub_ptr, docs, data = _gather_rows(cols, dims)
+    sub_ptr, docs, data, _ = _gather_rows(cols.indptr, cols.indices, cols.data, dims)
     for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
         scores = np.zeros(cols.shape[0])
         _sparsetools.csc_matvec(scores.size, e - s, sub_ptr[s:e + 1], docs, data, values[s:e], scores)

@@ -40,8 +40,8 @@ from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import (SparseVectorError, VectorSet, _as_signed, _gathered, _ranges, check_csr, check_fraction,
-                      index_dtype)
+from .vectors import (SparseVectorError, VectorSet, _as_readonly, _as_signed, _gather_rows, _gathered, check_csr,
+                      check_fraction, index_dtype)
 
 INDEX_MAGIC = b"SPMIDX03"
 # a piece of the build is a run of consecutive lists whose member rows hold
@@ -129,10 +129,9 @@ def cluster_list(rows, beta, seed):
     mat = rows.astype(np.float64, copy=False)
     # the centroids as the columns of a dense right operand, which gives the
     # same sums, in the same order, as a sparse one
-    starts, stops = mat.indptr[centroid_pos], mat.indptr[centroid_pos + 1]
-    entries = _ranges(starts, stops)
+    _, dims, values, counts = _gather_rows(mat.indptr, mat.indices, mat.data, centroid_pos)
     centroids = np.zeros((mat.shape[1], c))
-    centroids[mat.indices[entries], np.arange(c).repeat(stops - starts)] = mat.data[entries]
+    centroids[dims, np.arange(c).repeat(counts)] = values
     step = max(1, SCORE_ENTRIES // c)
     blocks = [mat] if n <= step else [mat[s:s + step] for s in range(0, n, step)]
     assign = np.concatenate([np.argmax(block @ centroids, axis=1) for block in blocks])  # lowest index on ties
@@ -206,7 +205,11 @@ class BlockedIndex:
     compiled kernels read, so construction holds them in index_dtype of the
     largest count, whatever dtype they arrive in: int32 below 2**31, where
     the file's u32 arrays become views and its i64 block_ptr one copy, and
-    int64 above."""
+    int64 above.  The kernels check no bounds, so construction holds all ten
+    arrays read-only through vectors._as_readonly: an array that owns its
+    memory is flagged in place, and one that views memory something else
+    can still write is copied (build_index flags the summaries' scipy
+    buffers itself, so only its growable block_ptr, m and delta are)."""
 
     params: BuildParams
     forward: VectorSet
@@ -223,10 +226,14 @@ class BlockedIndex:
 
     def __post_init__(self):
         dtype = index_dtype(max(self.summary_blocks.size, self.num_blocks, len(self), self.member_ids.size))
+        # flagged before the signed view, so an owned array is viewed, not copied
         self.block_ptr, self.member_ids, self.summary_blocks = (
-            _as_signed(a, dtype) for a in (self.block_ptr, self.member_ids, self.summary_blocks))
-        self.summary_key, self.summary_runs = summary_directory(
-            self.dim, self.list_ptr, self.summary_ptr, self.summary_blocks)
+            _as_readonly(_as_signed(_as_readonly(a), dtype)) for a in (self.block_ptr, self.member_ids,
+                                                                       self.summary_blocks))
+        for name in ("list_ptr", "summary_ptr", "summary_values", "m", "delta"):
+            setattr(self, name, _as_readonly(getattr(self, name)))
+        self.summary_key, self.summary_runs = (_as_readonly(a) for a in summary_directory(
+            self.dim, self.list_ptr, self.summary_ptr, self.summary_blocks))
 
     def __len__(self):
         return len(self.forward)
@@ -301,6 +308,10 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     # scipy's transpose is a counting sort, so each dim's blocks stay ascending
     by_dim = by_block.tocsc()
     del by_block, summary_values
+    for a in (by_dim.indices, by_dim.data):  # views of scipy's own buffers: flag the whole chain read-only
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
     summary = (by_dim.indptr.astype(np.int64), by_dim.indices, by_dim.data)
     return BlockedIndex(params, vset, list_ptr, np.asarray(block_ptr), member_ids, *summary,
                         np.asarray(m), np.asarray(delta))

@@ -28,9 +28,11 @@ graph expansion optionally scores the unvisited neighbors of the top k in
 one more batch, and returns at once when none is left.
 
 The summary runs are copied and summed by two compiled sparsetools
-routines, csr_row_index and csc_matvec.  Each batch of candidates is copied
-from the block members by csr_row_index too, deduplicated by a sort and a
-neighbour diff and filtered through the visited bitmap, so only the
+routines: vectors._gather_rows, the package's one csr_row_index call, and
+csc_matvec.  Each batch of candidates is copied from the block members by
+_gather_rows too (the fill in one copy of every block it sorted, whose row
+pointers count the members that pick its prefix), deduplicated by a sort
+and a neighbour diff and filtered through the visited bitmap, so only the
 bitmap's allocation and the fallback touch memory of size N.  The batch is
 scored in place, with no row copied, over the float64 CSR that exact_topk
 scores: one call of csr_matvec, the routine behind scipy's mat-vec, reads
@@ -47,7 +49,8 @@ its ids to be distinct, ascending, unvisited and in [0, N): the routines
 check no bounds.  So each input is checked once, where it enters:
 evaluate_block and expand_with_graph check their ids, visited bitmap and k
 before any scoring and filter their batch through the bitmap once, and a
-graph holds the neighbors it checked read-only (vectors._as_readonly).
+graph holds the neighbors it checked read-only (vectors._as_readonly), as
+an index holds all its arrays (see index.BlockedIndex).
 The routines take index arrays of one signed dtype per call: forward calls
 get the CSR's own index dtype, and the index's summary runs and block
 members come in the one signed dtype the index keeps them in (see
@@ -62,8 +65,8 @@ from scipy.sparse import _sparsetools
 
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
-from .sketching import ZeroVectorError, alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector, as_unsigned, check_fraction, check_int
+from .sketching import alpha_mss, top_mass_order  # noqa: F401
+from .vectors import SparseVector, _gather_rows, as_unsigned, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -282,8 +285,9 @@ def _summary_scores(index, lists, q, last, sizes, ends):
     index's summary directory finds every (query dim, list) run with one
     binary search over its keys d * dim + l; a needle not in the keys has no
     run.  The lists are sorted first, so the needles ascend: the search
-    sweeps the keys in order and csr_row_index copies the runs found in
-    storage order, with the directory's run offsets as row pointers.  One
+    sweeps the keys in order and _gather_rows copies the runs found in
+    storage order, with the directory's run offsets as row pointers, and
+    counts each run's entries for the shift below.  One
     nonzero of the found mask gives each found pair's flat position, whose
     quotient and remainder by the list count pick its query weight and the
     shift that moves its blocks to their position among the lists' blocks,
@@ -309,13 +313,7 @@ def _summary_scores(index, lists, q, last, sizes, ends):
     pairs = pos[found]  # the runs in storage order
     dim_at, list_at = np.divmod(found, lists.size)
     ptr = index.summary_runs
-    counts = ptr[pairs + 1] - ptr[pairs]
-    sub_ptr = np.zeros(pairs.size + 1, dtype=ptr.dtype)
-    counts.cumsum(out=sub_ptr[1:])
-    sub_blocks = np.empty(sub_ptr[-1], dtype=ptr.dtype)
-    sub_values = np.empty(sub_ptr[-1], dtype=index.summary_values.dtype)
-    _sparsetools.csr_row_index(pairs.size, pairs.astype(ptr.dtype), ptr, index.summary_blocks,
-                               index.summary_values, sub_blocks, sub_values)
+    sub_ptr, sub_blocks, sub_values, counts = _gather_rows(ptr, index.summary_blocks, index.summary_values, pairs)
     if index.params.quantize:
         owner = sub_blocks.astype(np.intp)  # the block of each entry read
         values = dequantize(sub_values, index.m[owner], index.delta[owner])
@@ -328,23 +326,8 @@ def _summary_scores(index, lists, q, last, sizes, ends):
     return blocks, scores, sub_blocks.size
 
 
-def _members(index, blocks, visited, size=None):
-    """Distinct member ids of `blocks` not yet visited, ascending: one
-    csr_row_index over the block pointers copies the blocks' members, with
-    the member ids as both the column indices and the data it copies.
-    `size`, when the caller has it, is the blocks' member count."""
-    ptr, members = index.block_ptr, index.member_ids
-    if size is None:
-        size = int((ptr[blocks + 1] - ptr[blocks]).sum())
-    ids, copy = np.empty(size, dtype=ptr.dtype), np.empty(size, dtype=ptr.dtype)
-    _sparsetools.csr_row_index(blocks.size, blocks.astype(ptr.dtype), ptr, members, members, ids, copy)
-    return _unvisited(ids, visited)
-
-
 def search(index, graph, q: SparseVector, params: SearchParams, return_stats=False):
     """Approximate top-k by inner product; exact when no pruning layer is on."""
-    if q.dims.size == 0:
-        raise ZeroVectorError("query must be nonzero")
     check_query_dims(q.dims, index.dim)
     if params.use_graph and graph is not None and len(graph) != len(index):
         raise ValueError(f"graph has {len(graph)} nodes but the index holds {len(index)} vectors")
@@ -369,11 +352,11 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
     while fill.size < k and nfill < blocks.size:
         nlists = min(int(list_members.searchsorted(needed)) + 1, first.size)
         head = np.lexsort((-r[:list_ends[nlists - 1]], np.arange(nlists).repeat(list_blocks[:nlists])))
-        head_blocks = blocks[head]
-        members_upto = (block_ptr[head_blocks + 1] - block_ptr[head_blocks]).cumsum()
-        nfill = min(int(members_upto.searchsorted(needed)) + 1, head.size)
-        taken = int(members_upto[nfill - 1])  # the fill blocks' member count
-        fill = _members(index, head_blocks[:nfill], visited, taken)
+        # the head blocks' members, in head order: members_upto[i] counts those of its first i blocks
+        members_upto, members, _, _ = _gather_rows(block_ptr, index.member_ids, index.member_ids, blocks[head])
+        nfill = min(int(members_upto[1:].searchsorted(needed)) + 1, head.size)
+        taken = int(members_upto[nfill])  # the fill blocks' member count
+        fill = _unvisited(members[:taken], visited)
         # each further block adds at most its size in new docs
         needed = min(taken + k - fill.size, cap)
 
@@ -389,7 +372,8 @@ def search(index, graph, q: SparseVector, params: SearchParams, return_stats=Fal
         keep[head[:nfill]] = False
         main = blocks[keep]
     if main.size:
-        top = evaluate_block(Block(_members(index, main, visited)), forward, q_dense, top, visited, k, stats)
+        members = _gather_rows(block_ptr, index.member_ids, index.member_ids, main)[1]
+        top = evaluate_block(Block(_unvisited(members, visited)), forward, q_dense, top, visited, k, stats)
     stats.blocks_visited = nfill + main.size
     stats.blocks_skipped = blocks.size - stats.blocks_visited
 

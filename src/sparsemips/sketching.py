@@ -25,6 +25,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_SCALE = float(2**64)
+# the top-mass cut aims this fraction of the l1 mass short of alpha, so that
+# float32 rounding of the values cannot make it keep one entry too many
+_MASS_SLACK = 1e-6
 
 
 class ZeroVectorError(ValueError):
@@ -182,10 +185,10 @@ def top_mass_order(indptr, values, alpha):
     if len(indptr) == 2:  # one segment (a query): its kept entries are a prefix
         _check_sketch(indptr[1] > indptr[0], alpha)
         order = _flipped(values).argsort(kind="stable")
-        if alpha == 1:  # the tolerance below would drop entries under 1e-6 of the mass
+        if alpha == 1:  # the slack would drop entries under _MASS_SLACK of the mass
             return order
         csum = values[order].cumsum(dtype=np.float64)  # the cut below, on a 1-D cumsum
-        return order[:1 + int(csum[:-1].searchsorted((alpha - 1e-6) * csum[-1]))]
+        return order[:1 + int(csum[:-1].searchsorted((alpha - _MASS_SLACK) * csum[-1]))]
     sizes = _segment_sizes(indptr, alpha)
     order = largest_first(indptr, values)
     if alpha == 1:
@@ -208,7 +211,7 @@ def top_mass_order(indptr, values, alpha):
         csum = np.zeros((segments.size, width + 1))
         csum[:, 1:][filled] = ranked[entries]
         csum.cumsum(axis=1, out=csum)
-        below = csum[:, :-1] < (alpha - 1e-6) * csum[:, -1:]
+        below = csum[:, :-1] < (alpha - _MASS_SLACK) * csum[:, -1:]
         below[:, 0] = True
         kept[entries] = below[filled]
     return order[kept]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class SparseVectorError(ValueError):
@@ -139,6 +140,27 @@ def _ranges(starts, stops):
     entries = (stops - lengths.cumsum()).repeat(lengths)
     entries += np.arange(entries.size)
     return entries
+
+
+def _gather_rows(ptr, indices, data, rows):
+    """Rows `rows` of the CSR (ptr, indices, data), in that order, as a new
+    CSR (sub_ptr, sub_indices, sub_data) plus each row's entry count, by
+    csr_row_index, the compiled routine behind scipy's row indexing.
+
+    It checks no bounds, so every row must lie in range.  The counts are
+    gathered through `rows` as given (intp is the fast gather); `rows` is
+    cast to ptr's dtype, which sub_ptr and sub_indices share, only for the
+    kernel, which would otherwise upcast the whole CSR.
+    """
+    counts = ptr[rows + 1] - ptr[rows]
+    sub_ptr = np.empty(rows.size + 1, dtype=ptr.dtype)
+    sub_ptr[0] = 0
+    np.add.accumulate(counts, out=sub_ptr[1:])  # cumsum would add in the platform int and cast
+    size = int(sub_ptr[-1])
+    sub_indices, sub_data = np.empty(size, dtype=ptr.dtype), np.empty(size, dtype=data.dtype)
+    _sparsetools.csr_row_index(rows.size, rows.astype(ptr.dtype, copy=False), ptr, indices, data,
+                               sub_indices, sub_data)
+    return sub_ptr, sub_indices, sub_data, counts
 
 
 def _gathered(ptr, indices, lengths):

@@ -1,9 +1,14 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparsemips.index
+import sparsemips.vectors
 from sparsemips import (
     BuildParams,
     SearchParams,
@@ -373,6 +378,78 @@ class TestIndexSerialization:
         path.write_bytes(b"NOTANIDX" + b"\x00" * 64)
         with pytest.raises(HeaderError):
             load_index(path)
+
+
+# every array a BlockedIndex holds: the file's eight and the derived directory
+INDEX_ARRAYS = ("list_ptr", "block_ptr", "member_ids", "summary_ptr", "summary_blocks", "summary_values", "m",
+                "delta", "summary_key", "summary_runs")
+
+
+def copied_bytes(monkeypatch):
+    """Spy on vectors._writable_below: the size of every view that
+    _as_readonly copies, in the list returned."""
+    copied, original = [], sparsemips.vectors._writable_below
+
+    def spy(a):
+        writable = original(a)
+        if writable:
+            copied.append(a.nbytes)
+        return writable
+
+    monkeypatch.setattr(sparsemips.vectors, "_writable_below", spy)
+    return copied
+
+
+class TestReadOnlyIndex:
+    """search's compiled kernels check no bounds, so an index, built or
+    loaded, holds all its arrays read-only; of the built arrays only the
+    growable buffers behind block_ptr, m and delta are copied to get there."""
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_built_and_loaded_arrays_are_read_only(self, medium_set, tmp_path, quantize, monkeypatch):
+        copied = copied_bytes(monkeypatch)
+        built = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=7))
+        assert 0 < sum(copied) <= (built.num_blocks + 1) * 8 + built.m.nbytes + built.delta.nbytes
+        save_index(built, tmp_path / "index.bin")
+        copied.clear()
+        loaded = load_index(tmp_path / "index.bin")
+        assert copied == []
+        for index in (built, loaded):
+            for name in INDEX_ARRAYS:
+                assert not getattr(index, name).flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                index.member_ids[0] = len(index)
+
+    def test_owned_arrays_are_flagged_not_copied(self, small_set):
+        built = build_index(small_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, seed=7))
+        member_ids = np.array(built.member_ids, dtype=np.uint32)
+        index = sparsemips.index.BlockedIndex(built.params, built.forward, built.list_ptr, built.block_ptr,
+                                              member_ids, built.summary_ptr, built.summary_blocks,
+                                              built.summary_values, built.m, built.delta)
+        assert np.shares_memory(index.member_ids, member_ids) and not member_ids.flags.writeable
+        assert np.shares_memory(index.summary_blocks, built.summary_blocks)
+
+    def test_writing_a_built_index_cannot_crash_search(self):
+        """An entry written out of range would reach csc_matvec unchecked:
+        run in a subprocess, so a crash fails this test instead of ending
+        the run."""
+        code = """if True:
+            from sparsemips import BuildParams, SearchParams, build_index, search
+            from sparsemips.synth import zipfian_clustered_collection
+            docs = zipfian_clustered_collection(300, 50, 8, n_clusters=5, seed=[1, 0])[0]
+            index = build_index(docs, BuildParams(alpha=1.0, beta=0.1, gamma=1.0, quantize=False))
+            before = search(index, None, docs.vector(0), SearchParams(k=5)).pairs()
+            try:
+                index.summary_blocks[:] = 2_000_000_000
+            except ValueError as exc:
+                print(exc)
+            print(search(index, None, docs.vector(0), SearchParams(k=5)).pairs() == before)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["assignment destination is read-only", "True"]
 
 
 def directory_reference(index):

@@ -897,7 +897,8 @@ def test_csr_matvec_reads_nothing_in_a_row_that_ends_before_it_starts():
 
 
 def record_kernels(monkeypatch):
-    """Replace query's sparsetools by a shim that records each call as
+    """Replace the sparsetools of query and of vectors, whose _gather_rows
+    makes search's row copies, by one shim that records each call as
     (name, args) and runs it; returns the list of calls."""
     calls = []
     kernels = query._sparsetools
@@ -909,7 +910,9 @@ def record_kernels(monkeypatch):
                 return getattr(kernels, name)(*args)
             return kernel
 
-    monkeypatch.setattr(query, "_sparsetools", Recording())
+    recording = Recording()
+    monkeypatch.setattr(query, "_sparsetools", recording)
+    monkeypatch.setattr(sparsemips.vectors, "_sparsetools", recording)
     return calls
 
 

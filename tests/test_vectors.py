@@ -35,7 +35,7 @@ from sparsemips import (
     set_alpha_mss,
 )
 from sparsemips.graph import check_kappa
-from sparsemips.vectors import SparseVectorError, _gathered, check_int
+from sparsemips.vectors import SparseVectorError, _gather_rows, _gathered, check_int
 from sparsemips.synth import random_collection, random_vector
 
 
@@ -449,3 +449,36 @@ def test_gathered_sums_each_rows_lengths(rows, lengths, dtype):
     got = _gathered(ptr, indices, np.array(lengths, dtype=dtype))
     assert got.dtype == dtype
     assert got.tolist() == [sum(lengths[j] for j in row) for row in rows]
+
+
+@st.composite
+def _csr_and_rows(draw):
+    """A CSR of 1..6 rows, some empty, with int32 or int64 pointers and u8,
+    f32, f64 or int64 data, and rows to gather from it: none, or any number
+    in any order, repeats included, as intp or int32."""
+    n = draw(st.integers(1, 6))
+    rows = [sorted(draw(st.sets(st.integers(0, 9), max_size=5))) for _ in range(n)]
+    ptr_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    data_dtype = draw(st.sampled_from([np.uint8, np.float32, np.float64, np.int64]))
+    ptr = np.cumsum([0] + [len(row) for row in rows]).astype(ptr_dtype)
+    indices = np.array([j for row in rows for j in row], dtype=ptr_dtype)
+    data = np.arange(1, indices.size + 1).astype(data_dtype)
+    picked = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    return ptr, indices, data, np.array(picked, dtype=draw(st.sampled_from([np.intp, np.int32])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_and_rows())
+@example((np.array([0, 2, 2, 3], np.int32), np.array([1, 4, 0], np.int32), np.array([1, 2, 3], np.uint8),
+          np.array([], np.intp)))  # no rows
+@example((np.array([0, 2, 2, 3], np.int64), np.array([1, 4, 0], np.int64), np.array([1., 2., 3.]),
+          np.array([2, 1, 0, 2, 2], np.intp)))  # unsorted, repeated and empty rows
+def test_gather_rows_equals_scipys_row_indexing(case):
+    ptr, indices, data, rows = case
+    sub_ptr, sub_indices, sub_data, counts = _gather_rows(ptr, indices, data, rows)
+    want = sp.csr_matrix((data, indices, ptr), shape=(ptr.size - 1, 10))[rows]
+    assert sub_ptr.dtype == sub_indices.dtype == counts.dtype == ptr.dtype and sub_data.dtype == data.dtype
+    assert sub_ptr.tolist() == want.indptr.tolist()
+    assert sub_indices.tolist() == want.indices.tolist()
+    assert sub_data.tolist() == want.data.tolist()
+    assert np.array_equal(counts, np.diff(sub_ptr))

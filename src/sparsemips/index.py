@@ -208,8 +208,11 @@ class BlockedIndex:
     int64 above.  The kernels check no bounds, so construction holds all ten
     arrays read-only through vectors._as_readonly: an array that owns its
     memory is flagged in place, and one that views memory something else
-    can still write is copied (build_index flags the summaries' scipy
-    buffers itself, so only its growable block_ptr, m and delta are)."""
+    can still write is copied.  vectors._as_signed casts or views the
+    kernel arrays and flags them in the same call, so each is copied at
+    most once: build_index flags the summaries' scipy buffers itself, its
+    growable int64 block_ptr is cast to int32 once, and only its growable
+    m and delta are copied to be flagged."""
 
     params: BuildParams
     forward: VectorSet
@@ -226,10 +229,8 @@ class BlockedIndex:
 
     def __post_init__(self):
         dtype = index_dtype(max(self.summary_blocks.size, self.num_blocks, len(self), self.member_ids.size))
-        # flagged before the signed view, so an owned array is viewed, not copied
         self.block_ptr, self.member_ids, self.summary_blocks = (
-            _as_readonly(_as_signed(_as_readonly(a), dtype)) for a in (self.block_ptr, self.member_ids,
-                                                                       self.summary_blocks))
+            _as_signed(a, dtype) for a in (self.block_ptr, self.member_ids, self.summary_blocks))
         for name in ("list_ptr", "summary_ptr", "summary_values", "m", "delta"):
             setattr(self, name, _as_readonly(getattr(self, name)))
         self.summary_key, self.summary_runs = (_as_readonly(a) for a in summary_directory(

@@ -33,20 +33,19 @@ csc_matvec.  Each batch of candidates is copied from the block members by
 _gather_rows too (the fill in one copy of every block it sorted, whose row
 pointers count the members that pick its prefix), deduplicated by a sort
 and a neighbour diff and filtered through the visited bitmap, so only the
-bitmap's allocation and the fallback touch memory of size N.  The batch is
-scored in place, with no row copied, over the float64 CSR that exact_topk
-scores: one call of csr_matvec, the routine behind scipy's mat-vec, reads
-the CSR's own entries through row pointers made of the bounds of the
-batch's rows (see _forward_scores).  All are called directly, to skip the
-~90 Python calls scipy makes around them.  csr_matvec adds a row's
-products in CSR order from 0.0, so every score equals the oracle's bit for
-bit, for ids in any order; only ascending ids, the order of every batch
-search builds, skip the rows between them, so evaluate_block dedupes and
-sorts any batch whose ids do not strictly ascend before scoring it.
+bitmap's allocation and the fallback touch memory of size N.  The batch's
+rows are then copied from the float64 CSR that exact_topk scores by one
+more _gather_rows and scored by csr_matvec, the routine behind scipy's
+mat-vec (see _forward_scores).  All are called directly, to skip the ~90
+Python calls scipy makes around them.  csr_matvec adds a row's products in
+CSR order from 0.0, so every score equals the oracle's bit for bit, for
+ids in any order.  The copy holds 12 bytes per entry below 2**31 entries
+(int32 index, float64 value); the fallback's, of every unvisited row, is
+at most the size of the forward CSR, and is freed once it is scored.
 
 Every batch of candidates is scored by one function, _score, which trusts
-its ids to be distinct, ascending, unvisited and in [0, N): the routines
-check no bounds.  So each input is checked once, where it enters:
+its ids to be distinct, unvisited and in [0, N): the routines check no
+bounds.  So each input is checked once, where it enters:
 evaluate_block and expand_with_graph check their ids, visited bitmap and k
 before any scoring and filter their batch through the bitmap once, and a
 graph holds the neighbors it checked read-only (vectors._as_readonly), as
@@ -145,34 +144,23 @@ def _forward_scores(forward, ids, q_dense):
     """Exact float64 scores of rows `ids` of the forward index against
     q_dense, in the order of `ids`, which may be any order.
 
-    One csr_matvec, the compiled routine behind scipy's mat-vec, reads the
-    forward index's own CSR (scipy64(), the matrix exact_topk scores), with
-    no row copied.  Its row pointers are the ids' row bounds, last id first,
-    [ptr[r], ptr[r+1]] for each row r: 2m - 1 rows, the m ids' rows and,
-    between each pair, one whose score is dropped.  csr_matvec sums each
-    row's products in CSR order from 0.0, so every score is bit-identical to
-    the oracle's.  Only ascending ids skip the rows between: each then ends
-    before it starts and reads nothing, while where ids descend, the row
-    between two reads every forward row between them.  Every batch reaches
-    it strictly ascending: search builds them so, and evaluate_block dedupes
-    and sorts the others.  No bounds are checked, so every id must lie in
-    [0, N).
+    The rows are copied from the forward index's own CSR (scipy64(), the
+    matrix exact_topk scores) by vectors._gather_rows, as the summary runs
+    and the member batches are, and one csr_matvec, the compiled routine
+    behind scipy's mat-vec, scores the copy.  It sums each row's products
+    in CSR order from 0.0, so every score is bit-identical to the oracle's.
+    No bounds are checked, so every id must lie in [0, N).
     """
     csr = forward.scipy64()
-    rows = np.empty(2 * ids.size, dtype=np.intp)
-    rows[::2] = ids[::-1]
-    np.add(rows[::2], 1, out=rows[1::2])
-    bounds = csr.indptr[rows]
-    if bounds.size > 2**31:  # past int32 rows: sparsetools takes the row count in the pointers' dtype
-        bounds = bounds.astype(np.int64)
-    scores = np.zeros(bounds.size - 1 if ids.size else 0)
-    _sparsetools.csr_matvec(scores.size, q_dense.size, bounds, csr.indices, csr.data, q_dense, scores)
-    return scores[::-2]
+    sub_ptr, sub_indices, sub_data, _ = _gather_rows(csr.indptr, csr.indices, csr.data, ids)
+    scores = np.zeros(ids.size)
+    _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
+    return scores
 
 
 def _score(ids, forward, q_dense, top, visited, k, stats):
-    """Score `ids`, which are distinct, ascending, unvisited and in [0, N),
-    and mark them visited; return the best k of them and `top`."""
+    """Score `ids`, which are distinct, unvisited and in [0, N), and mark
+    them visited; return the best k of them and `top`."""
     if ids.size == 0:
         return top
     ids = ids.astype(np.int64, copy=False)
@@ -224,10 +212,9 @@ def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
 
     `block.ids` may come in any order and repeat: ids that do not strictly
     ascend, as search's do, go through np.unique first, so each doc is
-    scored and counted once and only its own forward rows are read (see
-    _forward_scores); the test that they ascend leaves the smallest and
-    largest id at the ends, the only ones compared with 0 and N.  `top` is
-    the running best k as an (ids, float64 scores) pair, sorted.  Returns
+    scored and counted once; the test that they ascend leaves the smallest
+    and largest id at the ends, the only ones compared with 0 and N.  `top`
+    is the running best k as an (ids, float64 scores) pair, sorted.  Returns
     the best k of `top` and the new scores, the ids as int64.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
     `visited` is not a bool array of shape (N,) or if k is not an integer of

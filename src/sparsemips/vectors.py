@@ -245,11 +245,12 @@ def index_dtype(count):
 
 
 def _as_signed(a, dtype):
-    """`a`, whose values fit `dtype`, in that dtype: a view when the widths
-    match and `a` is in native byte order, a copy otherwise."""
+    """`a`, whose values fit `dtype`, in that dtype and read-only: a view of
+    `a` held through _as_readonly when the widths match and `a` is in
+    native byte order, one cast copy, flagged, otherwise."""
     if a.dtype.itemsize == dtype.itemsize and a.dtype.isnative:
-        return a.view(dtype)
-    return a.astype(dtype)
+        return _as_readonly(a).view(dtype)
+    return _as_readonly(a.astype(dtype))
 
 
 class VectorSet:
@@ -275,8 +276,8 @@ class VectorSet:
             raise SparseVectorError("indptr/indices/values are inconsistent")
         check_csr(indptr, indices, self.dim, what, values)
         dtype = index_dtype(max(self.dim, indptr.size - 1, indices.size))
-        data, indices, indptr = (_as_readonly(a) for a in (values.astype(np.float64), _as_signed(indices, dtype),
-                                                           _as_signed(indptr, dtype)))
+        data = _as_readonly(values.astype(np.float64))
+        indices, indptr = _as_signed(indices, dtype), _as_signed(indptr, dtype)
         self._csr = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.dim), copy=False)
         # scipy rewraps some arrays as views, so these are its own: views of
         # memory already read-only, which _as_readonly does not copy

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import _sparsetools
 
 import sparsemips.index
 import sparsemips.vectors
@@ -821,8 +820,7 @@ class TestForwardScores:
     @given(n=st.integers(1, 30), data=st.data(), order=st.sampled_from(["ascending", "descending", "shuffled"]),
            dtype=st.sampled_from([np.int32, np.int64, np.uint32, np.uint64]))
     def test_ids_in_any_order_equal_the_scipy_mat_vec_bit_for_bit(self, n, data, order, dtype):
-        """Only ascending ids skip the rows between them; the others read
-        forward rows there, which must not reach their own scores."""
+        """Each score is its own row's, whatever the ids' order and dtype."""
         seed = data.draw(st.integers(0, 2**32 - 1))
         rows = list(random_collection(n, 20, 6, seed=seed))
         for j in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):  # rows with no entries
@@ -849,51 +847,43 @@ class TestForwardScores:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint32])
     def test_every_index_array_has_the_csr_index_dtype(self, forward, dtype, monkeypatch):
-        """One csr_matvec over the forward CSR's own indices and data, no row
-        copied, with row pointers in the CSR's index dtype whatever the ids'
+        """One csr_row_index copies the rows from the forward CSR's own
+        arrays, then one csr_matvec scores that copy, with every index array
+        of both calls in the CSR's signed index dtype whatever the ids'
         dtype: sparsetools upcasts the whole forward index on every call when
         one index array is wider than the CSR's."""
         calls = record_kernels(monkeypatch)
         ids, q_dense = self.batch(129, dtype)
         got = _forward_scores(forward, ids, q_dense)
         csr = forward.scipy64()
-        [(name, (n_rows, n_cols, ptr, indices, data, x, scores))] = calls
-        assert name == "csr_matvec"
-        assert indices is csr.indices and data is csr.data  # no copies
-        assert ptr.dtype == csr.indptr.dtype == csr.indices.dtype
-        assert x is q_dense and got.base is scores
-        assert n_rows == 2 * ids.size - 1 and n_cols == forward.dim
-        assert (ptr[2::2] <= ptr[1:-1:2]).all()  # the ids ascend, so each row between reads nothing
+        [(gather, (n_ids, rows, ptr, indices, data, sub_indices, sub_data)),
+         (matvec, (n_rows, n_cols, sub_ptr, copied_indices, copied_data, x, scores))] = calls
+        assert (gather, matvec) == ("csr_row_index", "csr_matvec")
+        assert ptr is csr.indptr and indices is csr.indices and data is csr.data  # the CSR's own arrays
+        assert copied_indices is sub_indices and copied_data is sub_data
+        assert {a.dtype for a in (rows, ptr, indices, sub_indices, sub_ptr)} == {np.dtype(np.int32)}
+        assert n_ids == n_rows == ids.size and n_cols == forward.dim
+        assert x is q_dense and got is scores
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_a_batch_in_any_order_reads_only_its_own_rows(self, forward, order, monkeypatch):
-        """evaluate_block sorts ids that do not ascend, so in any order the
-        one csr_matvec's rows between two ids end before they start: the
-        call reads the batch's own entries and no others."""
+        """evaluate_block dedupes ids that do not strictly ascend, so in any
+        order, repeats included, the one row copy holds exactly the entries
+        of the batch's distinct rows, and csr_matvec scores each row once."""
         ids, q_dense = self.batch(129, np.intp)
-        ids = {"ascending": ids, "descending": ids[::-1],
+        ids = np.concatenate((ids, ids[::7]))  # some ids twice
+        ids = {"ascending": np.sort(ids), "descending": np.sort(ids)[::-1],
                "shuffled": np.random.default_rng(3).permutation(ids)}[order]
         calls = record_kernels(monkeypatch)
         got = evaluate_block(Block(ids), forward, q_dense, empty_top(), np.zeros(self.N, bool), k=self.N)
-        [(name, (n_rows, _, ptr, *_))] = calls
-        assert name == "csr_matvec" and n_rows == 2 * ids.size - 1
-        assert (ptr[2::2] <= ptr[1:-1:2]).all()
-        csr = forward.scipy64()
-        assert (ptr[1::2] - ptr[::2]).sum() == (csr.indptr[ids + 1] - csr.indptr[ids]).sum()
-        want = top_k(ids, csr[ids] @ q_dense, self.N)
+        [(gather, (_, rows, _, _, _, sub_indices, sub_data)), (matvec, (n_rows, *_))] = calls
+        assert (gather, matvec) == ("csr_row_index", "csr_matvec")
+        distinct = np.unique(ids)
+        want_rows = forward.scipy64()[distinct]
+        assert np.array_equal(rows, distinct) and n_rows == distinct.size
+        assert np.array_equal(sub_indices, want_rows.indices) and np.array_equal(sub_data, want_rows.data)
+        want = top_k(distinct, want_rows @ q_dense, self.N)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
-
-
-def test_csr_matvec_reads_nothing_in_a_row_that_ends_before_it_starts():
-    """_forward_scores rests on this contract of scipy's compiled kernel:
-    such a row reads no entry (each entry it could reach is NaN here) and
-    scores 0.0, as an empty row does."""
-    indices = np.arange(4, dtype=np.int32)
-    data = np.array([np.nan, 2.0, np.nan, 4.0])
-    ptr = np.array([3, 4, 3, 1, 2, 0], dtype=np.int32)  # rows [3, 4), [4, 3), [3, 1), [1, 2), [2, 0)
-    scores = np.zeros(5)
-    _sparsetools.csr_matvec(5, 4, ptr, indices, data, np.ones(4), scores)
-    assert scores.tolist() == [4.0, 0.0, 0.0, 2.0, 0.0]
 
 
 def record_kernels(monkeypatch):
@@ -922,24 +912,27 @@ def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quan
     """Each sparsetools call search makes gets index arrays of one signed
     dtype, or sparsetools copies the index's arrays to a common one; and the
     index's own arrays (summary runs and entries, block members, the forward
-    CSR's indices and data) arrive as they are, with no copy.  No forward
-    row is gathered: every forward csr_matvec reads the CSR itself."""
+    CSR's pointers, indices and data) arrive as they are, with no copy.
+    Every forward csr_matvec scores the rows that the csr_row_index just
+    before it copied from the forward CSR."""
     if wide:
         force_int64_indices(monkeypatch)
     index = build_index(medium_set, BuildParams(alpha=0.6, beta=0.2, gamma=0.8, quantize=quantize, seed=9))
     graph = build_exact_graph(medium_set, 4)
     csr = index.forward.scipy64()
     assert kernel_dtypes(index) == {np.dtype(np.int64 if wide else np.int32)}
+    assert csr.indices.dtype == np.int32
     sources = {
         id(index.summary_runs): (index.summary_blocks, index.summary_values),
         id(index.block_ptr): (index.member_ids, index.member_ids),
+        id(csr.indptr): (csr.indices, csr.data),
     }
     calls = record_kernels(monkeypatch)
     rng = np.random.default_rng(58)
     for trial in range(12):
         q = random_vector(rng, medium_set.dim, 10)
         search(index, graph, q, SearchParams(k=10, alpha_q=0.8, heap_factor=0.9, use_graph=trial % 2 == 0))
-    gathered, forward_calls = set(), 0
+    gathered, forward_calls, previous = set(), 0, None
     for name, args in calls:
         if name == "csr_row_index":
             _, rows, ptr, indices, data, sub_indices, _ = args
@@ -950,11 +943,14 @@ def test_every_kernel_call_of_search_has_one_signed_index_dtype(medium_set, quan
         else:
             assert name in ("csr_matvec", "csc_matvec"), name
             index_arrays = args[2:4]
-            if name == "csr_matvec":  # forward scoring
-                assert args[3] is csr.indices and args[4] is csr.data
+            if name == "csr_matvec":  # forward scoring, of the copy just made
+                copy = previous[1]
+                assert previous[0] == "csr_row_index" and copy[2] is csr.indptr
+                assert args[0] == copy[0] and args[3] is copy[5] and args[4] is copy[6]
                 forward_calls += 1
         dtypes = {a.dtype for a in index_arrays}
         assert len(dtypes) == 1 and dtypes.pop().kind == "i", name
+        previous = name, args
     assert gathered == set(sources) and forward_calls >= 12
     assert {name for name, _ in calls} == {"csr_row_index", "csr_matvec", "csc_matvec"}
 
@@ -1050,6 +1046,29 @@ def test_evaluate_block_sees_every_doc_but_the_fallback_and_graph_ones(medium_se
         seen.clear()
         _, stats = search(index, graph, q, params, return_stats=True)
         assert sum(seen) == stats.forward_evaluations - stats.fallback_docs - stats.graph_docs
+        fallback += stats.fallback_docs
+        graph_docs += stats.graph_docs
+    assert fallback > 0 and graph_docs > 0
+
+
+def test_no_forward_row_is_read_twice_in_a_query(medium_set, monkeypatch):
+    """The forward rows the kernels copy in one query, over all four
+    batches (fill, main, fallback and graph), are the docs SearchStats
+    counts as scored, each read once."""
+    index = build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7, seed=8))
+    graph = build_exact_graph(medium_set, 5)
+    forward_ptr = index.forward.scipy64().indptr
+    calls = record_kernels(monkeypatch)
+    rng = np.random.default_rng(59)
+    fallback = graph_docs = 0
+    for trial in range(30):
+        q = random_vector(rng, medium_set.dim, 10)
+        params = SearchParams(k=(10, len(medium_set))[trial % 5 == 0], alpha_q=0.7, heap_factor=0.9,
+                              use_graph=trial % 2 == 0)
+        calls.clear()
+        _, stats = search(index, graph, q, params, return_stats=True)
+        rows = np.concatenate([args[1] for name, args in calls if name == "csr_row_index" and args[2] is forward_ptr])
+        assert rows.size == np.unique(rows).size == stats.forward_evaluations
         fallback += stats.fallback_docs
         graph_docs += stats.graph_docs
     assert fallback > 0 and graph_docs > 0

@@ -63,11 +63,10 @@ def row_width(n, kappa):
 
 
 def graph_size_bits(n, kappa):
-    """Bits needed at minimal fixed id width: (floor(log2(N-1))+1) * N * kappa."""
+    """Bits of the table at minimal fixed id width: (floor(log2(N-1))+1) bits
+    for each of the row_width(N, kappa) = min(kappa, N-1) ids of N rows."""
     n, kappa = check_int("n", n, 2), check_kappa(kappa)
-    if kappa == 0:
-        return 0
-    return (n - 1).bit_length() * n * kappa  # bit_length == floor(log2)+1
+    return (n - 1).bit_length() * n * row_width(n, kappa)  # bit_length == floor(log2)+1
 
 
 def _neighbor_graph(n, kappa, best):

@@ -103,8 +103,8 @@ def dequantize(values, m, delta):
 
 
 class Block(NamedTuple):
-    """One unit of evaluation: the sorted member ids of a block, or the
-    distinct members of a batch of blocks."""
+    """One unit of evaluation: the member ids of a block, or of a batch of
+    blocks, in any order; evaluate_block sorts and dedupes them."""
 
     ids: np.ndarray
 

@@ -46,10 +46,13 @@ at most the size of the forward CSR, and is freed once it is scored.
 Every batch of candidates is scored by one function, _score, which trusts
 its ids to be distinct, unvisited and in [0, N): the routines check no
 bounds.  So each input is checked once, where it enters:
-evaluate_block and expand_with_graph check their ids, visited bitmap and k
-before any scoring and filter their batch through the bitmap once, and a
-graph holds the neighbors it checked read-only (vectors._as_readonly), as
-an index holds all its arrays (see index.BlockedIndex).
+evaluate_block and expand_with_graph take the same three steps, for ids
+in any order: _check_seam checks the query, the ids' dtype, the visited
+bitmap, k and the ids' range before any scoring; _unvisited sorts the
+batch, dedupes it and filters it through the bitmap; and _score scores
+what is left.  A graph holds the neighbors it checked read-only
+(vectors._as_readonly), as an index holds all its arrays (see
+index.BlockedIndex).
 The routines take index arrays of one signed dtype per call: forward calls
 get the CSR's own index dtype, and the index's summary runs and block
 members come in the one signed dtype the index keeps them in (see
@@ -175,10 +178,12 @@ def _score(ids, forward, q_dense, top, visited, k, stats):
 
 def _check_seam(ids, forward, q_dense, visited, k):
     """Raise ValueError unless q_dense has one entry per dim, the ids are
-    integers, `visited` is a bool array of shape (N,) and k is an integer
-    of at least 1: the compiled kernels read q_dense and the ids the
-    bitmap lets through without bounds checks.  Returns the ids flattened
-    and k as an int; the caller checks the ids' range."""
+    integers, `visited` is a bool array of shape (N,), k is an integer of
+    at least 1 and every id lies in [0, N), checked in that order: the
+    compiled kernels read q_dense and the ids without bounds checks.  The
+    ids are compared with 0 and N through their min and max, and the
+    message names the first bad one in batch order.  Returns the ids
+    flattened and k as an int."""
     if q_dense.shape != (forward.dim,):
         raise ValueError(f"dense query of shape {q_dense.shape} does not match dim {forward.dim}")
     if ids.dtype.kind not in "iu":
@@ -187,14 +192,10 @@ def _check_seam(ids, forward, q_dense, visited, k):
     if not (isinstance(visited, np.ndarray) and visited.dtype == bool and visited.shape == (n,)):
         shape, dtype = np.shape(visited), getattr(visited, "dtype", type(visited).__name__)
         raise ValueError(f"visited must be a bool array of shape ({n},), not {dtype} of shape {shape}")
-    return ids.ravel(), check_k(k)
-
-
-def _check_range(ids, low, high, n):
-    """Raise ValueError, naming the first id of `ids` outside [0, n), unless
-    `low`, their smallest, and `high`, their largest, both lie in it."""
-    if low < 0 or high >= n:
+    ids, k = ids.ravel(), check_k(k)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"doc id {ids[(ids < 0) | (ids >= n)][0]} is out of range for {n} docs")
+    return ids, k
 
 
 def _unvisited(ids, visited):
@@ -210,10 +211,8 @@ def _unvisited(ids, visited):
 def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     """Exactly score the unvisited members of a block, or of a batch of blocks.
 
-    `block.ids` may come in any order and repeat: ids that do not strictly
-    ascend, as search's do, go through np.unique first, so each doc is
-    scored and counted once; the test that they ascend leaves the smallest
-    and largest id at the ends, the only ones compared with 0 and N.  `top`
+    `block.ids` may come in any order and shape and repeat: _unvisited
+    sorts and dedupes them, so each doc is scored and counted once.  `top`
     is the running best k as an (ids, float64 scores) pair, sorted.  Returns
     the best k of `top` and the new scores, the ids as int64.
     Raises ValueError, before scoring any, if an id lies outside [0, N), if
@@ -221,10 +220,7 @@ def evaluate_block(block, forward, q_dense, top, visited, k, stats=None):
     at least 1.
     """
     ids, k = _check_seam(block.ids, forward, q_dense, visited, k)
-    batch = np.unique(ids) if ids.size > 1 and (ids[1:] <= ids[:-1]).any() else ids
-    if ids.size:
-        _check_range(ids, batch[0], batch[-1], len(forward))
-    return _score(batch[~visited[batch]], forward, q_dense, top, visited, k, stats)
+    return _score(_unvisited(ids, visited), forward, q_dense, top, visited, k, stats)
 
 
 def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
@@ -234,22 +230,19 @@ def expand_with_graph(top, graph, forward, q_dense, k, visited, stats=None):
     of `top` outside [0, N), which picks the graph rows, for a `visited`
     that is not a bool array of shape (N,), for a k that is not an integer
     of at least 1, and for a graph whose node count is not N, which its ids
-    index.  The top ids are compared with 0 and N through their min and
-    max, not sorted.  The neighbors themselves are not checked again: the
-    graph checked them against its node count and holds them read-only
-    (see KnnGraph).  Once every check has passed and the visited filter
-    leaves no neighbor, `top` comes back as it is, with nothing scored.
+    index.  The neighbors themselves are not checked again: the graph
+    checked them against its node count and holds them read-only (see
+    KnnGraph).  They then go the way of evaluate_block's ids, through
+    _unvisited and _score, so once every check has passed and the visited
+    filter leaves no neighbor, `top` comes back as it is, with nothing
+    scored.
     """
     ids, k = _check_seam(top[0], forward, q_dense, visited, k)
-    if ids.size:
-        _check_range(ids, ids.min(), ids.max(), len(forward))
     if graph is None or graph.kappa == 0:
         return top
     if len(graph) != visited.size:
         raise ValueError(f"graph has {len(graph)} nodes but visited has {visited.size} entries")
     neighbors = _unvisited(graph.neighbors[ids], visited)
-    if neighbors.size == 0:
-        return top
     if stats is not None:
         stats.graph_docs += neighbors.size
     return _score(neighbors, forward, q_dense, top, visited, k, stats)

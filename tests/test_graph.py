@@ -139,6 +139,9 @@ class TestSizeFormula:
         assert graph_size_bits(2, 0) == 0
         # 2^23 < 8.8e6 - 1 < 2^24, so ids need 24 bits each
         assert graph_size_bits(8_800_000, 10) == 24 * 8_800_000 * 10
+        # kappa >= N: each row holds N-1 ids, as KnnGraph and the graph file do
+        assert graph_size_bits(3, 10) == 2 * 3 * 2
+        assert graph_size_bits(2, 2**32 - 1) == 1 * 2 * 1
         with pytest.raises(ValueError):
             graph_size_bits(1, 3)
 

@@ -110,26 +110,38 @@ class TestEvaluateBlock:
     @pytest.mark.parametrize("size", [2, 201])  # a small batch, and one of every doc
     @pytest.mark.parametrize("bad, dtype", [(-1, np.intp), ("N", np.intp), ("N", np.uint32)])
     def test_id_outside_the_collection_rejected_before_scoring(self, small_set, size, bad, dtype):
+        """The bad id first, and midway through an unsorted batch with a
+        worse one after it: the message names the first in batch order."""
         n = len(small_set)
         bad = n if bad == "N" else bad
-        ids = np.concatenate(([bad], np.arange(min(size, n) - 1))).astype(dtype)
+        rest = np.arange(min(size, n) - 1)
+        shuffled, half = np.random.default_rng(size).permutation(rest), (rest.size + 1) // 2
+        worse = bad - 1 if bad < 0 else bad + 1
         q_dense = random_vector(np.random.default_rng(23), small_set.dim, 10).to_dense(small_set.dim)
-        visited = np.zeros(n, dtype=bool)
-        stats = SearchStats()
-        with pytest.raises(ValueError, match=f"doc id {bad} is out of range for {n} docs"):
-            evaluate_block(Block(ids), small_set, q_dense, empty_top(), visited, k=5, stats=stats)
-        assert not visited.any() and stats == SearchStats()
+        for ids in (np.concatenate(([bad], rest)), np.concatenate((shuffled[:half], [bad], shuffled[half:], [worse]))):
+            visited = np.zeros(n, dtype=bool)
+            stats = SearchStats()
+            with pytest.raises(ValueError, match=f"doc id {bad} is out of range for {n} docs"):
+                evaluate_block(Block(ids.astype(dtype)), small_set, q_dense, empty_top(), visited, k=5, stats=stats)
+            assert not visited.any() and stats == SearchStats()
 
-    @pytest.mark.parametrize("ids", [[3, 3, 7], [9, 3, 7, 3, 0, 9, 9]], ids=["repeated", "unsorted"])
-    def test_repeated_ids_are_scored_once(self, small_set, ids):
-        """A batch with repeats, ascending or not, scores each distinct doc
-        once, and forward_evaluations counts the distinct docs."""
+    @pytest.mark.parametrize("ids, seen", [
+        ([3, 3, 7], []),
+        ([9, 3, 7, 3, 0, 9, 9], []),
+        ([9, 12, 3, 7, 3, 0, 12, 9, 9], [3, 12]),
+        (np.array([[9, 3], [3, 0], [7, 9]], dtype=np.uint64), [9]),
+    ], ids=["repeated", "unsorted", "unsorted-partly-visited", "uint64-2-d"])
+    def test_repeated_ids_are_scored_once(self, small_set, ids, seen):
+        """A batch with repeats, ascending or not, of any shape and integer
+        dtype, scores each distinct doc not yet visited (`seen` were) once,
+        and forward_evaluations counts those docs."""
         q_dense = random_vector(np.random.default_rng(60), small_set.dim, 10).to_dense(small_set.dim)
         visited, stats = np.zeros(len(small_set), dtype=bool), SearchStats()
+        visited[seen] = True
         got = evaluate_block(Block(np.array(ids)), small_set, q_dense, empty_top(), visited, k=10, stats=stats)
-        distinct = np.unique(ids)
+        distinct = np.setdiff1d(np.array(ids, dtype=np.intp), seen)
         assert stats.forward_evaluations == distinct.size
-        assert np.array_equal(np.flatnonzero(visited), distinct)
+        assert np.array_equal(np.flatnonzero(visited), np.union1d(distinct, seen))
         want = top_k(distinct, small_set.scipy64()[distinct] @ q_dense, 10)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
@@ -867,8 +879,8 @@ class TestForwardScores:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_a_batch_in_any_order_reads_only_its_own_rows(self, forward, order, monkeypatch):
-        """evaluate_block dedupes ids that do not strictly ascend, so in any
-        order, repeats included, the one row copy holds exactly the entries
+        """evaluate_block sorts and dedupes its ids, so in any order,
+        repeats included, the one row copy holds exactly the entries
         of the batch's distinct rows, and csr_matvec scores each row once."""
         ids, q_dense = self.batch(129, np.intp)
         ids = np.concatenate((ids, ids[::7]))  # some ids twice

@@ -10,10 +10,10 @@ from scipy.sparse import _sparsetools
 from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
-from .vectors import SparseVector, VectorSet, _gather_rows, _gathered, check_fraction, check_int
+from .vectors import SparseVector, VectorSet, check_fraction, check_int
 
-# a piece of ground_truth is a run of consecutive queries whose dims' columns
-# hold about this many entries in all, or one query with more
+# a piece of ground_truth is a run of consecutive queries whose scores against
+# every doc hold at most this many float64 entries (1 MB), or one query
 PIECE_ENTRIES = 2**17
 
 
@@ -37,57 +37,95 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
     return ResultList(*top_k(np.arange(len(vset), dtype=np.uint32), scores, k))
 
 
-def _column_scores(cols, ptr, dims, values):
-    """Each query's float64 scores against every doc, in query order: the
-    queries are the CSR (ptr, dims, float64 values), and `cols` is the
-    collection's CSC, read as the CSR of its transpose.
+def _reversed_columns(vset: VectorSet):
+    """The collection's float64 CSC with its columns stored last first, as
+    (ends, docs, values): the entries of column d are ends[d+1]:ends[d],
+    docs ascending.  ends views the CSC's pointers backwards."""
+    csr = vset.scipy64()
+    n, dim = csr.shape
+    ptr = np.empty(dim + 1, dtype=csr.indptr.dtype)
+    docs, values = np.empty(csr.nnz, dtype=csr.indptr.dtype), np.empty(csr.nnz)
+    _sparsetools.csr_tocsc(n, dim, csr.indptr, (dim - 1) - csr.indices, csr.data, ptr, docs, values)
+    return ptr[::-1], docs, values
 
-    The columns on all the queries' dims are gathered at once; each query
-    scatters its own into zeros one dim at a time, dims ascending, so each
-    doc's products are added in the order of exact_topk's mat-vec, whose
-    other terms are all +0.0, and every score equals the oracle's bit for
-    bit.  The dims must lie below the collection's dim.
+
+def _score_rows(cols, ptr, dims, values, out):
+    """Each query's float64 scores against every doc, into the rows of the
+    zeroed (queries, N) block `out`: the queries are the CSR (ptr, dims,
+    float64 values), and `cols` is _reversed_columns of the collection.
+
+    One csc_matvec per query reads the columns in place.  Its pointers
+    interleave each dim's start and end, so it walks the query's dims
+    ascending; each column between two of them is empty, since a later dim
+    ends before an earlier one starts.  So each doc's products are added in
+    the order of exact_topk's mat-vec, whose other terms are all +0.0, and
+    every score equals the oracle's bit for bit.  The dims must lie below
+    the collection's dim.
     """
-    sub_ptr, docs, data, _ = _gather_rows(cols.indptr, cols.indices, cols.data, dims)
-    for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
-        scores = np.zeros(cols.shape[0])
-        _sparsetools.csc_matvec(scores.size, e - s, sub_ptr[s:e + 1], docs, data, values[s:e], scores)
-        yield scores
+    ends, docs, data = cols
+    bounds = np.empty(2 * dims.size, dtype=ends.dtype)
+    bounds[0::2], bounds[1::2] = ends[dims + 1], ends[dims]
+    weights = np.zeros(2 * dims.size)
+    weights[0::2] = values
+    for row, s, e in zip(out, ptr[:-1].tolist(), ptr[1:].tolist()):
+        if e > s:  # an empty query scores 0 with every doc
+            _sparsetools.csc_matvec(row.size, 2 * (e - s) - 1, bounds[2 * s:2 * e], docs, data,
+                                    weights[2 * s:2 * e], row)
+
+
+def top_k_rows(scores, k):
+    """top_k of each row of the (rows, N) block `scores`, the ids being
+    column positions: (ids, scores), each (rows, k), 0 < k <= N.
+
+    One partition finds every row's k-th best score, and one lexsort by
+    (row, score descending) orders the entries at or above it, ties
+    included, so each row's run starts with its best k.  flatnonzero lists
+    the entries in id order, and lexsort is stable, so ties stay in it.
+    """
+    rows, n = scores.shape
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    at = np.flatnonzero(scores >= kth[:, None])
+    row, ids = np.divmod(at, n)
+    best = scores.ravel()[at]
+    order = np.lexsort((-best, row))
+    # row r's run starts after the entries of the rows before it
+    starts = np.concatenate(([0], np.bincount(row, minlength=rows).cumsum()[:-1]))
+    order = order[(starts[:, None] + np.arange(k)).ravel()]
+    return ids[order].reshape(rows, k), best[order].reshape(rows, k)
 
 
 def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
     """exact_topk of every query, bit for bit, as (ids, scores): uint32 and
     float32 (nq, k) arrays, scored one query term at a time.
 
-    Each call builds the collection's float64 CSC, which is dropped on
-    return.  Pieces of consecutive queries, whose dims' columns hold about
-    PIECE_ENTRIES entries in all (or one query with more), run on the thread
-    pool: each is scored by _column_scores and picked row by row with top_k.
+    Each call builds the collection's float64 CSC with its columns last
+    first (_reversed_columns), which is dropped on return; the queries read
+    its columns in place, and no column is copied.  Pieces of
+    max(1, PIECE_ENTRIES // N) consecutive queries run on the thread pool:
+    each is scored into one block of at most PIECE_ENTRIES float64 scores,
+    or one N-length row, by _score_rows, and picked by top_k_rows.
     """
     k = check_k(k)
     if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
-    cols, qmat = vset.scipy64().tocsc(), queries.scipy64()
-    q_ptr, q_dims = qmat.indptr, qmat.indices
-    all_ids = np.arange(len(vset))
+    cols, qmat = _reversed_columns(vset), queries.scipy64()
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
+    step = max(1, PIECE_ENTRIES // len(vset))
 
-    def best(piece):
-        a, b = piece
-        s, e = q_ptr[a], q_ptr[b]
-        rows = _column_scores(cols, q_ptr[a:b + 1] - s, q_dims[s:e], qmat.data[s:e])
-        return a, [top_k(all_ids, row, k) for row in rows]
+    def best(a):
+        b = min(a + step, len(queries))
+        s, e = qmat.indptr[a], qmat.indptr[b]
+        block = np.zeros((b - a, len(vset)))
+        _score_rows(cols, qmat.indptr[a:b + 1] - s, qmat.indices[s:e], qmat.data[s:e], block)
+        return a, b, top_k_rows(block, k)
 
     def collect(found):
-        start, rows = found
-        for r, (row_ids, row_scores) in enumerate(rows, start):
-            ids[r], scores[r] = row_ids, row_scores
+        a, b, (piece_ids, piece_scores) = found
+        ids[a:b], scores[a:b] = piece_ids, piece_scores
 
-    # a query weighs the entries it gathers, plus one so that no query is left out
-    weights = _gathered(q_ptr, q_dims, np.diff(cols.indptr)) + 1
-    parallel.in_order(best, parallel.pieces(weights, PIECE_ENTRIES), collect)
+    parallel.in_order(best, range(0, len(queries), step), collect)
     return ids, scores
 
 

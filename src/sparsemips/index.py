@@ -13,10 +13,12 @@ re-scoring.  The blocks live in a few flat
 arrays (see BlockedIndex), saved as one record after an SPMIDX03 magic.
 The build runs in pieces: runs of consecutive lists whose member rows hold
 about PIECE_ENTRIES entries in all, or one longer list alone.  A piece
-gathers its rows once, clusters each list from that list's own seed, and
+gathers its rows once, as CSR arrays (vectors._gather_rows), clusters each
+list from that list's own seed, reading the list's rows in place, and
 summarizes, truncates and quantizes all its blocks with one array call each,
-as CSR segments; once every piece is done, one transpose stores the
-summaries dim-major, so a query reads only the columns of its own dims.
+as CSR segments; no scipy matrix is made per list or piece.  Once every
+piece is done, one transpose stores the summaries dim-major, so a query
+reads only the columns of its own dims.
 Every index object, built or loaded, holds the arrays that search's
 compiled kernels read in their signed dtype (see BlockedIndex), and derives
 the summary directory (see summary_directory): a sorted key d * dim + l and
@@ -35,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
@@ -109,39 +112,52 @@ class Block(NamedTuple):
     ids: np.ndarray
 
 
-def cluster_list(rows, beta, seed):
-    """Partition the rows of a CSR matrix (one list's members) into geometric blocks.
+def _width(dims):
+    """The number of columns that holds every entry of `dims`: at least 1."""
+    return int(dims.max()) + 1 if dims.size else 1
+
+
+def cluster_list(indptr, dims, values, beta, seed):
+    """Partition rows (one list's members) into geometric blocks: row i is
+    dims[indptr[i]:indptr[i+1]] with its values, so indptr may be a slice
+    of a larger CSR's pointers.
 
     Samples c = max(1, ceil(beta * n)) rows (capped at n) uniformly without
     replacement as centroids and assigns every row to the centroid
     maximizing the inner product, lowest centroid index on ties.  Returns
     each row's block label: blocks are numbered in centroid order, with the
     centroids no row chose dropped, so every label in 0..max holds a row.
-    The scores are taken in row blocks of at most SCORE_ENTRIES; each row's
-    are summed on their own, so the blocks change no label.
+    The scores are taken by csr_matvecs, the compiled routine behind
+    scipy's sparse-by-dense product, in row blocks of at most SCORE_ENTRIES;
+    each row's are summed on their own, so the blocks change no label.
     """
-    n = rows.shape[0]
+    n = len(indptr) - 1
     if n == 0:
         raise ValueError("cannot cluster an empty list")
     c = min(max(1, int(np.ceil(beta * n))), n)
     rng = np.random.default_rng(seed)
     centroid_pos = np.sort(rng.choice(n, size=c, replace=False))
-    mat = rows.astype(np.float64, copy=False)
+    values = np.asarray(values, dtype=np.float64)
     # the centroids as the columns of a dense right operand, which gives the
     # same sums, in the same order, as a sparse one
-    _, dims, values, counts = _gather_rows(mat.indptr, mat.indices, mat.data, centroid_pos)
-    centroids = np.zeros((mat.shape[1], c))
-    centroids[dims, np.arange(c).repeat(counts)] = values
+    _, centroid_dims, centroid_values, counts = _gather_rows(indptr, dims, values, centroid_pos)
+    width = _width(dims[indptr[0]:indptr[-1]])
+    centroids = np.zeros((width, c))
+    centroids[centroid_dims, np.arange(c).repeat(counts)] = centroid_values
     step = max(1, SCORE_ENTRIES // c)
-    blocks = [mat] if n <= step else [mat[s:s + step] for s in range(0, n, step)]
-    assign = np.concatenate([np.argmax(block @ centroids, axis=1) for block in blocks])  # lowest index on ties
+    assign = np.empty(n, dtype=np.intp)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        scores = np.zeros((e - s, c))
+        _sparsetools.csr_matvecs(e - s, width, c, indptr[s:e + 1], dims, values, centroids.ravel(), scores.ravel())
+        assign[s:e] = np.argmax(scores, axis=1)  # lowest index on ties
     chosen = np.bincount(assign, minlength=c) > 0
     return (chosen.cumsum() - 1)[assign]
 
 
-def summarize(rows, labels):
-    """Coordinatewise maximum of each group of rows of a CSR matrix, the rows
-    labelled g for g = 0..max(labels).
+def summarize(indptr, dims, values, labels):
+    """Coordinatewise maximum of each group of rows of the CSR (indptr, dims,
+    values), indptr from 0, the rows labelled g for g = 0..max(labels).
 
     Returns the summaries as a CSR: (indptr, dims, float32 values), dims
     ascending within each summary.  ValueError for no rows at all.
@@ -149,15 +165,15 @@ def summarize(rows, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("cannot summarize an empty list")
-    dim = rows.shape[1]
-    key = np.repeat(labels * dim, np.diff(rows.indptr)) + rows.indices
+    width = _width(dims)
+    key = np.repeat(labels * width, np.diff(indptr)) + dims
     order = np.argsort(key)
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))  # first entry of each (group, dim)
-    values = np.maximum.reduceat(rows.data[order], first).astype(np.float32)
+    values = np.maximum.reduceat(values[order], first).astype(np.float32)
     key = key[first]
-    indptr = np.searchsorted(key, np.arange(labels.max() + 2) * dim)
-    return indptr, (key % dim).astype(np.uint32), values
+    indptr = np.searchsorted(key, np.arange(labels.max() + 2) * width)
+    return indptr, (key % width).astype(np.uint32), values
 
 
 def key_dtype(dim):
@@ -268,19 +284,20 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         lo = csc.indptr[a]
         ptr = csc.indptr[a:b + 1] - lo
         ids = csc.indices[lo:csc.indptr[b]]  # list by list, ascending within each
-        rows = sketched[ids]
+        row_ptr, row_dims, row_values, _ = _gather_rows(sketched.indptr, sketched.indices, sketched.data, ids)
         labels = np.empty(ids.size, dtype=np.int64)
         blocks = np.zeros(b - a, dtype=np.int64)
         numbered = 0  # the piece numbers its blocks on from list to list
-        for j in np.flatnonzero(np.diff(ptr)):
-            s, e = ptr[j], ptr[j + 1]
-            list_rows = rows[s:e] if e - s < ids.size else rows  # a piece of one list: no copy
-            list_labels = cluster_list(list_rows, params.beta, [params.seed, a + j])
+        # cluster_list, summarize and quantize_summary are read from the module
+        # on each call: perfbench's tracer wraps those names
+        for j in np.flatnonzero(np.diff(ptr)).tolist():
+            s, e = int(ptr[j]), int(ptr[j + 1])
+            list_labels = cluster_list(row_ptr[s:e + 1], row_dims, row_values, params.beta, [params.seed, a + j])
             labels[s:e] = list_labels + numbered
             blocks[j] = list_labels.max() + 1
             numbered += blocks[j]
         sizes = np.bincount(labels)
-        indptr, dims, values = summarize(rows, labels)
+        indptr, dims, values = summarize(row_ptr, row_dims, row_values, labels)
         keep = top_mass(indptr, values, params.gamma)
         indptr, dims, values = np.concatenate(([0], keep.cumsum()))[indptr], dims[keep], values[keep]
         block_m, block_delta = np.zeros(sizes.size, np.float32), np.ones(sizes.size, np.float32)

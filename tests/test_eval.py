@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,7 +21,8 @@ from sparsemips import (
     norm_ratio_cdf,
     restrict,
 )
-from sparsemips.evaluation import _column_scores, mean_accuracy
+from sparsemips.evaluation import _reversed_columns, _score_rows, mean_accuracy, top_k_rows
+from sparsemips.query import top_k
 from sparsemips.sketching import alpha_mss
 from sparsemips.synth import random_collection, random_vector, zipfian_clustered_collection
 from sparsemips.vectors import EMPTY
@@ -159,9 +162,9 @@ class TestGroundTruth:
     @given(pair=docs_and_queries())
     def test_column_scores_equal_the_scipy_mat_vec_bit_for_bit(self, pair):
         docs, queries = pair
-        cols, qmat = docs.scipy64().tocsc(), queries.scipy64()
-        rows = list(_column_scores(cols, qmat.indptr, qmat.indices.astype(cols.indptr.dtype), qmat.data))
-        assert len(rows) == len(queries)
+        qmat = queries.scipy64()
+        rows = np.zeros((len(queries), len(docs)))
+        _score_rows(_reversed_columns(docs), qmat.indptr, qmat.indices, qmat.data, rows)
         for q, row in zip(queries, rows):
             want = docs.scipy64() @ q.to_dense(docs.dim)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
@@ -182,6 +185,54 @@ class TestGroundTruth:
             res = exact_topk(docs, q, 11)
             assert ids[qi].tolist() == res.ids.tolist()
             assert scores[qi].view(np.uint32).tolist() == res.scores.view(np.uint32).tolist()
+
+    def test_copies_no_columns(self, medium_set, monkeypatch):
+        """The queries read the collection's columns in place: no module of
+        the package gathers rows for ground_truth."""
+        calls = []
+
+        def counted(gather):
+            def gather_rows(*args):
+                calls.append(args)
+                return gather(*args)
+            return gather_rows
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sparsemips"]:
+            if hasattr(module, "_gather_rows"):
+                monkeypatch.setattr(module, "_gather_rows", counted(module._gather_rows))
+        ids, _ = ground_truth(medium_set, medium_set, 5)
+        assert calls == [] and ids.shape == (len(medium_set), 5)
+
+
+@st.composite
+def score_blocks(draw):
+    """A (rows, N) float64 block of tied scores, negative ones too, some
+    rows all zero, as an empty query scores, and a k in [1, N]."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.sampled_from((0.0, -1.0) + TIED_VALUES), min_size=rows * n, max_size=rows * n))
+    block = np.array(cells).reshape(rows, n)
+    block[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0.0
+    return block, draw(st.integers(1, n))
+
+
+class TestTopKRows:
+    @example(case=(np.array([[7.5, 1.0, 7.5, 0.25]]), 4))  # one row, k = N
+    @example(case=(np.zeros((1, 5)), 3))  # one empty query
+    @example(case=(np.array([[1.0, 7.5, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.25, 1.0, 0.25, 0.25]]), 2))
+    @example(case=(np.array([[1.0, 7.5, 1.0], [0.0, 0.0, 0.0], [0.25, 1.0, 0.25]]), 3))  # many rows, k = N
+    @given(case=score_blocks())
+    def test_piece_selection_equals_top_k_row_by_row(self, case):
+        """Ties at the k-th score go to the lower ids, and an all-zero row,
+        an empty query's, gets the k lowest ids."""
+        block, k = case
+        ids, scores = top_k_rows(block, k)
+        assert ids.shape == scores.shape == (len(block), k)
+        for row, row_ids, row_scores in zip(block, ids, scores):
+            want_ids, want_scores = top_k(np.arange(row.size), row, k)
+            assert row_ids.tolist() == want_ids.tolist()
+            assert row_scores.view(np.uint64).tolist() == want_scores.view(np.uint64).tolist()
+            if not row.any():
+                assert row_ids.tolist() == list(range(k))
 
 
 class TestAccuracy:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sparsemips.index
 import sparsemips.vectors
@@ -40,9 +41,14 @@ def csr_rows(dim, vectors):
     return VectorSet.from_vectors(dim, vectors).scipy64()
 
 
+def cluster_labels(rows, beta, seed):
+    """cluster_list of the rows of a scipy CSR."""
+    return cluster_list(rows.indptr, rows.indices, rows.data, beta, seed)
+
+
 def clusters_of(rows, beta, seed):
     """cluster_list's groups as lists of row positions, in label order."""
-    labels = cluster_list(rows, beta, seed)
+    labels = cluster_labels(rows, beta, seed)
     return [np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1)]
 
 
@@ -126,7 +132,7 @@ class TestQuantization:
 
 def summary_vectors(rows, labels):
     """summarize's CSR output as one SparseVector per group."""
-    indptr, dims, values = summarize(rows, labels)
+    indptr, dims, values = summarize(rows.indptr, rows.indices, rows.data, labels)
     return [SparseVector(dims[s:e], values[s:e]) for s, e in zip(indptr[:-1], indptr[1:])]
 
 
@@ -155,7 +161,7 @@ class TestSummarize:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="empty list"):
-            summarize(csr_rows(40, []), same([]))
+            summary_vectors(csr_rows(40, []), same([]))
 
     def test_two_segments_equal_each_alone(self):
         rng = np.random.default_rng(14)
@@ -185,7 +191,7 @@ class TestClustering:
         rows = members.astype(np.float64)
         centroids = rows[np.sort(rng.choice(40, size=8, replace=False))]
         assign = np.argmax((rows @ centroids.T).toarray(), axis=1)
-        labels = cluster_list(members, beta=0.2, seed=[0, 0])
+        labels = cluster_labels(members, beta=0.2, seed=[0, 0])
         assert labels.max() == 6
         assert labels.tolist() == np.unique(assign, return_inverse=True)[1].tolist()
 
@@ -201,7 +207,7 @@ class TestClustering:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            cluster_list(csr_rows(30, []), beta=0.2, seed=[0, 0])
+            clusters_of(csr_rows(30, []), beta=0.2, seed=[0, 0])
 
     @pytest.mark.parametrize("entries", [1, 2**12, sparsemips.index.SCORE_ENTRIES])
     def test_score_blocks_change_no_label(self, monkeypatch, entries):
@@ -213,7 +219,7 @@ class TestClustering:
         csc.sort_indices()
 
         def labels():
-            return [cluster_list(rows[csc.indices[csc.indptr[i]:csc.indptr[i + 1]]], 0.2, [0, i]).tolist()
+            return [cluster_labels(rows[csc.indices[csc.indptr[i]:csc.indptr[i + 1]]], 0.2, [0, i]).tolist()
                     for i in (0, 1, 110)]
 
         monkeypatch.setattr(sparsemips.index, "SCORE_ENTRIES", 2**62)
@@ -291,6 +297,29 @@ class TestBuildIndex:
         monkeypatch.setattr(SparseVector, "__post_init__", counted)
         build_index(medium_set, BuildParams(alpha=0.5, beta=0.2, gamma=0.7))
         assert built == []
+
+    def test_scipy_matrices_do_not_grow_with_the_list_count(self, piece_entries, monkeypatch):
+        """No scipy CSR or CSC is built, sliced or multiplied per list: at one
+        list per piece, a set of ~400 lists makes as many matrices as one of 20."""
+        sets = [random_collection(300, dim, 6, seed=70) for dim in (20, 400)]
+        lists = [np.count_nonzero(np.bincount(vset.indices)) for vset in sets]
+        assert lists[1] > 10 * lists[0]
+        made = []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            init = cls.__init__
+
+            def counted(self, *args, init=init, **kwargs):
+                made.append(type(self))
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        piece_entries(1)
+        counts = []
+        for vset in sets:
+            made.clear()
+            build_index(vset, BuildParams(alpha=0.5, beta=0.2, gamma=0.7))
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
 
 @functools.cache

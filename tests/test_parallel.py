@@ -11,9 +11,9 @@ import sparsemips.evaluation
 import sparsemips.index
 import sparsemips.parallel
 from sparsemips import BuildParams, VectorSet, build_exact_graph, build_index, exact_topk, ground_truth, save_index
-from sparsemips.parallel import in_order, pieces
+from sparsemips.parallel import in_order
 from sparsemips.synth import random_collection
-from sparsemips.vectors import EMPTY, _gathered
+from sparsemips.vectors import EMPTY
 from conftest import hub_collection, list_weights, with_piece_sizes
 
 POOL_SIZES = [1, 2, 3]
@@ -51,8 +51,8 @@ def failing_on_second_call(fn, exc):
     return wrapped, calls
 
 
-# sizes of a ground_truth piece in gathered entries: the module's, which
-# holds every query of wide_collection; a few queries; one query
+# sizes of a ground_truth piece in score entries against wide_collection's 50
+# docs: the module's, which holds every query; two queries; one query
 GROUND_TRUTH_PIECES = [sparsemips.evaluation.PIECE_ENTRIES, 100, 1]
 
 
@@ -80,12 +80,24 @@ class TestPoolSizeInvariance:
         for neighbors in graphs[1:]:
             assert np.array_equal(neighbors, graphs[0])
 
-    def test_wide_collection_spans_the_piece_cases(self):
+    def test_wide_collection_spans_the_piece_cases(self, monkeypatch):
         """One piece, pieces of a few queries, and one query per piece."""
         docs, queries = wide_collection()
-        lengths = np.diff(docs.scipy64().tocsc().indptr)
-        weights = _gathered(queries.indptr, queries.indices, lengths) + 1
-        counts = [len(list(pieces(weights, piece))) for piece in GROUND_TRUTH_PIECES]
+        rows = []
+        select = sparsemips.evaluation.top_k_rows
+
+        def counted(block, k):
+            rows.append(len(block))
+            return select(block, k)
+
+        monkeypatch.setattr(sparsemips.evaluation, "top_k_rows", counted)
+        counts = []
+        for piece in GROUND_TRUTH_PIECES:
+            monkeypatch.setattr(sparsemips.evaluation, "PIECE_ENTRIES", piece)
+            rows.clear()
+            ground_truth(docs, queries, 12)
+            assert sum(rows) == len(queries)
+            counts.append(len(rows))
         assert counts[0] == 1 < counts[1] < counts[2] == len(queries)
 
     @pytest.mark.parametrize("quantize, piece", with_piece_sizes([(True,), (False,)]))
@@ -120,12 +132,11 @@ class TestFailures:
         pool_size(2)
         docs = random_collection(50, 2**18, 6, seed=62)
         queries = random_collection(100, 2**18, 5, seed=63)
-        # no query shares a dim with a doc, so each weighs 1: pieces of 2
-        # queries, 50 pieces for 100
-        assert not set(queries.indices.tolist()) & set(docs.indices.tolist())
-        monkeypatch.setattr(sparsemips.evaluation, "PIECE_ENTRIES", 2)
-        top_k, calls = failing_on_second_call(sparsemips.evaluation.top_k, exc)
-        monkeypatch.setattr(sparsemips.evaluation, "top_k", top_k)
+        # the scores of 2 queries against 50 docs: pieces of 2 queries, 50
+        # pieces for 100, each picked by one top_k_rows call
+        monkeypatch.setattr(sparsemips.evaluation, "PIECE_ENTRIES", 2 * len(docs))
+        top_k_rows, calls = failing_on_second_call(sparsemips.evaluation.top_k_rows, exc)
+        monkeypatch.setattr(sparsemips.evaluation, "top_k_rows", top_k_rows)
         threads = threading.active_count()
         with pytest.raises(type(exc)) as raised:
             ground_truth(docs, queries, 5)
@@ -133,7 +144,8 @@ class TestFailures:
         assert threading.active_count() == threads
         # the second call is in piece 0 or 1, and in-order collection submits
         # at most pieces 0 to 2 * 2 by then, of 2 queries each
-        assert len(calls) <= (2 * 2 + 1) * 2 < len(queries)
+        assert len(calls) <= 2 * 2 + 1
+        assert sum(len(block) for block, _ in calls) <= (2 * 2 + 1) * 2 < len(queries)
 
     @pytest.mark.parametrize("exc", [ValueError("boom"), KeyboardInterrupt(), MemoryError()],
                              ids=["ValueError", "KeyboardInterrupt", "MemoryError"])
@@ -152,7 +164,7 @@ class TestFailures:
         assert threading.active_count() == threads
         # the second call is in piece 0 or 1, when at most pieces 0 to 2 * 2
         # are submitted, so no list after the first 2 * (2 * 2 + 1) starts
-        started = [seed[1] for _, _, seed in calls]
+        started = [seed[1] for *_, seed in calls]
         assert max(started) < 2 * (2 * 2 + 1) < medium_set.dim
 
     def test_collect_failure_cancels_the_rest(self, pool_size):

@@ -67,9 +67,8 @@ def _cmd_ground_truth(args):
 
 
 def _cmd_evaluate(args):
-    runs = storage.read_results_tsv(args.run)
     ids, _ = storage.load_ground_truth(args.gt)
-    runs += [[] for _ in range(len(ids) - len(runs))]
+    runs = storage.read_results_tsv(args.run, len(ids))
     acc = evaluation.mean_accuracy(ids, runs, args.k)
     print(f"mean accuracy@{args.k}: {acc:.4f}")
 

@@ -10,7 +10,7 @@ from scipy.sparse import _sparsetools
 from . import parallel
 from .query import ResultList, SearchParams, check_k, check_query_dims, search, top_k
 from .sketching import largest_first, top_mass
-from .vectors import SparseVector, VectorSet, check_fraction, check_int
+from .vectors import SparseVector, VectorSet, _transpose, check_fraction, check_int
 
 # a piece of ground_truth is a run of consecutive queries whose scores against
 # every doc hold at most this many float64 entries (1 MB), or one query
@@ -40,12 +40,9 @@ def exact_topk(vset: VectorSet, q: SparseVector, k: int) -> ResultList:
 def _reversed_columns(vset: VectorSet):
     """The collection's float64 CSC with its columns stored last first, as
     (ends, docs, values): the entries of column d are ends[d+1]:ends[d],
-    docs ascending.  ends views the CSC's pointers backwards."""
-    csr = vset.scipy64()
-    n, dim = csr.shape
-    ptr = np.empty(dim + 1, dtype=csr.indptr.dtype)
-    docs, values = np.empty(csr.nnz, dtype=csr.indptr.dtype), np.empty(csr.nnz)
-    _sparsetools.csr_tocsc(n, dim, csr.indptr, (dim - 1) - csr.indices, csr.data, ptr, docs, values)
+    docs ascending.  One vectors._transpose of the set's own arrays with
+    its dims numbered backwards; ends views the new pointers backwards."""
+    ptr, docs, values = _transpose(vset.indptr, (vset.dim - 1) - vset.indices, vset.values, vset.dim)
     return ptr[::-1], docs, values
 
 
@@ -99,26 +96,27 @@ def ground_truth(vset: VectorSet, queries: VectorSet, k: int):
     float32 (nq, k) arrays, scored one query term at a time.
 
     Each call builds the collection's float64 CSC with its columns last
-    first (_reversed_columns), which is dropped on return; the queries read
-    its columns in place, and no column is copied.  Pieces of
-    max(1, PIECE_ENTRIES // N) consecutive queries run on the thread pool:
-    each is scored into one block of at most PIECE_ENTRIES float64 scores,
-    or one N-length row, by _score_rows, and picked by top_k_rows.
+    first (_reversed_columns), which is dropped on return; the queries' own
+    CSR arrays are scored against its columns in place, and no column is
+    copied.  Pieces of max(1, PIECE_ENTRIES // N) consecutive queries run
+    on the thread pool: each is scored into one block of at most
+    PIECE_ENTRIES float64 scores, or one N-length row, by _score_rows, and
+    picked by top_k_rows.
     """
     k = check_k(k)
     if k > len(vset):
         raise ValueError(f"k={k} must lie between 1 and the collection size {len(vset)}")
     check_query_dims(queries.indices, vset.dim)
-    cols, qmat = _reversed_columns(vset), queries.scipy64()
+    cols = _reversed_columns(vset)
     ids = np.empty((len(queries), k), dtype=np.uint32)
     scores = np.empty((len(queries), k), dtype=np.float32)
     step = max(1, PIECE_ENTRIES // len(vset))
 
     def best(a):
         b = min(a + step, len(queries))
-        s, e = qmat.indptr[a], qmat.indptr[b]
+        s, e = queries.indptr[a], queries.indptr[b]
         block = np.zeros((b - a, len(vset)))
-        _score_rows(cols, qmat.indptr[a:b + 1] - s, qmat.indices[s:e], qmat.data[s:e], block)
+        _score_rows(cols, queries.indptr[a:b + 1] - s, queries.indices[s:e], queries.values[s:e], block)
         return a, b, top_k_rows(block, k)
 
     def collect(found):

@@ -16,9 +16,10 @@ about PIECE_ENTRIES entries in all, or one longer list alone.  A piece
 gathers its rows once, as CSR arrays (vectors._gather_rows), clusters each
 list from that list's own seed, reading the list's rows in place, and
 summarizes, truncates and quantizes all its blocks with one array call each,
-as CSR segments; no scipy matrix is made per list or piece.  Once every
-piece is done, one transpose stores the summaries dim-major, so a query
-reads only the columns of its own dims.
+as CSR segments.  The lists are the sketched set's columns, and once every
+piece is done the summaries are stored dim-major, so a query reads only the
+columns of its own dims: each is one flip by vectors._transpose, as are
+both of the sketch's, so no scipy matrix is made but the sketched set's own.
 Every index object, built or loaded, holds the arrays that search's
 compiled kernels read in their signed dtype (see BlockedIndex), and derives
 the summary directory (see summary_directory): a sorted key d * dim + l and
@@ -36,15 +37,14 @@ from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import parallel
 # perfbench's tracer wraps sparsemips.index.alpha_mss, so the name stays here
 from .sketching import alpha_mss, set_alpha_mss, top_mass  # noqa: F401
 from .storage import ConsistencyError, HeaderError, collection_layout, read_record, write_record
-from .vectors import (SparseVectorError, VectorSet, _as_readonly, _as_signed, _gather_rows, _gathered, check_csr,
-                      check_fraction, index_dtype)
+from .vectors import (SparseVectorError, VectorSet, _as_readonly, _as_signed, _gather_rows, _gathered, _transpose,
+                      check_csr, check_flag, check_fraction, index_dtype)
 
 INDEX_MAGIC = b"SPMIDX03"
 # a piece of the build is a run of consecutive lists whose member rows hold
@@ -68,6 +68,7 @@ class BuildParams:
         if not 0 < self.beta < 1:
             raise ValueError(f"beta={self.beta} must lie in (0, 1)")
         check_fraction("gamma", self.gamma)
+        object.__setattr__(self, "quantize", check_flag("quantize", self.quantize))
         # the file stores the seed as a signed 64-bit field
         if type(self.seed) is not int or not 0 <= self.seed < 2**63:
             raise ValueError(f"seed={self.seed!r} must be an int in [0, 2**63)")
@@ -226,9 +227,11 @@ class BlockedIndex:
     memory is flagged in place, and one that views memory something else
     can still write is copied.  vectors._as_signed casts or views the
     kernel arrays and flags them in the same call, so each is copied at
-    most once: build_index flags the summaries' scipy buffers itself, its
+    most once: build_index's summaries come from vectors._transpose, which
+    returns arrays that own their memory, so they are flagged in place; its
     growable int64 block_ptr is cast to int32 once, and only its growable
-    m and delta are copied to be flagged."""
+    m and delta are copied to be flagged.  Nothing else flags an index's
+    arrays."""
 
     params: BuildParams
     forward: VectorSet
@@ -267,10 +270,10 @@ class BlockedIndex:
 def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
     if len(vset) == 0:
         raise ValueError("cannot index an empty collection")
-    sketched = set_alpha_mss(vset, params.alpha).scipy64()
-    csc = sketched.tocsc()
-    # the members of list i fill member_ids[csc.indptr[i]:csc.indptr[i + 1]]
-    member_ids = np.empty(csc.nnz, dtype=np.uint32)
+    sketched = set_alpha_mss(vset, params.alpha)
+    # the members of list i, the sketched set's column i, fill member_ids[col_ptr[i]:col_ptr[i + 1]]
+    col_ptr, col_ids = _transpose(sketched.indptr, sketched.indices, sketched.values, vset.dim)[:2]
+    member_ids = np.empty(col_ids.size, dtype=np.uint32)
     blocks_per_list = np.zeros(vset.dim, dtype=np.int64)
     # growable buffers that become arrays without a copy, so the summaries
     # are held twice only while the final transpose runs
@@ -281,10 +284,10 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         """The blocks of lists a..b-1: their members, and their summaries as
         a CSR, truncated and quantized, with one call each for the piece."""
         a, b = piece
-        lo = csc.indptr[a]
-        ptr = csc.indptr[a:b + 1] - lo
-        ids = csc.indices[lo:csc.indptr[b]]  # list by list, ascending within each
-        row_ptr, row_dims, row_values, _ = _gather_rows(sketched.indptr, sketched.indices, sketched.data, ids)
+        lo = col_ptr[a]
+        ptr = col_ptr[a:b + 1] - lo
+        ids = col_ids[lo:col_ptr[b]]  # list by list, ascending within each
+        row_ptr, row_dims, row_values, _ = _gather_rows(sketched.indptr, sketched.indices, sketched.values, ids)
         labels = np.empty(ids.size, dtype=np.int64)
         blocks = np.zeros(b - a, dtype=np.int64)
         numbered = 0  # the piece numbers its blocks on from list to list
@@ -307,7 +310,7 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
 
     def collect(built):
         a, b, blocks, members, sizes, indptr, dims, values, block_m, block_delta = built
-        member_ids[csc.indptr[a]:csc.indptr[b]] = members
+        member_ids[col_ptr[a]:col_ptr[b]] = members
         blocks_per_list[a:b] = blocks
         block_ptr.frombytes((block_ptr[-1] + sizes.cumsum()).tobytes())
         summary_ptr.frombytes((len(summary_dims) + indptr[1:]).tobytes())
@@ -317,22 +320,15 @@ def build_index(vset: VectorSet, params: BuildParams) -> BlockedIndex:
         delta.frombytes(block_delta.tobytes())
 
     # a list weighs the entries of its member rows, which its piece gathers
-    weights = _gathered(csc.indptr, csc.indices, np.diff(sketched.indptr))
+    weights = _gathered(col_ptr, col_ids, np.diff(sketched.indptr))
     parallel.in_order(build_piece, parallel.pieces(weights, PIECE_ENTRIES), collect)
-    list_ptr = np.concatenate(([0], np.cumsum(blocks_per_list)))
-    by_block = sp.csr_matrix((np.asarray(summary_values), np.asarray(summary_dims), np.asarray(summary_ptr)),
-                             shape=(list_ptr[-1], vset.dim))
-    del summary_dims  # the matrix holds its dims as a signed copy
-    # scipy's transpose is a counting sort, so each dim's blocks stay ascending
-    by_dim = by_block.tocsc()
-    del by_block, summary_values
-    for a in (by_dim.indices, by_dim.data):  # views of scipy's own buffers: flag the whole chain read-only
-        while isinstance(a, np.ndarray):
-            a.setflags(write=False)
-            a = a.base
-    summary = (by_dim.indptr.astype(np.int64), by_dim.indices, by_dim.data)
-    return BlockedIndex(params, vset, list_ptr, np.asarray(block_ptr), member_ids, *summary,
-                        np.asarray(m), np.asarray(delta))
+    # the transpose is a counting sort, so each dim's blocks stay ascending
+    by_dim_ptr, *by_dim = _transpose(np.asarray(summary_ptr), np.asarray(summary_dims), np.asarray(summary_values),
+                                     vset.dim)
+    del summary_dims, summary_values  # the transpose made its own
+    # the pointers in the file's and a loaded index's int64, as list_ptr
+    return BlockedIndex(params, vset, np.concatenate(([0], np.cumsum(blocks_per_list))), np.asarray(block_ptr),
+                        member_ids, by_dim_ptr.astype(np.int64), *by_dim, np.asarray(m), np.asarray(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from scipy.sparse import _sparsetools
 from .index import Block, dequantize
 # perfbench's tracer wraps sparsemips.query.alpha_mss, so the name stays here
 from .sketching import alpha_mss, top_mass_order  # noqa: F401
-from .vectors import SparseVector, _gather_rows, as_unsigned, check_fraction, check_int
+from .vectors import SparseVector, _gather_rows, as_unsigned, check_flag, check_fraction, check_int
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ class SearchParams:
         object.__setattr__(self, "k", check_k(self.k))
         check_fraction("alpha_q", self.alpha_q)
         check_fraction("heap_factor", self.heap_factor)
+        object.__setattr__(self, "use_graph", check_flag("use_graph", self.use_graph))
 
 
 class ResultList:
@@ -147,15 +148,15 @@ def _forward_scores(forward, ids, q_dense):
     """Exact float64 scores of rows `ids` of the forward index against
     q_dense, in the order of `ids`, which may be any order.
 
-    The rows are copied from the forward index's own CSR (scipy64(), the
-    matrix exact_topk scores) by vectors._gather_rows, as the summary runs
-    and the member batches are, and one csr_matvec, the compiled routine
-    behind scipy's mat-vec, scores the copy.  It sums each row's products
-    in CSR order from 0.0, so every score is bit-identical to the oracle's.
+    The rows are copied from the forward index's own arrays (those of
+    scipy64(), the matrix exact_topk scores) by vectors._gather_rows, as
+    the summary runs and the member batches are, and one csr_matvec, the
+    compiled routine behind scipy's mat-vec, scores the copy.  It sums each
+    row's products in CSR order from 0.0, so every score is bit-identical
+    to the oracle's.
     No bounds are checked, so every id must lie in [0, N).
     """
-    csr = forward.scipy64()
-    sub_ptr, sub_indices, sub_data, _ = _gather_rows(csr.indptr, csr.indices, csr.data, ids)
+    sub_ptr, sub_indices, sub_data, _ = _gather_rows(forward.indptr, forward.indices, forward.values, ids)
     scores = np.zeros(ids.size)
     _sparsetools.csr_matvec(ids.size, q_dense.size, sub_ptr, sub_indices, sub_data, q_dense, scores)
     return scores

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .vectors import SparseVector, VectorSet, _ranges, check_fraction, lp_norm
+from .vectors import SparseVector, VectorSet, _ranges, _transpose, check_fraction, lp_norm
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -43,12 +42,13 @@ def _mix64(x):
 
 
 def _seed_term(seed):
+    """The mixed seed of hash_unit for `seed`, one integer or an array of
+    them in any dtype, each taken mod 2**64: -1 hashes as 2**64 - 1."""
+    # as Python ints, which wrap exactly: numpy reads [-1, 2**64 - 1] as float64.
+    # [()] turns one seed into a numpy scalar, which _mix64 mixes ~20 µs faster than a 0-d array
+    seed = np.asarray(np.frompyfunc(int, 1, 1)(np.asarray(seed, dtype=object)) % 2**64).astype(np.uint64)[()]
     with np.errstate(over="ignore"):
-        if isinstance(seed, np.ndarray):
-            base = (seed & np.uint64(0xFFFFFFFFFFFFFFFF)) + _GOLDEN
-        else:
-            base = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN
-    return _mix64(base)
+        return _mix64(seed + _GOLDEN)
 
 
 def hash_unit(dims, seed):
@@ -121,7 +121,7 @@ def ts_estimate_trials(u: SparseVector, v: SparseVector, d_target: float, seeds)
     if l1u == 0.0 or l1v == 0.0:
         raise ZeroVectorError("cannot sketch a zero vector")
     _check_d_target(d_target)
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=object)  # hash_unit takes each mod 2**64
     common, iu, iv = np.intersect1d(u.dims, v.dims, assume_unique=True, return_indices=True)
     if common.size == 0:
         return np.zeros(seeds.size, dtype=np.float64)
@@ -247,11 +247,10 @@ def set_alpha_mss(vset: VectorSet, alpha: float) -> VectorSet:
     check_fraction("alpha", alpha)
     if alpha == 1:
         return vset
-    csc = vset.scipy64().tocsc()  # rows ascending within each column
-    starts = csc.indptr[:-1]
-    kept_per_dim = np.ceil(alpha * np.diff(csc.indptr)).astype(np.int64)
-    keep = np.zeros(csc.nnz, dtype=bool)
-    keep[largest_first(csc.indptr, csc.data)[_ranges(starts, starts + kept_per_dim)]] = True
+    col_ptr, rows, values = _transpose(vset.indptr, vset.indices, vset.values, vset.dim)  # rows ascending
+    starts = col_ptr[:-1]
+    kept_per_dim = np.ceil(alpha * np.diff(col_ptr)).astype(np.int64)
+    keep = np.zeros(rows.size, dtype=bool)
+    keep[largest_first(col_ptr, values)[_ranges(starts, starts + kept_per_dim)]] = True
     kept_ptr = np.concatenate(([0], np.cumsum(kept_per_dim)))
-    pruned = sp.csc_matrix((csc.data[keep], csc.indices[keep], kept_ptr), shape=csc.shape).tocsr()
-    return VectorSet(vset.dim, pruned.indptr, pruned.indices, pruned.data)
+    return VectorSet(vset.dim, *_transpose(kept_ptr, rows[keep], values[keep], len(vset)))

@@ -129,19 +129,27 @@ def write_results_tsv(results, path):
                 fh.write(f"{qi}\t{rank}\t{doc_id}\t{score:.6f}\n")
 
 
-def read_results_tsv(path):
+def read_results_tsv(path, num_queries=None):
+    """The (id, score) pairs of each query of the run in `path`, by rank:
+    queries 0..num_queries-1, or up to the largest index in the file when
+    num_queries is None.  ValueError naming the file and line of a row that
+    is not four tab-separated numbers, or whose query index lies outside
+    that range, before any list is built."""
     results = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            qi, rank, doc_id, score = line.split("\t")
-            if int(qi) < 0:
-                raise ValueError(f"{path}: negative query index {qi}")
-            results.setdefault(int(qi), []).append((int(rank), int(doc_id), float(score)))
-    out = []
-    for qi in range(max(results) + 1 if results else 0):
-        rows = sorted(results.get(qi, []))
-        out.append([(doc_id, score) for _, doc_id, score in rows])
-    return out
+            try:
+                qi, rank, doc_id, score = line.split("\t")
+                qi, row = int(qi), (int(rank), int(doc_id), float(score))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}: want query, rank, id, score") from None
+            if qi < 0:
+                raise ValueError(f"{path}:{lineno}: negative query index {qi}")
+            if num_queries is not None and qi >= num_queries:
+                raise ValueError(f"{path}:{lineno}: query index {qi} is out of range for {num_queries} queries")
+            results.setdefault(qi, []).append(row)
+    count = (max(results) + 1 if results else 0) if num_queries is None else num_queries
+    return [[(doc_id, score) for _, doc_id, score in sorted(results.get(qi, []))] for qi in range(count)]

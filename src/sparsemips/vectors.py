@@ -1,7 +1,8 @@
 """Sparse vector primitives, the immutable collection container, and the
 input rules of the whole package: check_csr, as_unsigned for caller
-integer arrays, check_int for counts and check_fraction for (0, 1]
-parameters, each the one place its rule is written.
+integer arrays, check_int for counts, check_fraction for (0, 1]
+parameters and check_flag for switches, each the one place its rule is
+written.
 
 A SparseVector stores parallel arrays of strictly increasing dimension
 indices (uint32) and strictly positive values (float32).  A VectorSet holds
@@ -11,6 +12,7 @@ Inner products accumulate in float64.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +165,26 @@ def _gather_rows(ptr, indices, data, rows):
     return sub_ptr, sub_indices, sub_data, counts
 
 
+def _transpose(ptr, indices, data, ncols):
+    """The CSR (ptr, indices, data) of ncols columns flipped, as a new CSR
+    (ptr, indices, data) of ncols rows, by csr_tocsc, the compiled routine
+    behind scipy's tocsc and tocsr: the package's one call of it.
+
+    A counting sort, so each new row holds its entries in old row order,
+    ascending.  The new ptr and indices are in index_dtype of the largest
+    count, and the kernel reads the old ones in that dtype too: viewed when
+    the widths match (uint32 indices as int32), cast otherwise.  All three
+    arrays are new and own their memory.  It checks no bounds, so every
+    index must lie below ncols.
+    """
+    dtype = index_dtype(max(ptr.size - 1, ncols, indices.size))
+    ptr, indices = (a.view(dtype) if a.dtype.itemsize == dtype.itemsize else a.astype(dtype) for a in (ptr, indices))
+    new_ptr, new_indices, new_data = (np.empty(ncols + 1, dtype), np.empty(indices.size, dtype),
+                                      np.empty(data.size, data.dtype))
+    _sparsetools.csr_tocsc(ptr.size - 1, ncols, ptr, indices, data, new_ptr, new_indices, new_data)
+    return new_ptr, new_indices, new_data
+
+
 def _gathered(ptr, indices, lengths):
     """For each row of the CSR (ptr, indices), the sum of lengths[indices]
     over its entries: the entries it gathers from rows of those lengths.
@@ -229,9 +251,18 @@ def check_int(name, value, low, high=None):
 
 
 def check_fraction(name, value):
-    """ValueError, naming it, unless value lies in (0, 1]; NaN does not."""
-    if not 0 < value <= 1:
-        raise ValueError(f"{name}={value} must lie in (0, 1]")
+    """ValueError, naming it, unless value is a real number (a bool is not
+    one) in (0, 1]; NaN is not in it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= 1:
+        raise ValueError(f"{name}={value!r} must lie in (0, 1]")
+
+
+def check_flag(name, value):
+    """value as a bool; ValueError, naming it, unless it is a Python or numpy
+    bool: 1 or "no" would pass a truth test."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name}={value!r} must be a bool")
+    return bool(value)
 
 
 EMPTY = SparseVector(np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32))

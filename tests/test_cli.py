@@ -221,6 +221,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_run_query_outside_the_ground_truth_named_by_file_and_line(self, tmp_path, capsys):
+        ids = np.tile(np.arange(3, dtype=np.uint32), (5, 1))
+        save_ground_truth(ids, np.ones((5, 3), dtype=np.float32), tmp_path / "gt.bin")
+        (tmp_path / "run.tsv").write_text("0\t0\t1\t1.000000\n12\t0\t2\t1.000000\n")
+        rc = run(["evaluate", "--run", tmp_path / "run.tsv", "--gt", tmp_path / "gt.bin", "--k", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'run.tsv'}:2: query index 12 is out of range for 5 queries\n"
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_evaluate_k_below_one_is_a_clean_failure(self, tmp_path, capsys, k):
         ids = np.tile(np.arange(3, dtype=np.uint32), (2, 1))

@@ -120,8 +120,10 @@ class TestEstimator:
         rng = np.random.default_rng(9)
         u = random_vector(rng, 300, 60, normalize=True)
         v = random_vector(rng, 300, 60, normalize=True)
-        seeds = np.arange(200, dtype=np.uint64)
+        # every seed is taken mod 2**64, as an array or one at a time: -1 is 2**64 - 1
+        seeds = list(range(200)) + [-1, -2, -2**63, 2**63, 2**64 - 1]
         batched = ts_estimate_trials(u, v, 16.0, seeds)
+        assert batched[-5] == batched[-1]
         singles = np.array(
             [
                 ts_estimate(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import struct
 import threading
 
@@ -243,6 +244,21 @@ class TestResultsTsv:
         assert got[0] == [(5, pytest.approx(0.75)), (2, pytest.approx(0.5))]
         assert got[1] == []
         assert got[2] == [(9, pytest.approx(0.123456))]
+
+    def test_query_past_the_count_named_by_file_and_line(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("0\t0\t5\t1.000000\n\n7\t0\t7\t0.500000\n")
+        with pytest.raises(ValueError, match=r"r\.tsv:3: query index 7 is out of range for 5 queries$"):
+            read_results_tsv(path, 5)
+        got = read_results_tsv(path, 9)
+        assert len(got) == 9 and got[7] == [(7, 0.5)] and got[8] == []
+
+    @pytest.mark.parametrize("row", ["0\t0\t5", "0\t0\t5\t1.0\t2", "0\t0\tx\t1.0", "0\t0\t5\tlow", "0.5\t0\t5\t1.0"])
+    def test_malformed_row_named_by_file_and_line(self, tmp_path, row):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"0\t0\t5\t1.000000\n{row}\n")
+        with pytest.raises(ValueError, match=rf"r\.tsv:2: malformed row {re.escape(repr(row))}: want"):
+            read_results_tsv(path)
 
     def test_score_formatting(self, tmp_path):
         path = tmp_path / "run.tsv"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from hypothesis import example, given, settings, strategies as st
 
 from sparsemips import (
@@ -35,7 +37,8 @@ from sparsemips import (
     set_alpha_mss,
 )
 from sparsemips.graph import check_kappa
-from sparsemips.vectors import SparseVectorError, _gather_rows, _gathered, check_int
+from sparsemips.evaluation import ground_truth
+from sparsemips.vectors import SparseVectorError, _gather_rows, _gathered, _transpose, check_int, index_dtype
 from sparsemips.synth import random_collection, random_vector
 
 
@@ -399,6 +402,11 @@ _FRACTIONS = [
     pytest.param("alpha_query", lambda s, v: ip_preservation(s, s, 1.0, v, sample=50), id="alpha_query"),
 ]
 
+_FLAGS = [
+    pytest.param("quantize", lambda v: BuildParams(alpha=0.5, beta=0.2, gamma=0.5, quantize=v), id="quantize"),
+    pytest.param("use_graph", lambda v: SearchParams(k=3, use_graph=v), id="use_graph"),
+]
+
 
 class TestInputRules:
     """Every count and fraction goes through one check, which names it."""
@@ -432,6 +440,26 @@ class TestInputRules:
         with pytest.raises(ValueError, match=f"^dim={dim} must lie in"):
             VectorSet(dim, [0], [], [])
         assert VectorSet(2**32, [0], [], []).dim == 2**32
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("name, call", _FRACTIONS)
+    def test_fraction_that_is_not_a_real_number_named(self, small_set, name, call, value):
+        # True would pass the range test as 1, and "0.5" would fail it with a bare TypeError
+        with pytest.raises(ValueError, match=rf"^{name}={re.escape(repr(value))} must lie in \(0, 1\]$"):
+            call(small_set, value)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.int64(1)])
+    @pytest.mark.parametrize("name, call", _FLAGS)
+    def test_flag_that_is_not_a_bool_named(self, name, call, value):
+        # "no" and 1 would pass a truth test as on
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be a bool$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("name, call", _FLAGS)
+    def test_bool_flags_accepted_as_bool(self, name, call, value):
+        flag = getattr(call(value), name)
+        assert type(flag) is bool and flag == value
 
     @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)])
     def test_numpy_integer_counts_accepted_as_int(self, value):
@@ -482,3 +510,55 @@ def test_gather_rows_equals_scipys_row_indexing(case):
     assert sub_indices.tolist() == want.indices.tolist()
     assert sub_data.tolist() == want.data.tolist()
     assert np.array_equal(counts, np.diff(sub_ptr))
+
+
+@st.composite
+def _csr_to_flip(draw):
+    """A CSR of 0..6 rows, some empty, with int32 or int64 pointers, int32 or
+    uint32 indices and u8, f32 or f64 data, over ncols columns, some empty:
+    0..3 past the largest index."""
+    rows = [sorted(row) for row in draw(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=6))]
+    ptr = np.cumsum([0] + [len(row) for row in rows]).astype(draw(st.sampled_from([np.int32, np.int64])))
+    indices = np.array([j for row in rows for j in row], dtype=draw(st.sampled_from([np.int32, np.uint32])))
+    data = np.arange(1, indices.size + 1).astype(draw(st.sampled_from([np.uint8, np.float32, np.float64])))
+    return ptr, indices, data, (int(indices.max()) + 1 if indices.size else 0) + draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_to_flip())
+@example((np.array([0], np.int32), np.array([], np.uint32), np.array([], np.uint8), 0))  # no rows, no columns
+@example((np.array([0, 2, 2, 3], np.int64), np.array([1, 4, 1], np.uint32), np.array([1., 2., 3.]), 7))
+def test_transpose_equals_scipys_tocsc(case):
+    ptr, indices, data, ncols = case
+    before = [a.copy() for a in case[:3]]
+    new_ptr, new_indices, new_data = _transpose(ptr, indices, data, ncols)
+    want = sp.csr_matrix((data, indices, ptr), shape=(ptr.size - 1, ncols)).tocsc()
+    assert new_ptr.dtype == new_indices.dtype == index_dtype(max(ptr.size - 1, ncols, indices.size))
+    assert new_data.dtype == data.dtype
+    assert all(a.flags.owndata for a in (new_ptr, new_indices, new_data))
+    assert new_ptr.tolist() == want.indptr.tolist()
+    assert new_indices.tolist() == want.indices.tolist()
+    assert new_data.tolist() == want.data.tolist()
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(case[:3], before))
+
+
+@pytest.mark.parametrize("call, flips", [
+    pytest.param(lambda s: build_index(s, BuildParams(alpha=0.4, beta=0.2, gamma=0.6, seed=1)), 4, id="tuned-build"),
+    pytest.param(lambda s: build_index(s, BuildParams(alpha=1.0, beta=0.1, gamma=1.0, quantize=False)), 2,
+                 id="exact-build"),
+    pytest.param(lambda s: set_alpha_mss(s, 0.5), 2, id="set_alpha_mss"),
+    pytest.param(lambda s: ground_truth(s, s, 3), 1, id="ground_truth"),
+])
+def test_set_up_flips_only_through_transpose(medium_set, monkeypatch, call, flips):
+    """Set-up converts no scipy matrix: each flip is one vectors._transpose,
+    whose csr_tocsc is the package's only one.  scipy's own methods import
+    the kernel by name, so the count sees only the package's calls."""
+    def refuse(self, *args, **kwargs):
+        pytest.fail(f"{type(self).__name__} converted by scipy")
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+        for name in ("tocsc", "tocsr"):
+            monkeypatch.setattr(cls, name, refuse)
+    kernel, made = _sparsetools.csr_tocsc, []
+    monkeypatch.setattr(_sparsetools, "csr_tocsc", lambda *args: made.append(args[:2]) or kernel(*args))
+    call(medium_set)
+    assert len(made) == flips
